@@ -223,7 +223,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_state_dump(args) -> int:
     cfg = _load_config(args)
-    t = float(args.t)
+    try:
+        t = float(args.t)
+    except ValueError as exc:
+        raise ConfigError(f"--t expects a number, got {args.t!r}") from exc
     df = factors(cfg.bath, BathConditions(cfg.beta), t)
     state = evolve(bloch_product_to_general(cfg.init), df, FieldConfig(cfg.h), t)
     obj = {
@@ -317,7 +320,7 @@ def main(argv=None) -> int:
     except _IoFailure as exc:
         print(f"spinbath: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except (ConfigError, NotPointwise, ValueError) as exc:
+    except (ConfigError, NotPointwise) as exc:
         print(f"spinbath: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except ComputeError as exc:

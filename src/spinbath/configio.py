@@ -67,7 +67,7 @@ def parse_value(text: str):
     try:
         val = _eval_node(ast.parse(text, mode="eval"))
         return float(val)
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, ArithmeticError):
         return text
 
 

@@ -8,8 +8,9 @@ induced Ising phase
     Delta(t) = 1/4 * int_0^inf J(w) (sin(w t) - w t) / w^2 dw
 
 with gamma >= 0 and Delta <= 0 for all t >= 0.  Evaluation is dispatched per
-family: closed form for the single-mode bath, an elementary closed form for
-the Ohmic s = 2 phase, quadrature with numerically stable kernels otherwise.
+family: closed form for the single-mode bath, the exact Gamma-function form
+of the Ohmic phase (any s > 0) with the Ohmic gamma by quadrature, and
+quadrature with numerically stable kernels for both Lorentzian factors.
 A Lorentzian bath with n = 0 makes gamma infrared-divergent (J tends to a
 constant and the thermal weight contributes 1/w); that case is classified up
 front as instantaneous total dephasing instead of being left to the
@@ -25,10 +26,18 @@ Kernel stability:
 Far beyond the bath cutoff the oscillatory component of each integrand is
 dropped and replaced by its integration-by-parts bound 2 g(Omega) / t (g the
 decaying amplitude), which is folded into the error budget; any remaining
-non-oscillatory tail is integrated on geometrically growing panels.  For the
-Ohmic phase the dominant non-oscillatory -w t term is split off exactly:
-its moment int w**(s-1) e^(-w/w_c) dw is a factorial recurrence for integer
-s and a smooth one-sided integral otherwise.
+non-oscillatory tail is integrated on geometrically growing panels.
+
+The Ohmic phase reduces, with x = w_c t, to
+
+    Delta = lam/4 * [Gamma(s-1) sin((s-1) atan x) (1 + x^2)^(-(s-1)/2)
+                     - Gamma(s) x],
+
+evaluated as lam/4 * Gamma(s) * [sin(e a)/e * (1 + x^2)^(-e/2) - x] with
+e = s - 1 and a = atan x, which is regular through s = 1 (where it is
+lam/4 * (atan x - x)).  For small x the two terms cancel, and the bracket
+is summed from its Taylor series instead.  ``ohmic_delta_by_quadrature``
+evaluates the same integral numerically and is kept as a reference.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ __all__ = [
     "coth_half",
     "factors",
     "factors_series",
+    "ohmic_delta",
     "ohmic_delta_by_quadrature",
     "ohmic_delta_s2_closed_form",
     "sin_minus_wt",
@@ -67,6 +77,8 @@ _ABS_TOL = 1e-12
 _MAX_EVALS = 2_000_000
 _COTH_SWITCH = 1e-4
 _SIN_SWITCH = 1e-3
+# curvature probes of the oscillatory-tail remainder, in units of its start
+_TAIL_PROBES = np.array([1.0, 1.3, 1.7, 2.2, 3.0, 4.5, 6.0, 8.0])
 
 
 class Method(enum.Enum):
@@ -104,7 +116,9 @@ def coth_half(beta: float, omega):
     """coth(beta*omega/2), Laurent form below beta*omega = 1e-4."""
     omega = np.asarray(omega, dtype=float)
     x = beta * omega
-    with np.errstate(divide="ignore"):
+    # beta*omega near the float minimum overflows both forms to +inf, which
+    # the quadrature reports as a non-finite integrand
+    with np.errstate(divide="ignore", over="ignore"):
         laurent = 2.0 / x + x / 6.0
         direct = 1.0 / np.tanh(0.5 * x)
     out = np.where(x < _COTH_SWITCH, laurent, direct)
@@ -136,10 +150,51 @@ def ohmic_delta_s2_closed_form(coupling: float, omega_c: float, t: float) -> flo
     """Elementary antiderivative of the s = 2 Ohmic phase integral.
 
     Delta(t) = coupling/(4 omega_c) * [t/(t^2 + omega_c^-2) - omega_c^2 t].
-    Kept alongside the quadrature path as an independent cross-check.
+    Kept as an independent cross-check of the quadrature reference.
     """
     return coupling / (4.0 * omega_c) * (t / (t * t + omega_c ** -2.0)
                                          - omega_c * omega_c * t)
+
+
+def _ohmic_series_switch(s: float) -> float:
+    """x = w_c t below which the Ohmic phase bracket is summed as a series.
+
+    Below it the ratio of successive series terms stays under 1/6; above it
+    the two closed-form terms cancel by a factor no smaller than
+    s(s+1) / (6(s+2)(s+3)), i.e. at most about 2.5 digits for s >= 0.1.
+    """
+    return 1.0 / math.sqrt((s + 2.0) * (s + 3.0))
+
+
+def ohmic_delta(j: Ohmic, t: float) -> float:
+    """Exact Ohmic phase Delta(t) for any s > 0 (see the module docstring).
+
+    The small-x series is sum_{m>=1} (-1)^m Gamma(s+2m)/Gamma(s)
+    x^(2m+1)/(2m+1)!, free of cancellation.  A result beyond the float
+    range (Gamma(s) overflows from s ~ 171) raises QuadratureFailure.
+    """
+    s, x = j.s, j.omega_c * t
+    if x < _ohmic_series_switch(s):
+        term, bracket, m = x, 0.0, 1
+        while True:
+            term *= -x * x * (s + 2 * m - 2) * (s + 2 * m - 1) \
+                / ((2 * m) * (2 * m + 1))
+            bracket += term
+            if abs(term) <= 1e-17 * abs(bracket):
+                break
+            m += 1
+    else:
+        e, a = s - 1.0, math.atan(x)
+        sinc = math.sin(e * a) / e if e != 0.0 else a
+        bracket = sinc * math.hypot(1.0, x) ** -e - x
+    try:
+        delta = 0.25 * j.coupling * math.gamma(s) * bracket
+    except OverflowError:
+        delta = math.inf
+    if not math.isfinite(delta):
+        raise QuadratureFailure(
+            f"Ohmic Delta at s={s}, t={t} exceeds the float range")
+    return delta
 
 
 class _Stalled(Exception):
@@ -152,10 +207,6 @@ def _piece(result):
     return result
 
 
-def _amp_at(amp, omega):
-    return abs(float(np.max(amp(np.array([omega])))))
-
-
 def _osc_tail(amp, t: float, a: float, kind: str, h: float):
     """Asymptotic value and remainder bound of int_a^inf amp(w) osc(w t) dw.
 
@@ -164,14 +215,18 @@ def _osc_tail(amp, t: float, a: float, kind: str, h: float):
     int_a^inf |amp''| / t^2, estimated from probed second derivatives with a
     generous tail allowance.  Valid when the amplitude varies on a scale L
     with t L >> 1; otherwise falls back to a zero-value drop with the
-    conservative first-order bound 2 amp(a) / t.
+    conservative first-order bound 2 amp(a) / t.  The amplitude is sampled
+    in one array call, on a three-point stencil of width hx = min(h, 1e-3 x)
+    around each curvature probe x; the first probe is a itself, so its
+    stencil also gives g(a) and g'(a).
     """
-    def d2(x, hx):
-        return (_amp_at(amp, x + hx) - 2.0 * _amp_at(amp, x)
-                + _amp_at(amp, x - hx)) / (hx * hx) + 4e-16 * _amp_at(amp, x) / (hx * hx)
-
-    g0 = _amp_at(amp, a)
-    gp = (_amp_at(amp, a + h) - _amp_at(amp, a - h)) / (2.0 * h)
+    probes = a * _TAIL_PROBES
+    hx = np.minimum(h, 1e-3 * probes)
+    g_lo, g_mid, g_hi = np.abs(np.asarray(
+        amp(np.concatenate([probes - hx, probes, probes + hx])),
+        dtype=float)).reshape(3, -1)
+    g0 = float(g_mid[0])
+    gp = float(g_hi[0] - g_lo[0]) / (2.0 * hx[0])
     L = g0 / max(abs(gp), 1e-300)
     if t * L < 30.0:
         return 0.0, 2.0 * g0 / t
@@ -180,8 +235,7 @@ def _osc_tail(amp, t: float, a: float, kind: str, h: float):
         val = -g0 * s / t + gp * c / (t * t)
     else:
         val = g0 * c / t - gp * s / (t * t)
-    probes = a * np.array([1.0, 1.3, 1.7, 2.2, 3.0, 4.5, 6.0, 8.0])
-    curv = np.array([abs(d2(x, min(h, 1e-3 * x))) for x in probes])
+    curv = np.abs(g_hi - 2.0 * g_mid + g_lo + 4e-16 * g_mid) / (hx * hx)
     total_curv = float(np.sum(0.5 * (curv[1:] + curv[:-1]) * np.diff(probes)))
     total_curv += curv[-1] * probes[-1]
     return val, 2.0 * total_curv / (t * t)
@@ -390,7 +444,7 @@ def _delta_lorentzian_by_quadrature(j: Lorentzian, t: float) -> float:
 
 
 def ohmic_delta_by_quadrature(j: Ohmic, t: float) -> float:
-    """Production quadrature path for the Ohmic phase, any s > 0.
+    """Ohmic phase by quadrature, any s > 0: a reference for ``ohmic_delta``.
 
     The non-oscillatory -w t part is split off exactly,
 
@@ -400,7 +454,8 @@ def ohmic_delta_by_quadrature(j: Ohmic, t: float) -> float:
     which removes the cancellation between a bounded oscillatory term and a
     linearly growing one.  The moment integral is (s-1)! * w_c^s for integer
     s (factorial recurrence, no special functions) and a smooth quadrature
-    otherwise.
+    otherwise.  Shares no code with the closed form, so the two cross-check
+    each other; ``factors`` never calls it.
     """
     if t == 0.0:
         return 0.0
@@ -450,13 +505,9 @@ def factors(j: SpectralDensity, bc: BathConditions, t: float) -> DecoherenceFact
     try:
         if isinstance(j, Ohmic):
             gamma = _gamma_by_quadrature(j, bc.beta, t)
-            if j.s == 2.0:
-                delta = ohmic_delta_s2_closed_form(j.coupling, j.omega_c, t)
-                return DecoherenceFactors(max(gamma, 0.0), min(delta, 0.0),
-                                          False, Method.ANALYTIC_REDUCTION)
-            delta = ohmic_delta_by_quadrature(j, t)
-            return DecoherenceFactors(max(gamma, 0.0), min(delta, 0.0),
-                                      False, Method.QUADRATURE)
+            return DecoherenceFactors(max(gamma, 0.0),
+                                      min(ohmic_delta(j, t), 0.0), False,
+                                      Method.ANALYTIC_REDUCTION)
         # Lorentzian
         delta = _delta_lorentzian_by_quadrature(j, t)
         if divergent:

@@ -19,7 +19,9 @@ class InvalidTime(SpinBathError):
 
 
 class QuadratureFailure(SpinBathError):
-    """A decoherence integral did not converge within its evaluation budget."""
+    """A decoherence factor could not be evaluated: its integral did not
+    converge within the evaluation budget, its integrand left the float
+    range, or its closed form did."""
 
 
 class InvalidState(SpinBathError):

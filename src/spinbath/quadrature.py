@@ -10,7 +10,8 @@ as the full integrand stays integrable.
 Divergence is detected rather than produced: panels shrinking dyadically
 toward omega = 0 whose contributions stop decaying flag an infrared
 divergence, and a truncation scan that never finds a decaying tail flags an
-ultraviolet one.  Either sets ``IntegrationResult.diverged``.
+ultraviolet one.  Either sets ``IntegrationResult.diverged``.  An integrand
+value outside the float range (inf or nan) raises QuadratureFailure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import QuadratureFailure
 
 __all__ = [
     "IntegrationRequest",
@@ -138,7 +141,8 @@ def _panel_sums(f, lo, hi):
     y = f(x.ravel()).reshape(x.shape)
     if not np.all(np.isfinite(y)):
         bad = x.ravel()[~np.isfinite(y.ravel())][:1]
-        raise ValueError(f"integrand not finite at omega={bad[0]!r}")
+        raise QuadratureFailure(
+            f"integrand not finite at omega={float(bad[0]):.17g}")
     kron = h * (y @ _WK)
     gauss = h * (y[:, _GAUSS_IDX] @ _WG)
     diff = np.abs(kron - gauss)

@@ -137,7 +137,7 @@ class ScenarioConfig:
                                   outputs=frozenset(outputs))
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
 
 

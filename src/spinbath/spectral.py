@@ -96,8 +96,11 @@ def evaluate(j: SpectralDensity, omega):
     if np.any(omega <= 0):
         raise ValueError("evaluate requires omega > 0")
     if isinstance(j, Ohmic):
-        out = (j.coupling * omega ** j.s * j.omega_c ** (1.0 - j.s)
-               * np.exp(-omega / j.omega_c))
+        # omega**s overflows for large s; the inf (or inf * 0 = nan) is left
+        # for the caller's finiteness check instead of a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (j.coupling * omega ** j.s * j.omega_c ** (1.0 - j.s)
+                   * np.exp(-omega / j.omega_c))
     elif isinstance(j, Lorentzian):
         out = (j.coupling / np.pi * j.q * omega ** j.n
                / ((omega ** 2 - j.omega_c ** 2) ** 2 + j.q ** 2 * omega ** 2))

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinbath
 from spinbath.cli import main
 
 SMALL_CONFIG = """\
@@ -229,4 +233,30 @@ class TestPresetCommands:
 
     def test_unknown_preset_name(self, capsys):
         code, out, err = invoke(capsys, "preset", "figNaN")
+        assert code == 2
+
+
+class TestErrorClasses:
+    @pytest.mark.parametrize("s", ["0.02", "200"])
+    def test_non_finite_integrand_is_compute_error(self, s):
+        # a fresh interpreter, so any numpy warning would reach real stderr
+        src = os.path.dirname(os.path.dirname(spinbath.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinbath.cli", "run", "--preset", "fig3_s1",
+             "--set", f"bath.s={s}", "--set", "grid.n_points=2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert "Warning" not in proc.stderr
+        assert "not finite" in proc.stderr
+
+    @pytest.mark.parametrize("override", ["grid.t_end=1/0", "init=1"])
+    def test_unparseable_override_is_config_error(self, capsys, override):
+        code, out, err = invoke(capsys, "run", "--preset", "fig1_lambda1",
+                                "--set", override)
+        assert code == 2
+
+    def test_non_numeric_time_is_config_error(self, capsys):
+        code, out, err = invoke(capsys, "state-dump", "--preset",
+                                "fig1_lambda1", "--t", "soon")
         assert code == 2

@@ -7,6 +7,7 @@ from spinbath.decoherence import (
     BathConditions,
     DecoherenceFactors,
     Method,
+    _osc_tail,
     closed_form_single_mode,
     coth_half,
     factors,
@@ -149,6 +150,21 @@ class TestQuadratureFactors:
             q = ohmic_delta_by_quadrature(j, t)
             a = ohmic_delta_s2_closed_form(0.01, 10.0, t)
             assert abs(q - a) <= 1e-8 * abs(a)
+
+
+class TestOscTail:
+    # t = 0.5 takes the first-order fallback, t = 200 the full remainder bound
+    @pytest.mark.parametrize("t", [0.5, 200.0])
+    def test_one_amplitude_call(self, t):
+        calls = []
+
+        def amp(w):
+            calls.append(np.shape(w))
+            return np.exp(-w / 10.0) / w ** 2
+
+        value, bound = _osc_tail(amp, t, 30.0, "cos", 0.03)
+        assert np.isfinite(value) and bound > 0.0
+        assert calls == [(24,)]
 
 
 class TestDivergenceClassification:
