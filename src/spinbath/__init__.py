@@ -5,7 +5,7 @@ temperature beta; its entire imprint on the spins is the pair of
 decoherence factors gamma(t) (dephasing exponent) and Delta(t) (induced
 Ising phase).  From those the reduced 4x4 density matrix and the
 entanglement negativity follow in closed form for the x-projected initial
-state and numerically (partial transpose + Jacobi diagonalization) for any
+state and numerically (partial transpose + LAPACK diagonalization) for any
 product of Bloch-sphere states.  All quantities are in natural units
 (hbar = k_B = 1).
 """

@@ -104,6 +104,8 @@ class DecoherenceFactors:
 
     ``gamma`` is +inf when ``gamma_divergent`` is set; downstream evolution
     then zeroes every coherence between different magnetization sectors.
+    The fields are floats for one time, or equal-shape arrays over a time
+    grid (``closed_form_single_mode`` on an array, ``scenario.run``).
     """
 
     gamma: float
@@ -125,7 +127,7 @@ def coth_half(beta: float, omega):
     return out if out.ndim else float(out)
 
 
-def sin_minus_wt(omega, t: float):
+def sin_minus_wt(omega, t):
     """sin(omega t) - omega t, series below omega t = 1e-3 (always <= 0)."""
     omega = np.asarray(omega, dtype=float)
     x = omega * t
@@ -135,14 +137,22 @@ def sin_minus_wt(omega, t: float):
 
 
 def closed_form_single_mode(coupling: float, omega_c: float, beta: float,
-                            t: float) -> DecoherenceFactors:
-    """Exact factors for J(w) = coupling * delta(w - omega_c)."""
-    if t < 0:
+                            t) -> DecoherenceFactors:
+    """Exact factors for J(w) = coupling * delta(w - omega_c).
+
+    t may be an array of times; gamma and delta are then arrays of the same
+    shape.  They agree with the scalar calls to the last bit or so: numpy
+    squares an array as x * x, a scalar through pow.
+    """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise InvalidTime(f"t must be >= 0, got {t}")
     wc2 = omega_c * omega_c
-    gamma = 0.5 * coupling * math.sin(0.5 * omega_c * t) ** 2 / wc2 \
+    gamma = 0.5 * coupling * np.sin(0.5 * omega_c * t) ** 2 / wc2 \
         * coth_half(beta, omega_c)
-    delta = 0.25 * coupling * float(sin_minus_wt(omega_c, t)) / wc2
+    delta = 0.25 * coupling * sin_minus_wt(omega_c, t) / wc2
+    if not t.ndim:
+        gamma, delta = float(gamma), float(delta)
     return DecoherenceFactors(gamma, delta, False, Method.CLOSED_FORM)
 
 
@@ -490,12 +500,20 @@ def _ohmic_moment(s: float, omega_c: float) -> float:
     return res.value
 
 
-def factors(j: SpectralDensity, bc: BathConditions, t: float) -> DecoherenceFactors:
-    """Decoherence factors at time t, dispatched on the bath family."""
-    if t < 0 or not np.isfinite(t):
+def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
+    """Decoherence factors at time t, dispatched on the bath family.
+
+    gamma and delta are builtin floats.  The closed-form single-mode bath
+    also takes an array of times and then returns arrays; the quadrature
+    families take one time per call.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
         raise InvalidTime(f"t must be finite and >= 0, got {t}")
     if isinstance(j, SingleMode):
-        return closed_form_single_mode(j.coupling, j.omega_c, bc.beta, t)
+        return closed_form_single_mode(j.coupling, j.omega_c, bc.beta, t_arr)
+    if t_arr.ndim:
+        raise TypeError(f"{type(j).__name__} factors take one time per call")
     if t == 0.0:
         method = (Method.ANALYTIC_REDUCTION
                   if isinstance(j, Ohmic) and j.s == 2.0 else Method.QUADRATURE)
@@ -505,16 +523,15 @@ def factors(j: SpectralDensity, bc: BathConditions, t: float) -> DecoherenceFact
     try:
         if isinstance(j, Ohmic):
             gamma = _gamma_by_quadrature(j, bc.beta, t)
-            return DecoherenceFactors(max(gamma, 0.0),
-                                      min(ohmic_delta(j, t), 0.0), False,
+            return DecoherenceFactors(float(max(gamma, 0.0)),
+                                      float(min(ohmic_delta(j, t), 0.0)), False,
                                       Method.ANALYTIC_REDUCTION)
         # Lorentzian
-        delta = _delta_lorentzian_by_quadrature(j, t)
+        delta = float(min(_delta_lorentzian_by_quadrature(j, t), 0.0))
         if divergent:
-            return DecoherenceFactors(math.inf, min(delta, 0.0), True,
-                                      Method.QUADRATURE)
+            return DecoherenceFactors(math.inf, delta, True, Method.QUADRATURE)
         gamma = _gamma_by_quadrature(j, bc.beta, t)
-        return DecoherenceFactors(max(gamma, 0.0), min(delta, 0.0), False,
+        return DecoherenceFactors(float(max(gamma, 0.0)), delta, False,
                                   Method.QUADRATURE)
     except _Stalled as exc:
         raise QuadratureFailure(

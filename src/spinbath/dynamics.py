@@ -92,31 +92,44 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class TwoSpinState:
-    """4x4 reduced density matrix in the |m1, m2> basis."""
+    """4x4 reduced density matrix in the |m1, m2> basis, or a (B, 4, 4)
+    stack of them along a leading time axis.
+
+    Every matrix must be finite, Hermitian, of unit trace and positive
+    (lowest eigenvalue >= -1e-10); a stack is checked with one batched
+    eigvalsh.
+    """
 
     rho: np.ndarray
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise InvalidState(f"density matrix must be 4x4, got {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+            raise InvalidState(
+                f"density matrix must be 4x4 or (B, 4, 4), got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise InvalidState("density matrix has non-finite entries")
+        if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), initial=0.0) > 1e-12:
             raise InvalidState("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
-            raise InvalidState(f"trace must be 1, got {np.trace(rho)}")
-        lowest = float(np.linalg.eigvalsh(rho)[0])
+        trace = np.trace(rho, axis1=-2, axis2=-1)
+        bad = (np.abs(trace.real - 1.0) > 1e-12) | (np.abs(trace.imag) > 1e-12)
+        if np.any(bad):
+            raise InvalidState(f"trace must be 1, got {trace[bad].flat[0]}")
+        lowest = float(np.min(np.linalg.eigvalsh(rho)[..., 0], initial=0.0))
         if lowest < -1e-10:
             raise InvalidState(f"density matrix not positive (min eig {lowest:.3e})")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
-    def purity(self) -> float:
-        """Tr rho^2 (real for Hermitian rho)."""
-        return float(np.sum(np.abs(self.rho) ** 2))
+    def purity(self):
+        """Tr rho^2 (real for Hermitian rho); an array for a stack."""
+        out = np.sum(np.abs(self.rho) ** 2, axis=(-2, -1))
+        return out if out.ndim else float(out)
 
     def to_json_obj(self) -> list:
-        """Nested [re, im] pairs, the CLI state-dump format."""
-        return [[[float(z.real), float(z.imag)] for z in row] for row in self.rho]
+        """Nested [re, im] pairs, the CLI state-dump format (one per matrix
+        for a stack)."""
+        return np.stack([self.rho.real, self.rho.imag], axis=-1).tolist()
 
 
 def bloch_product_to_general(init: InitialProductState) -> GeneralInitialState:
@@ -143,19 +156,27 @@ def is_x_projected(init: GeneralInitialState, tol: float = 1e-12) -> bool:
 
 
 def evolve(init: GeneralInitialState, df: DecoherenceFactors,
-           field: FieldConfig, t: float) -> TwoSpinState:
-    """Reduced state at time t from the initial amplitudes and bath factors."""
+           field: FieldConfig, t) -> TwoSpinState:
+    """Reduced state at time t from the initial amplitudes and bath factors.
+
+    t, df.gamma, df.delta and df.gamma_divergent may be scalars or arrays
+    over one leading time axis of length B; the result then holds a
+    (B, 4, 4) stack, validated once.
+    """
+    t, gamma, delta = (np.asarray(a, dtype=float)[..., None, None]
+                       for a in (t, df.gamma, df.delta))
+    divergent = np.asarray(df.gamma_divergent, dtype=bool)[..., None, None]
     c = init.amplitudes()
     rho0 = np.outer(c, c.conj())
     M = _M_SUM.astype(float)
     dM = M[:, None] - M[None, :]
     dM2 = M[:, None] ** 2 - M[None, :] ** 2
 
-    phase = np.exp(-1j * (0.5 * field.h * t * dM + df.delta * dM2))
-    if df.gamma_divergent:
-        damp = np.where(dM == 0.0, 1.0, 0.0)
-    else:
-        damp = np.exp(-(dM ** 2) * df.gamma)
+    phase = np.exp(-1j * (0.5 * field.h * t * dM + delta * dM2))
+    # a divergent gamma zeroes the M != N elements exactly; its +inf never
+    # enters the exponent (inf * 0 would be nan on the diagonal)
+    damp = np.exp(-(dM ** 2) * np.where(divergent, 0.0, gamma))
+    damp = np.where(divergent & (dM != 0.0), 0.0, damp)
     return TwoSpinState(rho0 * phase * damp)
 
 

@@ -16,8 +16,9 @@ Three routes are provided and cross-check each other:
 * ``appendix_b_eigenvalues``: all four analytic eigenvalues of that partial
   transpose.
 * ``negativity_numeric``: the general route for any state, needed for tilted
-  initial Bloch angles.  The 4x4 Hermitian partial transpose is embedded as
-  a real symmetric 8x8 matrix and diagonalized by cyclic Jacobi rotations.
+  initial Bloch angles.  The 4x4 Hermitian partial transpose is diagonalized
+  by LAPACK (``np.linalg.eigvalsh``); ``pt_spectra`` takes a whole (B, 4, 4)
+  stack in one call.
 
 Eigenvalues within 1e-13 of zero are treated as zero so that separable
 states report exactly N = 0.
@@ -104,102 +105,53 @@ def negativity_closed_form(gamma: float, delta: float) -> NegativityResult:
                             NegativityMethod.CLOSED_FORM)
 
 
-def ideal_negativity(delta: float) -> float:
-    """Zero-dephasing negativity of the x-projected state, |sin(4 Delta)|/2."""
-    return 0.5 * abs(math.sin(4.0 * delta))
+def ideal_negativity(delta):
+    """Zero-dephasing negativity of the x-projected state, |sin(4 Delta)|/2.
+
+    Elementwise for an array of Delta.
+    """
+    out = 0.5 * np.abs(np.sin(4.0 * np.asarray(delta, dtype=float)))
+    return out if out.ndim else float(out)
 
 
 def partial_transpose(rho: np.ndarray) -> np.ndarray:
-    """Transpose the second-spin indices of a 4x4 two-spin matrix."""
+    """Transpose the second-spin indices of a 4x4 two-spin matrix, or of
+    each matrix in a (B, 4, 4) stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidState(f"expected a 4x4 matrix, got {rho.shape}")
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise InvalidState(f"expected a 4x4 or (B, 4, 4) matrix, got {rho.shape}")
+    lead = rho.shape[:-2]
     return np.ascontiguousarray(
-        rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
-
-
-# pivot schedule of one cyclic Jacobi sweep over an 8x8 symmetric matrix
-_PIVOTS = [(p, q) for p in range(8) for q in range(p + 1, 8)]
-
-
-def _embed_real(h: np.ndarray) -> np.ndarray:
-    """Hermitian (B,4,4) -> real symmetric (B,8,8) [[X, -Y], [Y, X]].
-
-    Every eigenvalue of the input appears twice in the embedding.
-    """
-    x, y = h.real, h.imag
-    top = np.concatenate([x, -y], axis=2)
-    bot = np.concatenate([y, x], axis=2)
-    return np.concatenate([top, bot], axis=1)
-
-
-def _jacobi_sweeps(A: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
-    """Cyclic Jacobi diagonalization of a batch of real symmetric matrices.
-
-    Runs sweeps until the off-diagonal Frobenius norm of every matrix in the
-    batch falls below 1e-13 (absolute, the inputs being trace-1 scaled).
-    """
-    A = A.copy()
-    b = A.shape[0]
-    idx = np.arange(b)
-    off_tol = 1e-13
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.maximum(
-            np.sum(A ** 2, axis=(1, 2)) - np.sum(np.diagonal(A, axis1=1, axis2=2) ** 2,
-                                                 axis=1), 0.0))
-        if np.all(off <= off_tol):
-            return A
-        for p, q in _PIVOTS:
-            apq = A[idx, p, q]
-            app = A[idx, p, p]
-            aqq = A[idx, q, q]
-            nonzero = np.abs(apq) > 1e-300
-            tau = np.where(nonzero, (aqq - app) / np.where(nonzero, 2.0 * apq, 1.0), 0.0)
-            tsgn = np.where(tau >= 0.0, 1.0, -1.0)
-            tt = np.where(nonzero, tsgn / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
-            c = 1.0 / np.sqrt(1.0 + tt * tt)
-            s = tt * c
-            rp = A[:, p, :].copy()
-            rq = A[:, q, :].copy()
-            A[:, p, :] = c[:, None] * rp - s[:, None] * rq
-            A[:, q, :] = s[:, None] * rp + c[:, None] * rq
-            cp = A[:, :, p].copy()
-            cq = A[:, :, q].copy()
-            A[:, :, p] = c[:, None] * cp - s[:, None] * cq
-            A[:, :, q] = s[:, None] * cp + c[:, None] * cq
-    off = np.sqrt(np.maximum(
-        np.sum(A ** 2, axis=(1, 2)) - np.sum(np.diagonal(A, axis1=1, axis2=2) ** 2,
-                                             axis=1), 0.0))
-    raise EigenNonConvergence(
-        f"off-diagonal norm stalled at {float(np.max(off)):.3e} "
-        f"after {max_sweeps} sweeps")
+        rho.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4))
 
 
 def pt_spectra(rhos: np.ndarray) -> np.ndarray:
     """Partial-transpose spectra for a batch of 4x4 density matrices.
 
-    Input (B, 4, 4) complex Hermitian; output (B, 4) real ascending.
+    Input (B, 4, 4) or (4, 4) complex Hermitian; output (B, 4) or (4,)
+    real ascending, from one batched LAPACK eigvalsh.
     """
-    rhos = np.asarray(rhos, dtype=complex)
-    squeeze = rhos.ndim == 2
-    if squeeze:
-        rhos = rhos[None]
-    pt = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    herm_defect = np.max(np.abs(pt - pt.conj().transpose(0, 2, 1)))
+    pt = partial_transpose(rhos)
+    if not np.all(np.isfinite(pt)):
+        raise InvalidState("partial transpose has non-finite entries")
+    herm_defect = np.max(np.abs(pt - pt.conj().swapaxes(-1, -2)), initial=0.0)
     if herm_defect > 1e-10:
         raise InvalidState(f"partial transpose not Hermitian (defect {herm_defect:.3e})")
-    diag = _jacobi_sweeps(_embed_real(pt))
-    eigs8 = np.sort(np.diagonal(diag, axis1=1, axis2=2), axis=1)
-    # the embedding doubles each eigenvalue; average the pairs
-    eigs4 = 0.5 * (eigs8[:, 0::2] + eigs8[:, 1::2])
-    return eigs4[0] if squeeze else eigs4
+    try:
+        return np.linalg.eigvalsh(pt)
+    except np.linalg.LinAlgError as exc:
+        raise EigenNonConvergence(f"partial-transpose spectrum: {exc}") from exc
 
 
-def negativity_from_spectrum(eigs) -> float:
-    """Sum of |negative eigenvalues|, ignoring ones within the zero band."""
+def negativity_from_spectrum(eigs):
+    """Sum of |negative eigenvalues|, ignoring ones within the zero band.
+
+    Sums along the last axis: a float for one spectrum, an array for a
+    (B, 4) batch of spectra.
+    """
     eigs = np.asarray(eigs, dtype=float)
-    neg = eigs[eigs < -ZERO_EIGENVALUE_TOL]
-    return float(-np.sum(neg)) if neg.size else 0.0
+    out = np.sum(np.where(eigs < -ZERO_EIGENVALUE_TOL, -eigs, 0.0), axis=-1)
+    return out if out.ndim else float(out)
 
 
 def negativity_numeric(state: TwoSpinState) -> NegativityResult:

@@ -29,7 +29,8 @@ class InvalidState(SpinBathError):
 
 
 class EigenNonConvergence(SpinBathError):
-    """The Jacobi eigensolver failed to reduce the off-diagonal norm."""
+    """The LAPACK eigensolver (``np.linalg.eigvalsh``) did not converge on a
+    partial transpose."""
 
 
 class ConfigError(SpinBathError):
