@@ -8,9 +8,9 @@ induced Ising phase
     Delta(t) = 1/4 * int_0^inf J(w) (sin(w t) - w t) / w^2 dw
 
 with gamma >= 0 and Delta <= 0 for all t >= 0.  Evaluation is dispatched per
-family: closed form for the single-mode bath, the exact Gamma-function form
-of the Ohmic phase (any s > 0) with the Ohmic gamma by quadrature, and
-quadrature with numerically stable kernels for both Lorentzian factors.
+family: closed form for the single-mode bath, exact Gamma-function forms of
+both Ohmic factors (any s > 0, evaluated over a whole time array at once),
+and quadrature with numerically stable kernels for both Lorentzian factors.
 A Lorentzian bath with n = 0 makes gamma infrared-divergent (J tends to a
 constant and the thermal weight contributes 1/w); that case is classified up
 front as instantaneous total dephasing instead of being left to the
@@ -28,16 +28,27 @@ dropped and replaced by its integration-by-parts bound 2 g(Omega) / t (g the
 decaying amplitude), which is folded into the error budget; any remaining
 non-oscillatory tail is integrated on geometrically growing panels.
 
-The Ohmic phase reduces, with x = w_c t, to
+Both Ohmic factors reduce, with x = w_c t and e = s - 1, to the function
 
-    Delta = lam/4 * [Gamma(s-1) sin((s-1) atan x) (1 + x^2)^(-(s-1)/2)
-                     - Gamma(s) x],
+    P(e, u) = [1 - (1 + iu)^(-e)] / e,
 
-evaluated as lam/4 * Gamma(s) * [sin(e a)/e * (1 + x^2)^(-e/2) - x] with
-e = s - 1 and a = atan x, which is regular through s = 1 (where it is
-lam/4 * (atan x - x)).  For small x the two terms cancel, and the bracket
-is summed from its Taylor series instead.  ``ohmic_delta_by_quadrature``
-evaluates the same integral numerically and is kept as a reference.
+which tends to log(1 + iu) at s = 1 and is evaluated through a complex
+expm1, free of cancellation at small u.  The phase is
+
+    Delta = lam/4 * Gamma(s) * [Im P(e, x) - x]
+          = lam/4 * [Gamma(s-1) sin(e atan x) (1 + x^2)^(-e/2) - Gamma(s) x];
+
+for small x the two terms cancel, and the bracket is summed from its Taylor
+series instead.  The dephasing exponent follows from coth(beta w / 2) =
+1 + 2 sum_n e^(-n beta w) (Palma, Suominen & Ekert 1996; Reina, Quiroga &
+Johnson 2002) as a sum over b_n = 1 + n beta w_c,
+
+    gamma = lam/4 * Gamma(s) * sum_n w_n b_n^(-e) Re P(e, x / b_n),
+
+taken directly for its first terms and by Euler-Maclaurin for the rest
+(``ohmic_gamma``).  ``ohmic_delta_by_quadrature`` and
+``_gamma_by_quadrature`` evaluate the same integrals numerically and are
+kept as references.
 """
 
 from __future__ import annotations
@@ -67,6 +78,7 @@ __all__ = [
     "factors",
     "factors_series",
     "ohmic_delta",
+    "ohmic_gamma",
     "ohmic_delta_by_quadrature",
     "ohmic_delta_s2_closed_form",
     "sin_minus_wt",
@@ -79,6 +91,11 @@ _COTH_SWITCH = 1e-4
 _SIN_SWITCH = 1e-3
 # curvature probes of the oscillatory-tail remainder, in units of its start
 _TAIL_PROBES = np.array([1.0, 1.3, 1.7, 2.2, 3.0, 4.5, 6.0, 8.0])
+#: Ohmic gamma: coth-series terms summed directly before the tail
+_COTH_DIRECT = 32
+#: B_2k / (2k)!, k = 1..6: the Euler-Maclaurin weights of the tail
+_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
+              1.0 / 47900160.0, -691.0 / 1307674368000.0)
 
 
 class Method(enum.Enum):
@@ -105,7 +122,8 @@ class DecoherenceFactors:
     ``gamma`` is +inf when ``gamma_divergent`` is set; downstream evolution
     then zeroes every coherence between different magnetization sectors.
     The fields are floats for one time, or equal-shape arrays over a time
-    grid (``closed_form_single_mode`` on an array, ``scenario.run``).
+    grid (``factors`` of a single-mode or Ohmic bath on an array,
+    ``scenario.run``).
     """
 
     gamma: float
@@ -176,35 +194,127 @@ def _ohmic_series_switch(s: float) -> float:
     return 1.0 / math.sqrt((s + 2.0) * (s + 3.0))
 
 
-def ohmic_delta(j: Ohmic, t: float) -> float:
+def _log1iu(u):
+    """Real and imaginary parts of log(1 + iu) for u >= 0.
+
+    u^2 is capped at 1e300 (where 0.5 log1p(u^2) = log u to the last bit)
+    so that no huge time overflows it.
+    """
+    v = np.minimum(u, 1e150)
+    return (0.5 * np.log1p(v * v) + np.log(np.maximum(u, 1e150) / 1e150),
+            np.arctan(u))
+
+
+def _re_p(e: float, log1iu):
+    """Re P(e, u), P(e, u) = [1 - (1 + iu)^(-e)] / e, from log(1 + iu).
+
+    With z = -e log(1 + iu) = X + iY, 1 - exp(z) is minus the complex expm1
+    expm1(X) cos Y - 2 sin^2(Y/2) + i e^X sin Y, which is free of
+    cancellation at small u; P tends to log(1 + iu) as e -> 0.
+    """
+    l, a = log1iu
+    if e == 0.0:
+        return l
+    X, Y = -e * l, -e * a
+    return (2.0 * np.sin(0.5 * Y) ** 2 - np.expm1(X) * np.cos(Y)) / e
+
+
+def _im_p(e: float, log1iu):
+    """Im P(e, u) = e^X sin(e atan u) / e, see ``_re_p``."""
+    l, a = log1iu
+    if e == 0.0:
+        return a
+    return np.exp(-e * l) * np.sin(e * a) / e
+
+
+def _ohmic_scale(j: Ohmic, what: str) -> float:
+    """lam/4 Gamma(s), the prefactor of both Ohmic factors."""
+    try:
+        return 0.25 * j.coupling * math.gamma(j.s)
+    except OverflowError:
+        raise QuadratureFailure(
+            f"Ohmic {what} at s={j.s}: Gamma(s) is not finite") from None
+
+
+def _checked(value, j: Ohmic, what: str):
+    if not np.all(np.isfinite(value)):
+        raise QuadratureFailure(f"Ohmic {what} at s={j.s} is not finite")
+    return value if value.ndim else float(value)
+
+
+def ohmic_delta(j: Ohmic, t):
     """Exact Ohmic phase Delta(t) for any s > 0 (see the module docstring).
 
-    The small-x series is sum_{m>=1} (-1)^m Gamma(s+2m)/Gamma(s)
-    x^(2m+1)/(2m+1)!, free of cancellation.  A result beyond the float
-    range (Gamma(s) overflows from s ~ 171) raises QuadratureFailure.
+    t may be an array of times.  The bracket is Im P(e, x) - x; below the
+    switch it is summed from the series sum_{m>=1} (-1)^m Gamma(s+2m)/Gamma(s)
+    x^(2m+1)/(2m+1)!, free of cancellation.  A result beyond the float range
+    (Gamma(s) overflows from s ~ 171) raises QuadratureFailure.
     """
-    s, x = j.s, j.omega_c * t
-    if x < _ohmic_series_switch(s):
-        term, bracket, m = x, 0.0, 1
+    s, scale = j.s, _ohmic_scale(j, "Delta")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = j.omega_c * np.asarray(t, dtype=float)
+        small = x < _ohmic_series_switch(s)
+        xs = np.where(small, x, 0.0)
+        term, series, m = xs, np.zeros_like(xs), 1
         while True:
-            term *= -x * x * (s + 2 * m - 2) * (s + 2 * m - 1) \
-                / ((2 * m) * (2 * m + 1))
-            bracket += term
-            if abs(term) <= 1e-17 * abs(bracket):
+            term = term * (-xs * xs * (s + 2 * m - 2) * (s + 2 * m - 1)
+                           / ((2 * m) * (2 * m + 1)))
+            series = series + term
+            if np.all(np.abs(term) <= 1e-17 * np.abs(series)):
                 break
             m += 1
-    else:
-        e, a = s - 1.0, math.atan(x)
-        sinc = math.sin(e * a) / e if e != 0.0 else a
-        bracket = sinc * math.hypot(1.0, x) ** -e - x
-    try:
-        delta = 0.25 * j.coupling * math.gamma(s) * bracket
-    except OverflowError:
-        delta = math.inf
-    if not math.isfinite(delta):
-        raise QuadratureFailure(
-            f"Ohmic Delta at s={s}, t={t} exceeds the float range")
-    return delta
+        bracket = np.where(small, series, _im_p(s - 1.0, _log1iu(x)) - x)
+        return _checked(scale * bracket, j, "Delta")
+
+
+def ohmic_gamma(j: Ohmic, beta: float, t):
+    """Exact Ohmic dephasing exponent gamma(t) for any s > 0 and beta > 0.
+
+    t may be an array of times.  With coth(beta w / 2) = 1 + 2 sum_n
+    e^(-n beta w), x = w_c t, kappa = beta w_c, b_n = 1 + n kappa and
+    e = s - 1,
+
+        gamma = lam/4 Gamma(s) sum_{n>=0} w_n b_n^(-e) Re P(e, x / b_n),
+
+    w_0 = 1, w_n = 2.  The first N = ``_COTH_DIRECT`` terms are summed
+    directly, the rest by Euler-Maclaurin on f(n) = F(b_n) with
+    F(b) = b^(-e) Re P(e, x/b).  With u = x/b,
+
+        int_b^inf F = b^(1-e) Re[(1 + iu) P(e, u)] / (s - 2)
+                    = b^(1-e) Re P(e - 1, u) / e    (used for s >= 1.5),
+        F^(j)(b) = (-1)^j (e+1)(e+2)...(e+j) b^(-e-j) Re P(e + j, u).
+
+    Since kappa / b_N < 1 / N, successive correction terms fall by a factor
+    of about ((e + 2k) / (2 pi N))^2, so the work per time is fixed for
+    every s, beta and t.  Memory is a few arrays of the grid size.
+    """
+    s, e, kappa = j.s, j.s - 1.0, beta * j.omega_c
+    scale = _ohmic_scale(j, "gamma")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = j.omega_c * np.asarray(t, dtype=float)
+        total = np.zeros_like(x)
+        for n in range(_COTH_DIRECT):
+            b = 1.0 + n * kappa
+            total += (2.0 if n else 1.0) * b ** -e * _re_p(e, _log1iu(x / b))
+        # tail is kept in units of b^(-e); the sum over n >= N starts with
+        # int_N^inf f dn = int_b^inf F db / kappa
+        b = 1.0 + _COTH_DIRECT * kappa
+        u = x / b
+        log1iu = _log1iu(u)
+        ratio = kappa / b
+        if s < 1.5:
+            integral = (_re_p(e, log1iu) - u * _im_p(e, log1iu)) / (s - 2.0)
+        else:
+            integral = _re_p(e - 1.0, log1iu) / e
+        tail = integral / ratio + 0.5 * _re_p(e, log1iu)
+        rising = 1.0
+        for k, coeff in enumerate(_EM_COEFFS):
+            order = 2 * k + 1
+            rising *= (e + order - 1.0) * (e + order) if k else e + 1.0
+            tail = tail + coeff * rising * ratio ** order \
+                * _re_p(e + order, log1iu)
+        total += 2.0 * b ** -e * tail
+        return _checked(scale * total, j, "gamma")
 
 
 class _Stalled(Exception):
@@ -503,32 +613,32 @@ def _ohmic_moment(s: float, omega_c: float) -> float:
 def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     """Decoherence factors at time t, dispatched on the bath family.
 
-    gamma and delta are builtin floats.  The closed-form single-mode bath
-    also takes an array of times and then returns arrays; the quadrature
-    families take one time per call.
+    The single-mode and Ohmic baths are exact and also take an array of
+    times, returning arrays; the Lorentzian baths go through quadrature one
+    time per call.  For one time, gamma and delta are builtin floats.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
         raise InvalidTime(f"t must be finite and >= 0, got {t}")
     if isinstance(j, SingleMode):
         return closed_form_single_mode(j.coupling, j.omega_c, bc.beta, t_arr)
-    if t_arr.ndim:
-        raise TypeError(f"{type(j).__name__} factors take one time per call")
-    if t == 0.0:
+    if t_arr.ndim == 0 and t == 0.0:
         method = (Method.ANALYTIC_REDUCTION
                   if isinstance(j, Ohmic) and j.s == 2.0 else Method.QUADRATURE)
         return DecoherenceFactors(0.0, 0.0, False, method)
+    if isinstance(j, Ohmic):
+        gamma = np.maximum(ohmic_gamma(j, bc.beta, t_arr), 0.0)
+        delta = np.minimum(ohmic_delta(j, t_arr), 0.0)
+        if not t_arr.ndim:
+            gamma, delta = float(gamma), float(delta)
+        return DecoherenceFactors(gamma, delta, False, Method.ANALYTIC_REDUCTION)
+    if t_arr.ndim:
+        raise TypeError(f"{type(j).__name__} factors take one time per call")
 
-    divergent = spectral.ir_exponent(j) <= 0.0
+    # Lorentzian
     try:
-        if isinstance(j, Ohmic):
-            gamma = _gamma_by_quadrature(j, bc.beta, t)
-            return DecoherenceFactors(float(max(gamma, 0.0)),
-                                      float(min(ohmic_delta(j, t), 0.0)), False,
-                                      Method.ANALYTIC_REDUCTION)
-        # Lorentzian
         delta = float(min(_delta_lorentzian_by_quadrature(j, t), 0.0))
-        if divergent:
+        if spectral.ir_exponent(j) <= 0.0:
             return DecoherenceFactors(math.inf, delta, True, Method.QUADRATURE)
         gamma = _gamma_by_quadrature(j, bc.beta, t)
         return DecoherenceFactors(float(max(gamma, 0.0)), delta, False,

@@ -97,7 +97,7 @@ class TwoSpinState:
 
     Every matrix must be finite, Hermitian, of unit trace and positive
     (lowest eigenvalue >= -1e-10); a stack is checked with one batched
-    eigvalsh.
+    eigvalsh.  ``rho`` is a read-only view of a complex input, not a copy.
     """
 
     rho: np.ndarray
@@ -118,6 +118,8 @@ class TwoSpinState:
         lowest = float(np.min(np.linalg.eigvalsh(rho)[..., 0], initial=0.0))
         if lowest < -1e-10:
             raise InvalidState(f"density matrix not positive (min eig {lowest:.3e})")
+        # freeze a view: the caller's own array stays writable
+        rho = rho.view()
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 

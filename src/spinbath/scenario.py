@@ -5,9 +5,9 @@ two-spin state, its negativity (closed form cross-checked against the
 numeric partial transpose whenever the initial state is the x-projected
 one), the zero-dephasing reference curve |sin(4 Delta)|/2, and the purity.
 
-The single-mode factors come from one closed-form call over the whole grid;
-the quadrature families (Ohmic, Lorentzian) evaluate one point per call on
-a pool of DEPHASE_THREADS worker threads.  Everything after the factors is
+The single-mode and Ohmic factors are exact and come from one call over the
+whole grid; the Lorentzian factors are quadratures, one point per call on a
+pool of DEPHASE_THREADS worker threads.  Everything after the factors is
 array-native: one batched evolve (validated once), one batched
 partial-transpose spectrum, and vectorized purity and ideal negativity.
 Identical configurations produce bit-identical records, independent of the
@@ -189,8 +189,8 @@ def run(cfg: ScenarioConfig) -> RunRecord:
     init = bloch_product_to_general(cfg.init)
 
     workers = _worker_count()  # validated for every bath family
-    if isinstance(cfg.bath, SingleMode):
-        # closed form: one call over the whole grid
+    if isinstance(cfg.bath, (SingleMode, Ohmic)):
+        # single-mode and Ohmic factors are exact: one call over the grid
         df = factors(cfg.bath, bc, times)
     else:
         point = lambda t: factors(cfg.bath, bc, float(t))

@@ -128,7 +128,7 @@ class TestFactorTypes:
 
     def test_quadrature_family_rejects_time_array(self):
         with pytest.raises(TypeError):
-            factors(Ohmic(0.01, 2.0, 10.0), BC, np.array([0.5, 1.0]))
+            factors(Lorentzian(1.0, 0.05, 20.0, 2), BC, np.array([0.5, 1.0]))
 
 
 class TestBatchedEvolve:
@@ -211,6 +211,7 @@ class TestTracerContract:
         (SingleMode(1.0, 20.0), True),
         (SingleMode(1.0, 20.0), False),
         (Ohmic(0.01, 2.0, 10.0), True),
+        (Lorentzian(1.0, 0.5, 20.0, 2), True),
     ])
     def test_run_calls_go_through_module_names(self, monkeypatch, bath, x_state):
         calls = {}
@@ -231,4 +232,5 @@ class TestTracerContract:
             expect.add("negativity_closed_form")
         assert set(calls) == expect
         assert calls["evolve"] == calls["pt_spectra"] == 1
-        assert calls["factors"] == (1 if isinstance(bath, SingleMode) else 5)
+        # exact families take the grid in one call, quadrature one per point
+        assert calls["factors"] == (5 if isinstance(bath, Lorentzian) else 1)

@@ -236,19 +236,36 @@ class TestPresetCommands:
         assert code == 2
 
 
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter, so any numpy warning would reach real
+    stderr."""
+    src = os.path.dirname(os.path.dirname(spinbath.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "spinbath.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestErrorClasses:
-    @pytest.mark.parametrize("s", ["0.02", "200"])
+    @pytest.mark.parametrize("s", ["200"])
     def test_non_finite_integrand_is_compute_error(self, s):
-        # a fresh interpreter, so any numpy warning would reach real stderr
-        src = os.path.dirname(os.path.dirname(spinbath.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "spinbath.cli", "run", "--preset", "fig3_s1",
-             "--set", f"bath.s={s}", "--set", "grid.n_points=2"],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_fresh("run", "--preset", "fig3_s1", "--set", f"bath.s={s}",
+                         "--set", "grid.n_points=2")
         assert proc.returncode == 3
         assert "Warning" not in proc.stderr
         assert "not finite" in proc.stderr
+
+    def test_tiny_ohmicity_runs_exactly(self):
+        # Ohmic s = 0.02 is a valid bath with a finite gamma; the reference
+        # is a 40-digit mpmath coth-series sum with a Hurwitz-zeta tail
+        # (tests/test_ohmic_gamma.py), lam = 0.01, w_c = 10, beta = 1, t = 40
+        proc = run_fresh("run", "--preset", "fig3_s1", "--set", "bath.s=0.02",
+                         "--set", "grid.n_points=2")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        header, rows = parse_csv(proc.stdout)
+        gamma = dict(zip(header, rows[1]))["gamma"]
+        assert rows[1][0] == 40.0
+        assert gamma == pytest.approx(1807.087293102230184330249, rel=1e-12)
 
     @pytest.mark.parametrize("override", ["grid.t_end=1/0", "init=1"])
     def test_unparseable_override_is_config_error(self, capsys, override):

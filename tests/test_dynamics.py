@@ -191,3 +191,13 @@ class TestStateValidation:
         obj = state.to_json_obj()
         back = np.array([[complex(re, im) for re, im in row] for row in obj])
         assert np.array_equal(back, state.rho)
+
+    def test_caller_array_stays_writable(self):
+        rhos = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        state = TwoSpinState(rhos)
+        assert np.shares_memory(state.rho, rhos)  # validated without a copy
+        rhos[1] = x_projected_matrix(0.1, -0.2)
+        assert rhos.flags.writeable
+        assert not state.rho.flags.writeable
+        with pytest.raises(ValueError):
+            state.rho[0, 0, 0] = 1.0
