@@ -7,11 +7,12 @@ rule pair is open (no panel endpoint is ever evaluated), so integrands may
 contain factors like coth(beta*omega/2) that blow up at the origin as long
 as the full integrand stays integrable.
 
-Divergence is detected rather than produced: panels shrinking dyadically
-toward omega = 0 whose contributions stop decaying flag an infrared
-divergence, and a truncation scan that never finds a decaying tail flags an
-ultraviolet one.  Either sets ``IntegrationResult.diverged``.  An integrand
-value outside the float range (inf or nan) raises QuadratureFailure.
+The module does not classify divergence.  It reports failure in one of two
+ways: a result that misses its tolerance within the evaluation budget comes
+back with ``converged`` False, and an integrand value outside the float
+range (inf or nan) raises QuadratureFailure.  A divergent integral is one of
+these two cases, whichever it reaches first; callers that need to know about
+a divergence decide it from the integrand's analytic form beforehand.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ _DEFAULT_REL_TOL = 1e-8
 _DEFAULT_ABS_TOL = 1e-12
 _DEFAULT_MAX_EVALS = 2_000_000
 
-# Dyadic-panel decay ratio at or above which the origin scan declares an
-# infrared divergence.  Integrands ~ omega**(s-1) decay with ratio 2**-s,
-# so power laws with s < ~0.044 would be misclassified; the baths handled
-# here sit either at s >= 0.1 (convergent) or exactly at 1/omega (divergent).
-_DIVERGENCE_RATIO = 0.97
-_ORIGIN_LEVELS = 48
-_DIVERGENCE_RUN = 6
-
 
 @dataclass(frozen=True)
 class IntegrationRequest:
@@ -104,31 +97,13 @@ class IntegrationResult:
     error_estimate: float
     evals: int
     converged: bool
-    diverged: bool
-
-
-def _vectorized(f):
-    """Accept both vectorized and scalar integrands (decided on first call)."""
-    state = {"vec": True}
-
-    def call(x):
-        if state["vec"]:
-            try:
-                y = np.asarray(f(x), dtype=float)
-                if y.shape == x.shape:
-                    return y
-            except (TypeError, ValueError):
-                pass
-            state["vec"] = False
-        return np.fromiter((float(f(xi)) for xi in x), dtype=float, count=x.size)
-
-    return call
 
 
 def _panel_sums(f, lo, hi):
     """Kronrod estimate and error per panel [lo_i, hi_i].
 
-    One call to ``f`` on the flattened node array regardless of panel count.
+    One call to ``f`` on the flattened node array regardless of panel count;
+    ``f`` must map an array of nodes to an array of the same shape.
     The error estimate follows QUADPACK: |K - G| rescaled against the
     integral of |f - mean|, which stays honest on panels holding endpoint
     power laws where the raw rule difference is deceptively small.
@@ -138,7 +113,7 @@ def _panel_sums(f, lo, hi):
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _XK[None, :]
-    y = f(x.ravel()).reshape(x.shape)
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     if not np.all(np.isfinite(y)):
         bad = x.ravel()[~np.isfinite(y.ravel())][:1]
         raise QuadratureFailure(
@@ -224,11 +199,10 @@ def integrate_on_interval(integrand, a: float, b: float,
     """
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    f = _vectorized(integrand)
     edges = _build_edges(a, b, max_panel_width, features,
                          origin_grading=origin_grading)
-    value, err, evals, ok = _adaptive(f, edges, rel_tol, abs_tol, max_evals)
-    return IntegrationResult(value, err, evals, ok, False)
+    return IntegrationResult(*_adaptive(integrand, edges, rel_tol, abs_tol,
+                                        max_evals))
 
 
 def _build_edges(a, b, max_panel_width, features,
@@ -282,7 +256,7 @@ def _probe_envelope(f, lo, hi, n=48):
     # irrational stride so probes cannot all land on zeros of a sinusoid
     u = (np.arange(1, n + 1) * 0.6180339887498949) % 1.0
     x = lo + (hi - lo) * np.sort(u)
-    y = f(x)
+    y = np.asarray(f(x), dtype=float)
     y = np.where(np.isfinite(y), np.abs(y), np.inf)
     return float(np.max(y)), n
 
@@ -291,54 +265,22 @@ def _truncation_scan(f, cutoff, abs_tol, max_evals):
     """Smallest omega_max = k*cutoff (k doubling from 8) with negligible tail.
 
     The tail bound max|f| * omega_max is exact for 1/omega**2 envelopes and
-    conservative for anything faster.  A tail whose octave estimates never
-    decay marks an ultraviolet divergence.
+    conservative for anything faster.  A scan that runs out of octaves or
+    evaluations returns its last, non-negligible bound, which the caller
+    folds into the error estimate.
     """
     evals = 0
     k = 8.0
-    prev_estimates = []
     while True:
         omega_max = k * cutoff
         env, n = _probe_envelope(f, omega_max, 2.0 * omega_max)
         evals += n
         tail_bound = env * omega_max
-        prev_estimates.append(env * omega_max)
         # claim at most 40% of the absolute budget, leaving room for panels
-        if tail_bound < 0.4 * abs_tol:
-            return omega_max, tail_bound, evals, False
-        if len(prev_estimates) >= 5:
-            recent = prev_estimates[-5:]
-            if all(later >= 0.97 * earlier
-                   for earlier, later in zip(recent, recent[1:])):
-                return omega_max, tail_bound, evals, True
-        if evals >= max_evals or k > 2 ** 40:
-            return omega_max, tail_bound, evals, True
+        if (tail_bound < 0.4 * abs_tol or evals >= max_evals
+                or k > 2 ** 40):
+            return omega_max, tail_bound, evals
         k *= 2.0
-
-
-def _origin_scan(f, a0, abs_tol):
-    """Infrared divergence test on dyadic panels [a0/2**(k+1), a0/2**k].
-
-    Contributions of an integrable integrand decay geometrically toward the
-    origin; sustained non-decay over _DIVERGENCE_RUN consecutive levels
-    (ratio >= _DIVERGENCE_RATIO) marks a divergence, as for J ~ const under
-    the 2/(beta*omega) thermal weight.
-    """
-    ks = np.arange(_ORIGIN_LEVELS)
-    hi = a0 * 2.0 ** -ks
-    lo = hi / 2.0
-    vals, _, n = _panel_sums(f, lo, hi)
-    mags = np.abs(vals)
-    floor = max(abs_tol * 2.0 ** -10, 1e-300)
-    run = 0
-    for k in range(1, _ORIGIN_LEVELS):
-        if mags[k] >= _DIVERGENCE_RATIO * mags[k - 1] and mags[k] > floor:
-            run += 1
-            if run >= _DIVERGENCE_RUN:
-                return True, n
-        else:
-            run = 0
-    return False, n
 
 
 def integrate_semi_infinite(req: IntegrationRequest,
@@ -350,19 +292,16 @@ def integrate_semi_infinite(req: IntegrationRequest,
     Panels are capped at half an oscillation period (pi/t_scale) when
     ``t_scale`` > 0 and extend to a truncation point found by doubling out
     from 8*cutoff_scale until the envelope tail is negligible; the dropped
-    tail bound is folded into ``error_estimate``.  Infrared divergence at
-    the origin and a non-decaying tail both return ``diverged=True`` with
-    no exception, so callers can classify rather than crash.
+    tail bound is folded into ``error_estimate``.  A tail that never becomes
+    negligible or panels that never meet the tolerance give
+    ``converged=False``.  A divergent integral is not recognised as such: it
+    ends unconverged, or in QuadratureFailure when refinement toward the
+    origin reaches an integrand beyond the float range.
     """
-    f = _vectorized(req.integrand)
-    evals = 0
-
-    omega_max, tail_bound, n, tail_div = _truncation_scan(
+    f = req.integrand
+    omega_max, tail_bound, evals = _truncation_scan(
         f, max(req.cutoff_scale, lower / 4.0 if lower > 0 else req.cutoff_scale),
         req.abs_tol, req.max_evals)
-    evals += n
-    if tail_div:
-        return IntegrationResult(np.inf, np.inf, evals, False, True)
 
     if req.t_scale > 0:
         width = min(np.pi / req.t_scale, req.cutoff_scale / 4.0)
@@ -373,12 +312,6 @@ def integrate_semi_infinite(req: IntegrationRequest,
         width = None
 
     if lower <= 0.0:
-        a0 = width if width is not None else req.cutoff_scale / 4.0
-        a0 = min(a0, omega_max / 2.0)
-        diverged, n = _origin_scan(f, a0, req.abs_tol)
-        evals += n
-        if diverged:
-            return IntegrationResult(np.inf, np.inf, evals, False, True)
         edges = _build_edges(0.0, omega_max, width, features,
                              origin_grading=40)
     else:
@@ -390,4 +323,4 @@ def integrate_semi_infinite(req: IntegrationRequest,
                                       evals_used=evals)
     err += tail_bound
     ok = ok and err <= max(req.abs_tol, req.rel_tol * abs(value))
-    return IntegrationResult(value, err, evals, ok, False)
+    return IntegrationResult(value, err, evals, ok)

@@ -99,7 +99,8 @@ class TestQuadratureFactors:
 
     def test_zero_time(self):
         df = factors(Ohmic(0.01, 1.5, 10.0), BC, 0.0)
-        assert df == DecoherenceFactors(0.0, 0.0, False, Method.QUADRATURE)
+        assert df == DecoherenceFactors(0.0, 0.0, False,
+                                        Method.ANALYTIC_REDUCTION)
 
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidTime):
@@ -188,12 +189,23 @@ class TestDivergenceClassification:
 
 class TestSeries:
     def test_single_point_consistency(self):
-        j = Ohmic(0.01, 1.0, 10.0)
-        t = 3.7
-        alone = factors(j, BC, t)
-        batch = factors_series(j, BC, [0.0, 1.0, t])
-        assert abs(batch[2].gamma - alone.gamma) <= 1e-12
-        assert abs(batch[2].delta - alone.delta) <= 1e-12
+        cases = [
+            (Ohmic(0.01, 1.0, 10.0), [0.0, 1.0, 3.7]),
+            # the fig3 grid and the fig7 single-mode grid (one array call)
+            (Ohmic(0.01, 0.5, 10.0), np.linspace(0.0, 40.0, 251)),
+            (SingleMode(0.01, 20.0), np.linspace(0.0, 4000.0, 1001)),
+            # one call per time
+            (Lorentzian(1.0, 0.5, 20.0, 2), [0.0, 0.5, 3.0]),
+        ]
+        for j, times in cases:
+            batch = factors_series(j, BC, times)
+            assert len(batch) == len(times)
+            for t, df in zip(times, batch):
+                alone = factors(j, BC, float(t))
+                assert type(df.gamma) is float and type(df.delta) is float
+                assert df.method is alone.method
+                assert abs(df.gamma - alone.gamma) <= 1e-15 * abs(alone.gamma)
+                assert abs(df.delta - alone.delta) <= 1e-15 * abs(alone.delta)
 
     def test_zero_grid(self):
         out = factors_series(Ohmic(0.01, 1.0, 10.0), BC, [0.0])

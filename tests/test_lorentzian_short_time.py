@@ -1,0 +1,114 @@
+"""Lorentzian factors on the direct short-time quadrature pass, vs mpmath.
+
+While t * (omega_c + 16 q) < 2 pi the integrand does not oscillate where the
+bath lives, and ``factors`` integrates the full kernel over [0, inf) in one
+``integrate_semi_infinite`` call.  The reference below is a 30-digit
+``mpmath.quad`` of the defining integrals that shares no code with the
+program.  Both are held to the program's stated tolerance, 1e-8 relative
+with a 1e-12 absolute floor.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinbath.decoherence import BathConditions, Method, factors
+from spinbath.spectral import Lorentzian
+
+mpmath = pytest.importorskip("mpmath")
+
+OMEGA_C = 20.0
+
+
+def mp_factors(coupling, q, omega_c, n, beta, t, dps=30):
+    """(gamma, Delta) from their defining integrals, with mpmath.quad.
+
+    gamma = 1/4 int J(w) (1 - cos(w t)) / w^2 coth(beta w / 2) dw and
+    Delta = 1/4 int J(w) (sin(w t) - w t) / w^2 dw, with
+    J(w) = coupling/pi q w^n / ((w^2 - omega_c^2)^2 + q^2 w^2).  Up to
+    a = 8 omega_c + 16 q the range is split at the resonance and its
+    widths.  Beyond a, the smooth part of each kernel is integrated on the
+    real axis, and the oscillating part env(w) e^(iwt) along w = a + iy,
+    where it decays like e^(-yt): no pole of J or of coth lies in
+    Re w > a.
+    """
+    with mpmath.workdps(dps):
+        lam, q, wc, b, t = (mpmath.mpf(v) for v in (coupling, q, omega_c,
+                                                     beta, t))
+
+        def spec(w):
+            return lam / mpmath.pi * q * w ** n \
+                / ((w * w - wc * wc) ** 2 + q * q * w * w)
+
+        def gamma_env(w):
+            return spec(w) * mpmath.coth(b * w / 2) / (4 * w * w)
+
+        def delta_env(w):
+            return spec(w) / (4 * w * w)
+
+        def osc_tail(env):
+            # int_a^inf env(w) e^(iwt) dw
+            return 1j * mpmath.expj(a * t) * mpmath.quad(
+                lambda y: env(a + 1j * y) * mpmath.exp(-y * t),
+                [0, mpmath.inf])
+
+        a = 8 * wc + 16 * q
+        pts = {mpmath.mpf(0), wc, a}
+        for k in (0.5, 1, 2, 4, 8, 16):
+            pts.update(p for p in (wc - k * q, wc + k * q) if p > 0)
+        pts = sorted(pts)
+
+        d = mpmath.quad(lambda w: delta_env(w) * (mpmath.sin(w * t) - w * t),
+                        pts)
+        d += mpmath.im(osc_tail(delta_env))
+        d -= t * mpmath.quad(lambda w: delta_env(w) * w, [a, mpmath.inf])
+        if not n:
+            return mpmath.inf, d
+        g = mpmath.quad(
+            lambda w: gamma_env(w) * 2 * mpmath.sin(w * t / 2) ** 2, pts)
+        g += mpmath.quad(gamma_env, [a, mpmath.inf])
+        g -= mpmath.re(osc_tail(gamma_env))
+        return g, d
+
+
+def _draws():
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for n, count in ((0, 4), (1, 6), (2, 6)):
+        for _ in range(count):
+            q = float(np.exp(rng.uniform(math.log(0.05), math.log(5.0))))
+            t_max = min(0.25, 0.95 * 2.0 * math.pi / (OMEGA_C + 16.0 * q))
+            t = float(np.exp(rng.uniform(math.log(0.005), math.log(t_max))))
+            beta = float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
+            cases.append((n, q, beta, t))
+    return cases
+
+
+def within_tolerance(value, ref):
+    ref = float(ref)
+    return abs(value - ref) <= max(1e-8 * abs(ref), 1e-12)
+
+
+@pytest.mark.parametrize("n,q,beta,t", _draws())
+def test_direct_pass_matches_mpmath(n, q, beta, t):
+    assert t * (OMEGA_C + 16.0 * q) < 2.0 * math.pi
+    df = factors(Lorentzian(1.0, q, OMEGA_C, n), BathConditions(beta), t)
+    ref_g, ref_d = mp_factors(1.0, q, OMEGA_C, n, beta, t)
+    assert df.method is Method.QUADRATURE
+    assert within_tolerance(df.delta, ref_d)
+    if n == 0:
+        assert df.gamma_divergent and math.isinf(df.gamma)
+    else:
+        assert not df.gamma_divergent
+        assert within_tolerance(df.gamma, ref_g)
+
+
+def test_reference_agrees_with_itself():
+    # 30 and 40 digits agree far below the tested tolerance
+    for n, q, beta, t in _draws()[4::6]:
+        lo = mp_factors(1.0, q, OMEGA_C, n, beta, t)
+        hi = mp_factors(1.0, q, OMEGA_C, n, beta, t, dps=40)
+        for x, y in zip(lo, hi):
+            if mpmath.isfinite(y):
+                assert abs(x - y) <= 1e-20 * abs(y)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinbath.errors import QuadratureFailure
 from spinbath.quadrature import (
     IntegrationRequest,
     integrate_on_interval,
@@ -14,10 +15,19 @@ def semi(f, t_scale=0.0, cutoff=1.0, **kw):
     return integrate_semi_infinite(IntegrationRequest(f, t_scale, cutoff, **kw))
 
 
+def quiet(f):
+    """f with its own division and overflow warnings silenced, so that any
+    RuntimeWarning left comes from the package."""
+    def g(w):
+        with np.errstate(divide="ignore", over="ignore"):
+            return f(w)
+    return g
+
+
 class TestSemiInfinite:
     def test_exponential_decay(self):
         r = semi(lambda w: np.exp(-w))
-        assert r.converged and not r.diverged
+        assert r.converged
         assert r.value == pytest.approx(1.0, rel=1e-10)
         assert r.error_estimate <= max(1e-12, 1e-8 * abs(r.value))
 
@@ -30,15 +40,16 @@ class TestSemiInfinite:
 
     def test_log_divergent_tail(self):
         r = semi(lambda w: 1.0 / (1.0 + w))
-        assert r.diverged and not r.converged
+        assert not r.converged
 
     def test_infrared_divergence(self):
-        r = semi(lambda w: np.exp(-w) / w)
-        assert r.diverged
+        # refinement toward the origin ends where 1/w overflows
+        with pytest.raises(QuadratureFailure):
+            semi(quiet(lambda w: np.exp(-w) / w))
 
     def test_integrable_origin_power_law(self):
         r = semi(lambda w: w ** -0.9 * np.exp(-w))
-        assert not r.diverged and r.converged
+        assert r.converged
         assert r.value == pytest.approx(math.gamma(0.1), rel=2e-8)
 
     @pytest.mark.parametrize("T", [1.0, 10.0, 100.0, 1000.0])
@@ -52,7 +63,7 @@ class TestSemiInfinite:
     def test_max_evals_exhaustion(self):
         r = semi(lambda w: np.sin(50 * w) * np.exp(-w), t_scale=50.0,
                  rel_tol=1e-14, abs_tol=1e-16, max_evals=2000)
-        assert not r.converged and not r.diverged
+        assert not r.converged
 
     def test_converged_error_within_tolerance(self):
         r = semi(lambda w: np.exp(-w) * np.cos(2 * w), t_scale=2.0)
@@ -82,15 +93,17 @@ class TestSemiInfinite:
         assert abs(loose.value - tight.value) <= loose.error_estimate
 
     def test_divergence_never_fires_for_integrable_powers(self):
+        # int_0^inf w^(s-1) e^-w dw = Gamma(s)
         rng = np.random.default_rng(11)
         for s in rng.uniform(0.1, 3.0, 12):
             r = semi(lambda w, s=s: w ** (s - 1.0) * np.exp(-w))
-            assert not r.diverged, f"false divergence for s={s}"
+            assert r.converged, f"not converged for s={s}"
+            assert abs(r.value / math.gamma(s) - 1.0) <= 1e-8, f"s={s}"
 
     def test_divergence_fires_for_one_over_omega(self):
         for c in (0.3, 1.0, 4.0):
-            r = semi(lambda w, c=c: c / w * np.exp(-w))
-            assert r.diverged, f"missed divergence for c={c}"
+            with pytest.raises(QuadratureFailure):
+                semi(quiet(lambda w, c=c: c / w * np.exp(-w)))
 
     def test_lower_offset_tail(self):
         # int_2^inf e^{-w} dw = e^{-2}
@@ -133,10 +146,6 @@ class TestOnInterval:
         r = integrate_on_interval(lambda w: w ** -0.5, 0.0, 1.0)
         assert r.converged
         assert r.value == pytest.approx(2.0, rel=1e-8)
-
-    def test_scalar_integrand(self):
-        r = integrate_on_interval(lambda w: math.exp(-w), 0.0, 5.0)
-        assert r.value == pytest.approx(1.0 - math.exp(-5.0), rel=1e-10)
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
