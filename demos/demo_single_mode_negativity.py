@@ -14,7 +14,7 @@ import numpy as np
 from spinbath import (
     BathConditions,
     SingleMode,
-    factors_series,
+    factors,
     negativity_closed_form,
 )
 
@@ -27,9 +27,9 @@ couplings = [0.01, 0.05, 0.5, 1.0, 2.0, 5.0]
 
 curves = {}
 for lam in couplings:
-    dfs = factors_series(SingleMode(coupling=lam, omega_c=20.0), bc, times)
-    curves[lam] = [negativity_closed_form(df.gamma, df.delta).value
-                   for df in dfs]
+    df = factors(SingleMode(coupling=lam, omega_c=20.0), bc, times)
+    curves[lam] = [negativity_closed_form(g, d).value
+                   for g, d in zip(df.gamma, df.delta)]
     print(f"lambda = {lam:5g}: max N = {max(curves[lam]):.4f}")
 
 with open(OUT / "single_mode_negativity.csv", "w", newline="") as fh:

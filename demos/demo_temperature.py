@@ -13,7 +13,7 @@ import numpy as np
 from spinbath import (
     BathConditions,
     SingleMode,
-    factors_series,
+    factors,
     negativity_closed_form,
 )
 
@@ -25,10 +25,10 @@ times = np.linspace(0.0, 40.0, 1601)
 
 curves = {}
 for beta in (1.0, 0.1, 0.01):
-    dfs = factors_series(bath, BathConditions(beta), times)
-    curves[beta] = np.array([negativity_closed_form(df.gamma, df.delta).value
-                             for df in dfs])
-    gmax = max(df.gamma for df in dfs)
+    df = factors(bath, BathConditions(beta), times)
+    curves[beta] = np.array([negativity_closed_form(g, d).value
+                             for g, d in zip(df.gamma, df.delta)])
+    gmax = df.gamma.max()
     print(f"beta = {beta:5g}: max gamma = {gmax:.4f}, "
           f"max N = {curves[beta].max():.4f}")
 

@@ -30,7 +30,6 @@ from .decoherence import (  # noqa: E402
     DecoherenceFactors,
     closed_form_single_mode,
     factors,
-    factors_series,
 )
 from .dynamics import (  # noqa: E402
     X_PROJECTED,
@@ -78,7 +77,7 @@ __all__ = [
     "integrate_on_interval", "integrate_semi_infinite",
     # decoherence factors
     "BathConditions", "DecoherenceFactors",
-    "closed_form_single_mode", "factors", "factors_series",
+    "closed_form_single_mode", "factors",
     # dynamics
     "InitialProductState", "GeneralInitialState", "TwoSpinState",
     "FieldConfig", "X_PROJECTED",

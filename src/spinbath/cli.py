@@ -225,8 +225,10 @@ def _cmd_state_dump(args) -> int:
     cfg = _load_config(args)
     try:
         t = float(args.t)
-    except ValueError as exc:
-        raise ConfigError(f"--t expects a number, got {args.t!r}") from exc
+    except ValueError:
+        t = math.nan
+    if not (math.isfinite(t) and t >= 0):
+        raise ConfigError(f"--t expects a finite time >= 0, got {args.t!r}")
     df = factors(cfg.bath, BathConditions(cfg.beta), t)
     state = evolve(bloch_product_to_general(cfg.init), df, FieldConfig(cfg.h), t)
     obj = {

@@ -28,7 +28,7 @@ import operator
 from .errors import ConfigError
 
 __all__ = ["parse_value", "parse_text", "format_flat", "flatten", "unflatten",
-           "set_path"]
+           "set_path", "as_integer", "reject_unknown"]
 
 _BIN_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
             ast.Mult: operator.mul, ast.Div: operator.truediv,
@@ -145,3 +145,17 @@ def set_path(nested: dict, path: str, value) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"cannot descend into scalar at {part!r} in {path!r}")
     node[parts[-1]] = value
+
+
+def as_integer(value, name: str) -> int:
+    """value as an int if it is integral (1e3 passes, 2.9 does not)."""
+    if not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(float(value))
+
+
+def reject_unknown(section: dict, known, prefix: str = "") -> None:
+    """ConfigError naming every key of ``section`` outside ``known``."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config keys {[prefix + k for k in unknown]}")

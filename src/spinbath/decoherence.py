@@ -7,10 +7,11 @@ induced Ising phase
     gamma(t) = 1/4 * int_0^inf J(w) (1 - cos(w t)) / w^2 * coth(beta w / 2) dw
     Delta(t) = 1/4 * int_0^inf J(w) (sin(w t) - w t) / w^2 dw
 
-with gamma >= 0 and Delta <= 0 for all t >= 0.  Evaluation is dispatched per
-family: closed form for the single-mode bath, exact Gamma-function forms of
-both Ohmic factors (any s > 0, evaluated over a whole time array at once),
-and quadrature with numerically stable kernels for both Lorentzian factors.
+with gamma >= 0 and Delta <= 0 for all t >= 0.  ``factors`` takes a time or
+a time array for every bath and alone dispatches on the family: closed form
+for the single-mode bath, exact Gamma-function forms of both Ohmic factors
+(any s > 0), and quadrature with numerically stable kernels for both
+Lorentzian factors, one time each on a pool of DEPHASE_THREADS threads.
 A Lorentzian bath with n = 0 makes gamma infrared-divergent (J tends to a
 constant and the thermal weight contributes 1/w); that case is classified up
 front as instantaneous total dephasing instead of being left to the
@@ -55,13 +56,15 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import spectral
-from .errors import InvalidTime, QuadratureFailure
+from .errors import ConfigError, InvalidTime, QuadratureFailure
 from .quadrature import (
     IntegrationRequest,
     integrate_on_interval,
@@ -76,7 +79,6 @@ __all__ = [
     "closed_form_single_mode",
     "coth_half",
     "factors",
-    "factors_series",
     "ohmic_delta",
     "ohmic_gamma",
     "ohmic_delta_by_quadrature",
@@ -121,9 +123,9 @@ class DecoherenceFactors:
 
     ``gamma`` is +inf when ``gamma_divergent`` is set; downstream evolution
     then zeroes every coherence between different magnetization sectors.
-    The fields are floats for one time, or equal-shape arrays over a time
-    grid (``factors`` of a single-mode or Ohmic bath on an array,
-    ``scenario.run``).
+    The fields are floats for one time, or arrays of the shape of a time
+    array passed to ``factors``; ``gamma_divergent`` is then a bool array for
+    a Lorentzian bath and a single bool for the exact families.
     """
 
     gamma: float
@@ -137,7 +139,7 @@ def coth_half(beta: float, omega):
     omega = np.asarray(omega, dtype=float)
     x = beta * omega
     # beta*omega near the float minimum overflows both forms to +inf, which
-    # the quadrature reports as a non-finite integrand
+    # the callers report as a non-finite factor or integrand
     with np.errstate(divide="ignore", over="ignore"):
         laurent = 2.0 / x + x / 6.0
         direct = 1.0 / np.tanh(0.5 * x)
@@ -154,24 +156,34 @@ def sin_minus_wt(omega, t):
     return out if out.ndim else float(out)
 
 
+def _checked(value, what: str):
+    """value (a builtin float if 0-d); QuadratureFailure if not all finite."""
+    if not np.all(np.isfinite(value)):
+        raise QuadratureFailure(f"{what} is not finite")
+    return value if np.ndim(value) else float(value)
+
+
 def closed_form_single_mode(coupling: float, omega_c: float, beta: float,
                             t) -> DecoherenceFactors:
     """Exact factors for J(w) = coupling * delta(w - omega_c).
 
     t may be an array of times; gamma and delta are then arrays of the same
     shape.  They agree with the scalar calls to the last bit or so: numpy
-    squares an array as x * x, a scalar through pow.
+    squares an array as x * x, a scalar through pow.  A factor beyond the
+    float range (beta omega_c below about 2e-308) raises QuadratureFailure.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidTime(f"t must be >= 0, got {t}")
     wc2 = omega_c * omega_c
-    gamma = 0.5 * coupling * np.sin(0.5 * omega_c * t) ** 2 / wc2 \
-        * coth_half(beta, omega_c)
-    delta = 0.25 * coupling * sin_minus_wt(omega_c, t) / wc2
-    if not t.ndim:
-        gamma, delta = float(gamma), float(delta)
-    return DecoherenceFactors(gamma, delta, False, Method.CLOSED_FORM)
+    where = f"at beta={beta}, omega_c={omega_c}"
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gamma = 0.5 * coupling * np.sin(0.5 * omega_c * t) ** 2 / wc2 \
+            * coth_half(beta, omega_c)
+        delta = 0.25 * coupling * sin_minus_wt(omega_c, t) / wc2
+    return DecoherenceFactors(_checked(gamma, f"single-mode gamma {where}"),
+                              _checked(delta, f"single-mode Delta {where}"),
+                              False, Method.CLOSED_FORM)
 
 
 def ohmic_delta_s2_closed_form(coupling: float, omega_c: float, t: float) -> float:
@@ -236,12 +248,6 @@ def _ohmic_scale(j: Ohmic, what: str) -> float:
             f"Ohmic {what} at s={j.s}: Gamma(s) is not finite") from None
 
 
-def _checked(value, j: Ohmic, what: str):
-    if not np.all(np.isfinite(value)):
-        raise QuadratureFailure(f"Ohmic {what} at s={j.s} is not finite")
-    return value if value.ndim else float(value)
-
-
 def ohmic_delta(j: Ohmic, t):
     """Exact Ohmic phase Delta(t) for any s > 0 (see the module docstring).
 
@@ -264,7 +270,7 @@ def ohmic_delta(j: Ohmic, t):
                 break
             m += 1
         bracket = np.where(small, series, _im_p(s - 1.0, _log1iu(x)) - x)
-        return _checked(scale * bracket, j, "Delta")
+        return _checked(scale * bracket, f"Ohmic Delta at s={s}")
 
 
 def ohmic_gamma(j: Ohmic, beta: float, t):
@@ -314,7 +320,7 @@ def ohmic_gamma(j: Ohmic, beta: float, t):
             tail = tail + coeff * rising * ratio ** order \
                 * _re_p(e + order, log1iu)
         total += 2.0 * b ** -e * tail
-        return _checked(scale * total, j, "gamma")
+        return _checked(scale * total, f"Ohmic gamma at s={s}")
 
 
 class _Stalled(Exception):
@@ -612,16 +618,45 @@ def _ohmic_moment(s: float, omega_c: float) -> float:
     return res.value
 
 
-def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
-    """Decoherence factors at time t, dispatched on the bath family.
+def _worker_count() -> int:
+    """Threads for a Lorentzian time array: DEPHASE_THREADS, 0 = auto."""
+    raw = os.environ.get("DEPHASE_THREADS", "0")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ConfigError(f"DEPHASE_THREADS must be an integer >= 0, got {raw!r}")
+    return n or min(os.cpu_count() or 1, 8)
 
-    The single-mode and Ohmic baths are exact and also take an array of
-    times, returning arrays; the Lorentzian baths go through quadrature one
-    time per call.  For one time, gamma and delta are builtin floats.
+
+def _lorentzian_point(j: Lorentzian, beta: float, t: float) -> DecoherenceFactors:
+    if t == 0.0:
+        return DecoherenceFactors(0.0, 0.0, False, Method.QUADRATURE)
+    try:
+        delta = float(min(_delta_lorentzian_by_quadrature(j, t), 0.0))
+        if spectral.ir_exponent(j) <= 0.0:
+            return DecoherenceFactors(math.inf, delta, True, Method.QUADRATURE)
+        gamma = _gamma_by_quadrature(j, beta, t)
+        return DecoherenceFactors(float(max(gamma, 0.0)), delta, False,
+                                  Method.QUADRATURE)
+    except _Stalled as exc:
+        raise QuadratureFailure(
+            f"decoherence factors for {type(j).__name__} at t={t}: {exc}") from exc
+
+
+def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
+    """Decoherence factors at time t (builtin floats) or over a time array.
+
+    Single-mode and Ohmic baths are exact over the whole array at once.
+    Lorentzian quadratures run one time each on DEPHASE_THREADS worker
+    threads (0 = auto, up to 8), bit-identical to the single-time calls for
+    any thread count.  Every array call validates DEPHASE_THREADS.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
         raise InvalidTime(f"t must be finite and >= 0, got {t}")
+    workers = _worker_count() if t_arr.ndim else None
     if isinstance(j, SingleMode):
         return closed_form_single_mode(j.coupling, j.omega_c, bc.beta, t_arr)
     if isinstance(j, Ohmic):
@@ -630,38 +665,15 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
         if not t_arr.ndim:
             gamma, delta = float(gamma), float(delta)
         return DecoherenceFactors(gamma, delta, False, Method.ANALYTIC_REDUCTION)
-    if t_arr.ndim:
-        raise TypeError(f"{type(j).__name__} factors take one time per call")
 
-    # Lorentzian
-    if t == 0.0:
-        return DecoherenceFactors(0.0, 0.0, False, Method.QUADRATURE)
-    try:
-        delta = float(min(_delta_lorentzian_by_quadrature(j, t), 0.0))
-        if spectral.ir_exponent(j) <= 0.0:
-            return DecoherenceFactors(math.inf, delta, True, Method.QUADRATURE)
-        gamma = _gamma_by_quadrature(j, bc.beta, t)
-        return DecoherenceFactors(float(max(gamma, 0.0)), delta, False,
-                                  Method.QUADRATURE)
-    except _Stalled as exc:
-        raise QuadratureFailure(
-            f"decoherence factors for {type(j).__name__} at t={t}: {exc}") from exc
-
-
-def factors_series(j: SpectralDensity, bc: BathConditions,
-                   times: Sequence[float]) -> list[DecoherenceFactors]:
-    """factors() on an ascending time grid, one result of floats per time.
-
-    Single-mode and Ohmic baths take one array call, whose values agree
-    with the single-time calls to about one ulp (numpy may take a different
-    routine for an array than for a scalar, e.g. x * x against pow);
-    Lorentzian baths take one call per time.
-    """
-    times = list(times)
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise InvalidTime("times must be ascending")
-    if not isinstance(j, (SingleMode, Ohmic)):
-        return [factors(j, bc, t) for t in times]
-    df = factors(j, bc, np.asarray(times, dtype=float))
-    return [DecoherenceFactors(g, d, False, df.method)
-            for g, d in zip(df.gamma.tolist(), df.delta.tolist())]
+    if not t_arr.ndim:
+        return _lorentzian_point(j, bc.beta, float(t_arr))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        dfs = list(pool.map(lambda t: _lorentzian_point(j, bc.beta, t),
+                            t_arr.ravel().tolist()))
+    shape = t_arr.shape
+    return DecoherenceFactors(
+        np.array([d.gamma for d in dfs], dtype=float).reshape(shape),
+        np.array([d.delta for d in dfs], dtype=float).reshape(shape),
+        np.array([d.gamma_divergent for d in dfs], dtype=bool).reshape(shape),
+        Method.QUADRATURE)

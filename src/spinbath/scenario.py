@@ -5,13 +5,14 @@ two-spin state, its negativity (closed form cross-checked against the
 numeric partial transpose whenever the initial state is the x-projected
 one), the zero-dephasing reference curve |sin(4 Delta)|/2, and the purity.
 
-The single-mode and Ohmic factors are exact and come from one call over the
-whole grid; the Lorentzian factors are quadratures, one point per call on a
-pool of DEPHASE_THREADS worker threads.  Everything after the factors is
-array-native: one batched evolve (validated once), one batched
-partial-transpose spectrum, and vectorized purity and ideal negativity.
-Identical configurations produce bit-identical records, independent of the
-worker count: every grid point is a pure function of the configuration.
+The factors come from one ``decoherence.factors`` call over the whole grid,
+whatever the bath; only that call knows which families are exact over an
+array and which run point by point (the Lorentzian quadrature, on its
+DEPHASE_THREADS pool).  Everything after the factors is array-native: one
+batched evolve (validated once), one batched partial-transpose spectrum,
+and vectorized purity and ideal negativity.  Identical configurations
+produce bit-identical records, independent of the worker count: every grid
+point is a pure function of the configuration.
 
 ``builtin_presets`` carries one configuration per reproduced figure panel,
 with the exact parameter values quoted in the figure captions.
@@ -20,14 +21,13 @@ with the exact parameter values quoted in the figure captions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .decoherence import BathConditions, DecoherenceFactors, factors
+from .configio import as_integer, reject_unknown
+from .decoherence import BathConditions, factors
 from .dynamics import (
     FieldConfig,
     InitialProductState,
@@ -64,6 +64,10 @@ _OUTPUT_CHOICES = frozenset(
     {"gamma", "delta", "negativity", "negativity_ideal", "purity", "state_dump"})
 _DEFAULT_OUTPUTS = frozenset(
     {"gamma", "delta", "negativity", "negativity_ideal", "purity"})
+
+#: the top-level and grid keys that ``ScenarioConfig.to_dict`` writes
+_KEYS = ("bath", "beta", "h", "init", "grid", "outputs")
+_GRID_KEYS = ("t_start", "t_end", "n_points", "spacing")
 
 X_ANGLES = InitialProductState(math.pi / 2, math.pi / 2, 0.0, 0.0)
 
@@ -113,27 +117,25 @@ class ScenarioConfig:
             "bath": bath_to_dict(self.bath),
             "beta": self.beta,
             "h": self.h,
-            "init": {"theta1": self.init.theta1, "theta2": self.init.theta2,
-                     "phi1": self.init.phi1, "phi2": self.init.phi2},
-            "grid": {"t_start": self.grid.t_start, "t_end": self.grid.t_end,
-                     "n_points": self.grid.n_points, "spacing": self.grid.spacing},
+            "init": asdict(self.init),
+            "grid": asdict(self.grid),
             "outputs": ",".join(sorted(self.outputs)),
         }
 
     @staticmethod
     def from_dict(d: dict) -> "ScenarioConfig":
+        """Inverse of to_dict; accepts no key that to_dict does not write."""
         try:
+            reject_unknown(d, _KEYS)
             bath = bath_from_dict(d["bath"])
             grid_d = d["grid"]
+            reject_unknown(grid_d, _GRID_KEYS, "grid.")
             grid = TimeGrid(float(grid_d["t_start"]), float(grid_d["t_end"]),
-                            int(grid_d["n_points"]),
+                            as_integer(grid_d["n_points"], "grid.n_points"),
                             str(grid_d.get("spacing", "linear")))
-            init_d = d.get("init", {})
-            init = InitialProductState(
-                float(init_d.get("theta1", math.pi / 2)),
-                float(init_d.get("theta2", math.pi / 2)),
-                float(init_d.get("phi1", 0.0)),
-                float(init_d.get("phi2", 0.0)))
+            init_d = {**asdict(X_ANGLES), **d.get("init", {})}
+            reject_unknown(init_d, asdict(X_ANGLES), "init.")
+            init = InitialProductState(**{k: float(v) for k, v in init_d.items()})
             outputs = d.get("outputs", _DEFAULT_OUTPUTS)
             if isinstance(outputs, str):
                 outputs = frozenset(x for x in outputs.split(",") if x)
@@ -169,39 +171,11 @@ class RunRecord:
         return tuple(getattr(self, name) for name in self.COLUMNS)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DEPHASE_THREADS", "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"DEPHASE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError(f"DEPHASE_THREADS must be >= 0, got {n}")
-    if n == 0:
-        n = min(os.cpu_count() or 1, 8)
-    return n
-
-
 def run(cfg: ScenarioConfig) -> RunRecord:
     """Evaluate the scenario on its grid; deterministic for identical cfg."""
     times = cfg.grid.times()
-    bc = BathConditions(cfg.beta)
     init = bloch_product_to_general(cfg.init)
-
-    workers = _worker_count()  # validated for every bath family
-    if isinstance(cfg.bath, (SingleMode, Ohmic)):
-        # single-mode and Ohmic factors are exact: one call over the grid
-        df = factors(cfg.bath, bc, times)
-    else:
-        point = lambda t: factors(cfg.bath, bc, float(t))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                dfs = list(pool.map(point, times))
-        else:
-            dfs = [point(t) for t in times]
-        df = DecoherenceFactors(np.array([d.gamma for d in dfs]),
-                                np.array([d.delta for d in dfs]),
-                                np.array([d.gamma_divergent for d in dfs]))
+    df = factors(cfg.bath, BathConditions(cfg.beta), times)
 
     states = evolve(init, df, FieldConfig(cfg.h), times)
     numeric = negativity_from_spectrum(pt_spectra(states.rho))

@@ -18,11 +18,12 @@ All quantities are in natural units (hbar = k_B = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Union
 
 import numpy as np
 
+from .configio import as_integer, reject_unknown
 from .errors import ConfigError, NotPointwise
 
 __all__ = [
@@ -123,36 +124,33 @@ def ir_exponent(j: SpectralDensity) -> float:
     return float(j.n)
 
 
-_FAMILY_TAGS = {SingleMode: "single_mode", Ohmic: "ohmic", Lorentzian: "lorentzian"}
+_FAMILIES = {"single_mode": SingleMode, "ohmic": Ohmic, "lorentzian": Lorentzian}
 
 
 def to_config_dict(j: SpectralDensity) -> dict:
     """Flat dict for the scenario config format (family tag + numeric fields)."""
-    if isinstance(j, SingleMode):
-        return {"family": "single_mode", "lambda": j.coupling, "omega_c": j.omega_c}
-    if isinstance(j, Ohmic):
-        return {"family": "ohmic", "lambda": j.coupling, "s": j.s,
-                "omega_c": j.omega_c}
-    if isinstance(j, Lorentzian):
-        return {"family": "lorentzian", "lambda": j.coupling, "q": j.q,
-                "omega_c": j.omega_c, "n": j.n}
-    raise TypeError(f"unknown spectral density {type(j).__name__}")
+    tag = next((tag for tag, cls in _FAMILIES.items() if type(j) is cls), None)
+    if tag is None:
+        raise TypeError(f"unknown spectral density {type(j).__name__}")
+    values = asdict(j)
+    return {"family": tag, "lambda": values.pop("coupling"), **values}
 
 
 def from_config_dict(d: dict) -> SpectralDensity:
-    """Inverse of to_config_dict; raises ConfigError on bad input."""
+    """Inverse of to_config_dict (``coupling`` may stand for ``lambda``);
+    raises ConfigError on bad input or on any key it does not write."""
     d = dict(d)
     family = d.pop("family", None)
-    coupling = d.pop("lambda", d.pop("coupling", None))
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigError(f"unknown spectral density family {family!r}")
+    if "lambda" in d and "coupling" in d:
+        raise ConfigError("bath.coupling is an alias of bath.lambda; set one")
+    d["coupling"] = d.pop("lambda", d.get("coupling"))
+    names = [f.name for f in fields(_FAMILIES[family])]
+    reject_unknown(d, names, "bath.")
     try:
-        if family == "single_mode":
-            return SingleMode(coupling=float(coupling), omega_c=float(d.pop("omega_c")))
-        if family == "ohmic":
-            return Ohmic(coupling=float(coupling), s=float(d.pop("s")),
-                         omega_c=float(d.pop("omega_c")))
-        if family == "lorentzian":
-            return Lorentzian(coupling=float(coupling), q=float(d.pop("q")),
-                              omega_c=float(d.pop("omega_c")), n=int(d.pop("n")))
+        return _FAMILIES[family](**{
+            name: as_integer(d[name], "bath.n") if name == "n" else float(d[name])
+            for name in names})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {family!r} spectral density: {exc}") from exc
-    raise ConfigError(f"unknown spectral density family {family!r}")

@@ -15,7 +15,6 @@ from spinbath.decoherence import (
     BathConditions,
     DecoherenceFactors,
     factors,
-    factors_series,
     ohmic_delta_by_quadrature,
     ohmic_delta_s2_closed_form,
 )
@@ -143,9 +142,9 @@ def test_criterion_04_single_mode_peak_timing():
         # first |4 Delta| = pi/2 crossing sits near 10 pi / lam
         window = 1.3 * math.pi * 20.0 / (2.0 * lam)
         ts = np.linspace(0.0, window, 1501)
-        dfs = factors_series(SingleMode(lam, 20.0), bc, ts)
-        ns = np.array([negativity_closed_form(df.gamma, df.delta).value
-                       for df in dfs])
+        df = factors(SingleMode(lam, 20.0), bc, ts)
+        ns = np.array([negativity_closed_form(g, d).value
+                       for g, d in zip(df.gamma.tolist(), df.delta.tolist())])
         peak_times.append(float(ts[_first_main_peak(ts, ns)]))
     decreasing = all(b < a for a, b in zip(peak_times, peak_times[1:]))
     elapsed = time.perf_counter() - t0

@@ -9,6 +9,7 @@ import spinbath.scenario
 from spinbath.decoherence import (
     BathConditions,
     DecoherenceFactors,
+    Method,
     closed_form_single_mode,
     factors,
 )
@@ -33,6 +34,11 @@ from spinbath.scenario import ScenarioConfig, TimeGrid, run
 from spinbath.spectral import Lorentzian, Ohmic, SingleMode
 
 BC = BathConditions(beta=1.0)
+
+
+def bits(values):
+    """The IEEE-754 bit patterns of float values, for exact comparisons."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
 def random_init(rng):
@@ -126,9 +132,27 @@ class TestFactorTypes:
             assert batch.delta[k] == one.delta
             assert batch.gamma[k] == pytest.approx(one.gamma, rel=5e-16, abs=0)
 
-    def test_quadrature_family_rejects_time_array(self):
-        with pytest.raises(TypeError):
-            factors(Lorentzian(1.0, 0.05, 20.0, 2), BC, np.array([0.5, 1.0]))
+    def test_lorentzian_array_matches_scalar_calls(self, monkeypatch):
+        # one array call maps the per-point quadrature, on the thread pool
+        # when DEPHASE_THREADS > 1; every time is computed alone
+        times = np.array([0.0, 0.004, 0.5, 3.0, 11.0])
+        for n in (0, 1, 2):
+            j = Lorentzian(1.0, 0.5, 20.0, n)
+            alone = [factors(j, BC, float(t)) for t in times]
+            for threads in ("1", "2"):
+                monkeypatch.setenv("DEPHASE_THREADS", threads)
+                batch = factors(j, BC, times)
+                assert batch.method is Method.QUADRATURE
+                assert batch.gamma.dtype == batch.delta.dtype == float
+                assert batch.gamma_divergent.dtype == bool
+                assert bits(batch.gamma) == bits([d.gamma for d in alone])
+                assert bits(batch.delta) == bits([d.delta for d in alone])
+                assert batch.gamma_divergent.tolist() == \
+                    [d.gamma_divergent for d in alone]
+            assert batch.gamma_divergent.tolist() == [False] + [n == 0] * 4
+        grid = factors(j, BC, times[1:].reshape(2, 2))
+        assert grid.gamma.shape == grid.gamma_divergent.shape == (2, 2)
+        assert bits(grid.delta.ravel()) == bits([d.delta for d in alone[1:]])
 
 
 class TestBatchedEvolve:
@@ -232,5 +256,5 @@ class TestTracerContract:
             expect.add("negativity_closed_form")
         assert set(calls) == expect
         assert calls["evolve"] == calls["pt_spectra"] == 1
-        # exact families take the grid in one call, quadrature one per point
-        assert calls["factors"] == (5 if isinstance(bath, Lorentzian) else 1)
+        # every family takes the whole grid in one call
+        assert calls["factors"] == 1

@@ -274,6 +274,49 @@ class TestErrorClasses:
         assert code == 2
 
     def test_non_numeric_time_is_config_error(self, capsys):
-        code, out, err = invoke(capsys, "state-dump", "--preset",
-                                "fig1_lambda1", "--t", "soon")
+        for t in ("soon", "-1", "nan", "inf", "-inf"):
+            code, out, err = invoke(capsys, "state-dump", "--preset",
+                                    "fig1_lambda1", f"--t={t}")
+            assert code == 2, t
+            assert out == "" and "--t" in err
+
+    def test_single_mode_beyond_float_range_is_compute_error(self):
+        # beta omega_c = 2e-308: coth(beta omega_c / 2) overflows
+        proc = run_fresh("run", "--preset", "fig1_lambda1",
+                         "--set", "beta=1e-310", "--set", "grid.n_points=2")
+        assert proc.returncode == 3
+        assert "Warning" not in proc.stderr
+        assert "not finite" in proc.stderr
+
+    @pytest.mark.parametrize("override", [
+        "bath.lamda=5", "bath.s=2", "grid.t_stop=3", "init.phi=1", "betta=2",
+        "bath.coupling=5"])
+    def test_unknown_key_is_config_error(self, capsys, override):
+        code, out, err = invoke(capsys, "run", "--preset", "fig1_lambda1",
+                                "--set", override)
         assert code == 2
+        assert out == "" and override.split("=")[0] in err
+
+    def test_sweep_of_unknown_key_is_config_error(self, capsys):
+        code, out, err = invoke(capsys, "sweep", "--preset", "fig1_lambda1",
+                                "--field", "bath.lamda", "--values", "1,2")
+        assert code == 2
+        assert out == "" and "bath.lamda" in err
+
+    @pytest.mark.parametrize("preset,override", [
+        ("fig1_lambda1", "grid.n_points=2.9"), ("fig5b", "bath.n=1.5")])
+    def test_non_integral_integer_is_config_error(self, capsys, preset,
+                                                  override):
+        code, out, err = invoke(capsys, "run", "--preset", preset,
+                                "--set", override)
+        assert code == 2
+        assert out == "" and "must be an integer" in err
+
+    def test_integral_float_integers_accepted(self, capsys):
+        code, out, err = invoke(capsys, "run", "--preset", "fig5b",
+                                "--set", "bath.n=2.0", "--set", "grid.t_end=2",
+                                "--set", "grid.n_points=3e0")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert len(rows) == 3
+        assert "# bath.n = 2" in out.splitlines()

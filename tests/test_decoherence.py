@@ -11,7 +11,6 @@ from spinbath.decoherence import (
     closed_form_single_mode,
     coth_half,
     factors,
-    factors_series,
     ohmic_delta_by_quadrature,
     ohmic_delta_s2_closed_form,
     sin_minus_wt,
@@ -85,9 +84,9 @@ class TestSingleMode:
 
     def test_gamma_periodicity(self):
         j = SingleMode(1.0, 20.0)
-        series = factors_series(j, BC, [0.0, math.pi / 20, 2 * math.pi / 20])
-        assert series[0].gamma == 0.0
-        assert abs(series[2].gamma) < 1e-30
+        df = factors(j, BC, np.array([0.0, math.pi / 20, 2 * math.pi / 20]))
+        assert df.gamma[0] == 0.0
+        assert abs(df.gamma[2]) < 1e-30
 
 
 class TestQuadratureFactors:
@@ -191,29 +190,25 @@ class TestSeries:
     def test_single_point_consistency(self):
         cases = [
             (Ohmic(0.01, 1.0, 10.0), [0.0, 1.0, 3.7]),
-            # the fig3 grid and the fig7 single-mode grid (one array call)
+            # the fig3 grid and the fig7 single-mode grid
             (Ohmic(0.01, 0.5, 10.0), np.linspace(0.0, 40.0, 251)),
             (SingleMode(0.01, 20.0), np.linspace(0.0, 4000.0, 1001)),
-            # one call per time
+            # quadrature, one time at a time inside the call
             (Lorentzian(1.0, 0.5, 20.0, 2), [0.0, 0.5, 3.0]),
         ]
         for j, times in cases:
-            batch = factors_series(j, BC, times)
-            assert len(batch) == len(times)
-            for t, df in zip(times, batch):
+            batch = factors(j, BC, np.asarray(times))
+            assert batch.gamma.shape == batch.delta.shape == (len(times),)
+            for t, g, d in zip(times, batch.gamma, batch.delta):
                 alone = factors(j, BC, float(t))
-                assert type(df.gamma) is float and type(df.delta) is float
-                assert df.method is alone.method
-                assert abs(df.gamma - alone.gamma) <= 1e-15 * abs(alone.gamma)
-                assert abs(df.delta - alone.delta) <= 1e-15 * abs(alone.delta)
+                assert type(alone.gamma) is float and type(alone.delta) is float
+                assert batch.method is alone.method
+                assert abs(g - alone.gamma) <= 1e-15 * abs(alone.gamma)
+                assert abs(d - alone.delta) <= 1e-15 * abs(alone.delta)
 
     def test_zero_grid(self):
-        out = factors_series(Ohmic(0.01, 1.0, 10.0), BC, [0.0])
-        assert out[0].gamma == 0.0 and out[0].delta == 0.0
-
-    def test_rejects_descending(self):
-        with pytest.raises(InvalidTime):
-            factors_series(Ohmic(0.01, 1.0, 10.0), BC, [2.0, 1.0])
+        out = factors(Ohmic(0.01, 1.0, 10.0), BC, np.array([0.0]))
+        assert out.gamma[0] == 0.0 and out.delta[0] == 0.0
 
 
 def test_bath_conditions_validation():

@@ -183,6 +183,33 @@ class TestConfigValidation:
         cfg = builtin_presets()["fig5b"]
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("section,key", [
+        (None, "betta"), ("grid", "t_stop"), ("init", "theta3"),
+        ("init", "theta"),
+    ])
+    def test_unknown_key_rejected(self, section, key):
+        d = builtin_presets()["fig1_lambda1"].to_dict()
+        (d[section] if section else d)[key] = 1.0
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            ScenarioConfig.from_dict(d)
+
+    def test_missing_init_and_outputs_take_defaults(self):
+        cfg = builtin_presets()["fig1_lambda1"]
+        d = cfg.to_dict()
+        del d["init"], d["outputs"], d["h"]
+        assert ScenarioConfig.from_dict(d) == cfg
+
+    def test_integral_point_count(self):
+        d = builtin_presets()["fig1_lambda1"].to_dict()
+        d["grid"]["n_points"] = 1e3
+        grid = ScenarioConfig.from_dict(d).grid
+        assert grid.n_points == 1000 and type(grid.n_points) is int
+        for bad in (2.9, 1000.5, "7.2"):
+            d["grid"]["n_points"] = bad
+            with pytest.raises(ConfigError, match="n_points"):
+                ScenarioConfig.from_dict(d)
+
 
 class TestCompareIdeal:
     def test_rejects_divergent_bath(self):

@@ -107,3 +107,27 @@ class TestConfigRoundTrip:
     def test_missing_field(self):
         with pytest.raises(ConfigError):
             from_config_dict({"family": "ohmic", "lambda": 1.0, "omega_c": 2.0})
+
+    def test_coupling_alias(self):
+        d = {"family": "single_mode", "coupling": 2.0, "omega_c": 5.0}
+        assert from_config_dict(d) == SingleMode(2.0, 5.0)
+        with pytest.raises(ConfigError, match="alias"):
+            from_config_dict({**d, "lambda": 1.0})
+
+    @pytest.mark.parametrize("j,extra", [
+        (Ohmic(coupling=0.01, s=2.0, omega_c=10.0), "lamda"),
+        (Ohmic(coupling=0.01, s=2.0, omega_c=10.0), "n"),
+        (SingleMode(coupling=1.0, omega_c=20.0), "s"),
+        (Lorentzian(coupling=1.0, q=0.05, omega_c=20.0, n=2), "omega"),
+    ])
+    def test_unknown_key_rejected(self, j, extra):
+        with pytest.raises(ConfigError, match=f"bath.{extra}"):
+            from_config_dict({**to_config_dict(j), extra: 1.0})
+
+    def test_integral_n(self):
+        d = to_config_dict(Lorentzian(coupling=1.0, q=0.05, omega_c=20.0, n=2))
+        assert from_config_dict({**d, "n": 2.0}).n == 2
+        assert type(from_config_dict({**d, "n": 1e0}).n) is int
+        for bad in (1.5, 2.0000001, float("inf")):
+            with pytest.raises(ConfigError):
+                from_config_dict({**d, "n": bad})
