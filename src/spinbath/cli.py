@@ -9,10 +9,12 @@ sweep        re-run a scenario over a list of values for one config field
 spectrum     tabulate the bath spectral density J(omega)
 state-dump   emit the evolved two-spin state at one time as JSON
 
-Exit codes: 0 success, 2 configuration error, 3 compute error, 4 I/O error.
-Data goes to stdout (or --output); diagnostics go to stderr.  Numbers are
-printed with 17 significant digits so files re-parse to identical values; a
-divergent dephasing exponent prints as ``inf``.
+Exit codes: 0 success, 2 configuration or usage error, 3 compute error,
+4 I/O error.  Data goes to stdout (or --output), diagnostics to stderr.  An
+output is computed in full before its file is opened, so an error leaves no
+partial file; CSV rows are then streamed.  Numbers print with 17 significant
+digits and re-parse to identical values; a divergent dephasing exponent is
+``inf`` in CSV and the string ``"inf"`` in JSON, which never holds NaN.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__, configio
 from .decoherence import BathConditions, factors
 from .dynamics import FieldConfig, bloch_product_to_general, evolve
@@ -29,9 +33,8 @@ from .errors import ComputeError, ConfigError, NotPointwise, SpinBathError
 from .scenario import RunRecord, ScenarioConfig, builtin_presets, run
 from .spectral import SingleMode, evaluate
 
-_EXIT_CONFIG = 2
-_EXIT_COMPUTE = 3
-_EXIT_IO = 4
+#: rows a CSV table converts to Python floats at a time
+_BLOCK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -39,7 +42,7 @@ def _fmt(x: float) -> str:
         return "inf"
     if x == 0.0:
         return "0"
-    return f"{float(x):.17g}"
+    return f"{x:.17g}"
 
 
 def _json_num(x: float):
@@ -74,52 +77,53 @@ class _IoFailure(SpinBathError):
     pass
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks, output: str | None) -> None:
+    """Write the strings of ``chunks`` to stdout or ``output`` as they come."""
     if output in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise _IoFailure(f"cannot write {output!r}: {exc}")
 
 
-def _config_comment_lines(cfg: ScenarioConfig) -> list[str]:
-    lines = [f"# spinbath {__version__}"]
-    lines += [f"# {line}" for line in configio.format_flat(cfg.to_dict()).splitlines()]
-    return lines
+def _json(obj) -> list[str]:
+    return [json.dumps(obj, sort_keys=True, indent=1) + "\n"]
 
 
-def _record_csv(rec: RunRecord, sweep_header: str | None = None,
-                sweep_value: float | None = None,
-                include_comments: bool = True) -> list[str]:
-    lines = []
-    if include_comments:
-        lines += _config_comment_lines(rec.config)
-    header = ",".join(RunRecord.COLUMNS)
-    if sweep_header is not None:
-        header = "sweep_value," + header
-    lines.append(header)
-    cols = rec.columns()
-    for i in range(len(rec.t)):
-        row = ",".join(_fmt(col[i]) for col in cols)
-        if sweep_value is not None:
-            row = _fmt(sweep_value) + "," + row
-        lines.append(row)
-    return lines
+def _comments(cfg: ScenarioConfig, *extra: str) -> str:
+    lines = [f"spinbath {__version__}",
+             *configio.format_flat(cfg.to_dict()).splitlines(), *extra]
+    return "".join(f"# {line}\n" for line in lines)
+
+
+def _csv(comments: str, names, columns):
+    """CSV lines: the comment block, the header, then one line per row.
+
+    The columns are turned into Python floats ``_BLOCK_ROWS`` rows at a
+    time, so the memory this holds does not grow with the table.
+    """
+    yield comments
+    yield ",".join(names) + "\n"
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
+        for row in zip(*block):
+            yield ",".join([_fmt(x) for x in row]) + "\n"
+
+
+def _json_rows(names, columns) -> list[dict]:
+    return [dict(zip(names, map(_json_num, row)))
+            for row in zip(*(col.tolist() for col in columns))]
 
 
 def _record_json_obj(rec: RunRecord) -> dict:
-    rows = []
-    for i in range(len(rec.t)):
-        rows.append({name: _json_num(col[i])
-                     for name, col in zip(RunRecord.COLUMNS, rec.columns())})
     obj = {
         "version": rec.version,
         "config": rec.config.to_dict(),
         "tolerances": rec.tolerances,
-        "rows": rows,
+        "rows": _json_rows(RunRecord.COLUMNS, rec.columns()),
     }
     if rec.states is not None:
         obj["states"] = rec.states
@@ -127,23 +131,19 @@ def _record_json_obj(rec: RunRecord) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    rec = run(cfg)
+    rec = run(_load_config(args))
     if args.format == "csv":
-        _emit("\n".join(_record_csv(rec)) + "\n", args.output)
-    else:
-        _emit(json.dumps(_record_json_obj(rec), sort_keys=True, indent=1) + "\n",
+        _emit(_csv(_comments(rec.config), RunRecord.COLUMNS, rec.columns()),
               args.output)
+    else:
+        _emit(_json(_record_json_obj(rec)), args.output)
     return 0
 
 
 def _parse_sweep_values(args) -> list[float]:
     values: list[float] = []
     if args.values:
-        for tok in args.values.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
+        for tok in filter(None, map(str.strip, args.values.split(","))):
             v = configio.parse_value(tok)
             if not isinstance(v, (int, float)):
                 raise ConfigError(f"sweep value {tok!r} is not numeric")
@@ -166,31 +166,26 @@ def _parse_sweep_values(args) -> list[float]:
 def _cmd_sweep(args) -> int:
     base = _load_config(args)
     values = _parse_sweep_values(args)
-    groups = []
+    recs = []
     for v in values:
         nested = base.to_dict()
         configio.set_path(nested, args.field, v)
-        groups.append((v, run(ScenarioConfig.from_dict(nested))))
+        recs.append(run(ScenarioConfig.from_dict(nested)))
     if args.format == "csv":
-        lines = _config_comment_lines(base)
-        lines.append(f"# sweep {args.field} = "
-                     + ",".join(_fmt(v) for v in values))
-        first = True
-        for v, rec in groups:
-            block = _record_csv(rec, sweep_header=args.field, sweep_value=v,
-                                include_comments=False)
-            lines += block if first else block[1:]
-            first = False
-        _emit("\n".join(lines) + "\n", args.output)
+        note = f"sweep {args.field} = " + ",".join(_fmt(v) for v in values)
+        columns = [np.repeat(values, [len(rec.t) for rec in recs])]
+        columns += [np.concatenate(col)
+                    for col in zip(*(rec.columns() for rec in recs))]
+        _emit(_csv(_comments(base, note), ("sweep_value", *RunRecord.COLUMNS),
+                   columns), args.output)
     else:
-        obj = {
+        _emit(_json({
             "version": __version__,
             "sweep_field": args.field,
             "base_config": base.to_dict(),
             "groups": [{"sweep_value": v, **_record_json_obj(rec)}
-                       for v, rec in groups],
-        }
-        _emit(json.dumps(obj, sort_keys=True, indent=1) + "\n", args.output)
+                       for v, rec in zip(values, recs)],
+        }), args.output)
     return 0
 
 
@@ -202,22 +197,24 @@ def _cmd_spectrum(args) -> int:
     omega_c = cfg.bath.omega_c
     lo = args.omega_min if args.omega_min is not None else omega_c / 1000.0
     hi = args.omega_max if args.omega_max is not None else 2.0 * omega_c
-    if not (0.0 < lo < hi):
-        raise ConfigError(f"need 0 < omega-min < omega-max, got [{lo}, {hi}]")
+    if not 0.0 < lo < hi < math.inf:
+        raise ConfigError(f"need finite 0 < omega-min < omega-max, "
+                          f"got [{lo}, {hi}]")
     if args.n < 2:
         raise ConfigError("spectrum needs at least 2 points")
-    import numpy as np
     omegas = np.linspace(lo, hi, args.n)
-    js = evaluate(cfg.bath, omegas)
+    with np.errstate(all="ignore"):
+        js = evaluate(cfg.bath, omegas)
+    bad = ~np.isfinite(js)
+    if bad.any():
+        raise ComputeError(f"J(omega) is not finite at omega = "
+                           f"{omegas[bad][0]:.17g}")
+    names = ("omega", "J")
     if args.format == "csv":
-        lines = _config_comment_lines(cfg) + ["omega,J"]
-        lines += [f"{_fmt(w)},{_fmt(j)}" for w, j in zip(omegas, js)]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(_csv(_comments(cfg), names, (omegas, js)), args.output)
     else:
-        obj = {"version": __version__, "config": cfg.to_dict(),
-               "rows": [{"omega": float(w), "J": float(j)}
-                        for w, j in zip(omegas, js)]}
-        _emit(json.dumps(obj, sort_keys=True, indent=1) + "\n", args.output)
+        _emit(_json({"version": __version__, "config": cfg.to_dict(),
+                     "rows": _json_rows(names, (omegas, js))}), args.output)
     return 0
 
 
@@ -231,7 +228,7 @@ def _cmd_state_dump(args) -> int:
         raise ConfigError(f"--t expects a finite time >= 0, got {args.t!r}")
     df = factors(cfg.bath, BathConditions(cfg.beta), t)
     state = evolve(bloch_product_to_general(cfg.init), df, FieldConfig(cfg.h), t)
-    obj = {
+    _emit(_json({
         "version": __version__,
         "config": cfg.to_dict(),
         "t": t,
@@ -239,8 +236,7 @@ def _cmd_state_dump(args) -> int:
         "delta": _json_num(df.delta),
         "gamma_divergent": df.gamma_divergent,
         "rho": state.to_json_obj(),
-    }
-    _emit(json.dumps(obj, sort_keys=True, indent=1) + "\n", args.output)
+    }), args.output)
     return 0
 
 
@@ -248,12 +244,13 @@ def _cmd_preset(args) -> int:
     presets = builtin_presets()
     if args.name not in presets:
         raise ConfigError(f"unknown preset {args.name!r}")
-    _emit(configio.format_flat(presets[args.name].to_dict()) + "\n", args.output)
+    _emit([configio.format_flat(presets[args.name].to_dict()) + "\n"],
+          args.output)
     return 0
 
 
 def _cmd_list_presets(args) -> int:
-    _emit("\n".join(sorted(builtin_presets())) + "\n", args.output)
+    _emit((f"{name}\n" for name in sorted(builtin_presets())), args.output)
     return 0
 
 
@@ -315,22 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
+        return exc.code
     try:
         return args.func(args)
-    except _IoFailure as exc:
-        print(f"spinbath: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    except (ConfigError, NotPointwise) as exc:
-        print(f"spinbath: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except ComputeError as exc:
-        print(f"spinbath: {exc}", file=sys.stderr)
-        return _EXIT_COMPUTE
     except SpinBathError as exc:
         print(f"spinbath: {exc}", file=sys.stderr)
-        return _EXIT_COMPUTE
+        if isinstance(exc, _IoFailure):
+            return 4
+        return 2 if isinstance(exc, (ConfigError, NotPointwise)) else 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Quadrature non-convergence and divergence are reported in-band through
-``IntegrationResult`` flags; the exceptions below cover conditions where a
-caller handed us something unusable or an internal solver genuinely failed.
+Every failure is raised, never flagged in-band: the caller handed over
+something unusable, a value left the float range, or a solver did not
+converge.  A divergent gamma is a valid result (``inf``), not an error.
 """
 
 
@@ -15,7 +15,8 @@ class NotPointwise(SpinBathError):
 
 
 class InvalidTime(SpinBathError):
-    """Negative evolution time; only forward evolution is defined."""
+    """Negative or non-finite evolution time; only finite forward evolution
+    is defined."""
 
 
 class QuadratureFailure(SpinBathError):
@@ -38,4 +39,5 @@ class ConfigError(SpinBathError):
 
 
 class ComputeError(SpinBathError):
-    """A scenario run failed while evaluating a grid point."""
+    """A scenario run failed at a grid point (a cross-check disagreed), or a
+    tabulated J(omega) left the float range."""

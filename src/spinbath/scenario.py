@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .configio import as_integer, reject_unknown
-from .decoherence import BathConditions, factors
+from .decoherence import _ABS_TOL, _REL_TOL, BathConditions, factors
 from .dynamics import (
     FieldConfig,
     InitialProductState,
@@ -161,7 +161,7 @@ class RunRecord:
     purity: np.ndarray
     version: str = __version__
     tolerances: dict = field(default_factory=lambda: {
-        "quadrature_rel_tol": 1e-8, "quadrature_abs_tol": 1e-12,
+        "quadrature_rel_tol": _REL_TOL, "quadrature_abs_tol": _ABS_TOL,
         "cross_check_tol": CROSS_CHECK_TOL})
     states: list | None = None
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spinbath
+import spinbath.cli
 from spinbath.cli import main
 
 SMALL_CONFIG = """\
@@ -169,6 +170,66 @@ class TestSweepCommand:
         assert [g["sweep_value"] for g in obj["groups"]] == [2.0, 2.5, 3.0, 3.5, 4.0]
 
 
+def data_lines(text):
+    return [l for l in text.splitlines() if not l.startswith("#")]
+
+
+def strict_json(text):
+    def reject(name):
+        raise AssertionError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("preset,field,values", [
+        ("fig1_lambda1", "bath.lambda", ("0.5", "1", "2")),
+        ("fig3_s2", "bath.s", ("2", "2.5", "3"))])
+    def test_sweep_rows_are_run_rows(self, capsys, preset, field, values):
+        grid = ("--set", "grid.n_points=5", "--set", "grid.t_end=2")
+        code, out, err = invoke(capsys, "sweep", "--preset", preset,
+                                "--field", field, "--values", ",".join(values),
+                                *grid)
+        assert code == 0
+        expect = []
+        for v in values:
+            code, run_out, err = invoke(capsys, "run", "--preset", preset,
+                                        "--set", f"{field}={v}", *grid)
+            assert code == 0
+            header, *rows = data_lines(run_out)
+            expect += [f"{v},{row}" for row in rows]
+        assert data_lines(out) == ["sweep_value," + header] + expect
+        assert f"# sweep {field} = {','.join(values)}" in out.splitlines()
+
+    def test_block_boundaries_keep_every_row(self, capsys, monkeypatch):
+        argv = ("sweep", "--preset", "fig1_lambda1", "--field", "bath.lambda",
+                "--values", "1,2", "--set", "grid.n_points=5")
+        code, whole, err = invoke(capsys, *argv)
+        monkeypatch.setattr(spinbath.cli, "_BLOCK_ROWS", 2)
+        code2, blocked, err = invoke(capsys, *argv)
+        assert code == code2 == 0
+        assert blocked == whole
+        assert len(data_lines(whole)) == 11
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--preset", "lorentz_n0", "--set", "grid.n_points=3"),
+        ("run", "--preset", "fig3_s2", "--set", "grid.n_points=3"),
+        ("sweep", "--preset", "lorentz_n0", "--field", "bath.q",
+         "--values", "0.05,0.5", "--set", "grid.n_points=3"),
+        ("spectrum", "--preset", "fig5b", "--n", "11"),
+        ("state-dump", "--preset", "lorentz_n0", "--t", "2")])
+    def test_json_is_strict(self, capsys, argv):
+        if argv[0] != "state-dump":
+            argv += ("--format", "json")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0
+        obj = strict_json(out)
+        if "lorentz_n0" in argv:
+            rows = ([obj] if argv[0] == "state-dump" else
+                    obj.get("rows") or [r for g in obj["groups"]
+                                        for r in g["rows"]])
+            assert rows and all(r["gamma"] == "inf" for r in rows)
+
+
 class TestSpectrumCommand:
     def test_lorentzian_peak_row(self, capsys):
         code, out, err = invoke(capsys, "spectrum", "--preset", "fig5b",
@@ -279,6 +340,45 @@ class TestErrorClasses:
                                     "fig1_lambda1", f"--t={t}")
             assert code == 2, t
             assert out == "" and "--t" in err
+
+    def test_usage_error_returns_exit_code(self, capsys):
+        # "-inf" reads as an option, so --t has no value
+        code, out, err = invoke(capsys, "state-dump", "--preset",
+                                "fig1_lambda1", "--t", "-inf")
+        assert code == 2
+        assert out == "" and "usage:" in err
+
+    def test_version_returns_zero(self, capsys):
+        code, out, err = invoke(capsys, "--version")
+        assert code == 0
+        assert out == f"spinbath {spinbath.__version__}\n"
+
+    @pytest.mark.parametrize("bound", [
+        "--omega-max=inf", "--omega-max=nan", "--omega-min=inf",
+        "--omega-min=-inf"])
+    def test_non_finite_spectrum_range_is_config_error(self, bound):
+        proc = run_fresh("spectrum", "--preset", "fig5b", bound, "--n", "5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Warning" not in proc.stderr and "omega-max" in proc.stderr
+
+    @pytest.mark.parametrize("preset,omega_max,fmt", [
+        ("fig5b", "1e300", "csv"), ("fig5b", "1e300", "json"),
+        ("fig3_s2", "1e308", "csv")])
+    def test_spectrum_beyond_float_range_is_compute_error(self, preset,
+                                                          omega_max, fmt):
+        proc = run_fresh("spectrum", "--preset", preset, "--omega-max",
+                         omega_max, "--n", "5", "--format", fmt)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "Warning" not in proc.stderr and "not finite" in proc.stderr
+
+    def test_compute_error_leaves_no_file(self, capsys, tmp_path):
+        path = tmp_path / "j.csv"
+        code, out, err = invoke(capsys, "spectrum", "--preset", "fig5b",
+                                "--omega-max", "1e300", "-o", str(path))
+        assert code == 3
+        assert not path.exists()
 
     def test_single_mode_beyond_float_range_is_compute_error(self):
         # beta omega_c = 2e-308: coth(beta omega_c / 2) overflows
