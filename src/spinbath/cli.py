@@ -103,14 +103,19 @@ def _csv(comments: str, names, columns):
     """CSV lines: the comment block, the header, then one line per row.
 
     The columns are turned into Python floats ``_BLOCK_ROWS`` rows at a
-    time, so the memory this holds does not grow with the table.
+    time, so the memory this holds does not grow with the table.  Each
+    block is first brought to the two values that "%.17g" writes unlike
+    ``_fmt``: + 0.0 turns -0.0 into 0, and -inf becomes inf.
     """
     yield comments
     yield ",".join(names) + "\n"
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [col[start:start + _BLOCK_ROWS].tolist() for col in columns]
-        for row in zip(*block):
-            yield ",".join([_fmt(x) for x in row]) + "\n"
+        block = np.stack([col[start:start + _BLOCK_ROWS] for col in columns],
+                         axis=1) + 0.0
+        block[block == -np.inf] = np.inf
+        for row in block.tolist():
+            yield line % tuple(row)
 
 
 def _json_rows(names, columns) -> list[dict]:

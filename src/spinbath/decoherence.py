@@ -8,26 +8,28 @@ induced Ising phase
     Delta(t) = 1/4 * int_0^inf J(w) (sin(w t) - w t) / w^2 dw
 
 with gamma >= 0 and Delta <= 0 for all t >= 0.  ``factors`` takes a time or
-a time array for every bath and alone dispatches on the family: closed form
-for the single-mode bath, exact Gamma-function forms of both Ohmic factors
-(any s > 0), and quadrature with numerically stable kernels for both
-Lorentzian factors, one time each on a pool of DEPHASE_THREADS threads.
+a time array for every bath and alone dispatches on the family; each family
+is exact over the whole array in one call: closed form for the single-mode
+bath, Gamma-function forms of both Ohmic factors (any s > 0), and partial
+fractions with the exponential integral for both Lorentzian factors.
 A Lorentzian bath with n = 0 makes gamma infrared-divergent (J tends to a
 constant and the thermal weight contributes 1/w); that case is classified up
-front as instantaneous total dephasing instead of being left to the
-integrator.
+front as instantaneous total dephasing.
 
-Kernel stability:
+The quadratures (``ohmic_delta_by_quadrature``, ``_gamma_by_quadrature``,
+``_delta_lorentzian_by_quadrature``) are kept only as references for the
+tests; ``factors`` never calls them.  Their kernels are guarded:
 
 * (1 - cos(w t)) / w^2 is evaluated as 2 sin^2(w t / 2) / w^2;
 * coth(beta w / 2) switches to its Laurent form 2/(beta w) + beta w / 6
   for beta w < 1e-4;
 * sin(w t) - w t switches to -(w t)^3/6 * (1 - (w t)^2/20) for w t < 1e-3.
 
-Far beyond the bath cutoff the oscillatory component of each integrand is
-dropped and replaced by its integration-by-parts bound 2 g(Omega) / t (g the
-decaying amplitude), which is folded into the error budget; any remaining
-non-oscillatory tail is integrated on geometrically growing panels.
+Far beyond the bath cutoff the oscillatory component of each reference
+integrand is dropped and replaced by its integration-by-parts bound
+2 g(Omega) / t (g the decaying amplitude), which is folded into the error
+budget; any remaining non-oscillatory tail is integrated on geometrically
+growing panels.
 
 Both Ohmic factors reduce, with x = w_c t and e = s - 1, to the function
 
@@ -47,9 +49,39 @@ Johnson 2002) as a sum over b_n = 1 + n beta w_c,
     gamma = lam/4 * Gamma(s) * sum_n w_n b_n^(-e) Re P(e, x / b_n),
 
 taken directly for its first terms and by Euler-Maclaurin for the rest
-(``ohmic_gamma``).  ``ohmic_delta_by_quadrature`` and
-``_gamma_by_quadrature`` evaluate the same integrals numerically and are
-kept as references.
+(``ohmic_gamma``).
+
+The Lorentzian J/w^2 = (lam q / pi) w^(n-2) / D, with D(w) = (w^2 - w_c^2)^2
++ q^2 w^2 = prod_k (w - p_k), splits into partial fractions over the poles
+p = +-Omega +- iq/2, Omega^2 = w_c^2 - q^2/4 (imaginary when overdamped):
+w^s / D = sum_k c_k p_k^s / (w - p_k), c_k = 1/D'(p_k), plus tau_0 / w^-s
+(tau_0 = 1/w_c^4) for s = n - 2 < 0.  Every integral then reduces to
+
+    I(a, p) = int_0^inf e^(-aw) / (w - p) dw = e^(-ap) E1(-ap),
+
+plus 2 pi i e^(-ap) when the ray -ap + aw crosses the negative real axis,
+with e^z E1(z) summed in numpy (``_phi``; Abramowitz & Stegun 5.1.11 and
+5.1.22, Amos, ACM TOMS 16, 178 (1990)).  The phase is one pole sum,
+
+    Delta = lam q/(4 pi) [sum_k c_k p_k^s ((I(-it, p_k) - I(it, p_k)) / 2i
+                                            + t p_k log(-p_k)) + Z],
+
+Z = 0, tau_0 pi/2, tau_0 t (1 - gamma_E - ln t) for n = 2, 1, 0 (the pole
+at the origin), and the dephasing exponent takes the coth series of the
+Ohmic one, gamma = lam q/(4 pi) [F(0) + 2 sum_{m>=1} F(m beta)] with
+
+    F(b) = sum_k c_k p_k^s [I(b, p_k) - I(b - it, p_k)/2 - I(b + it, p_k)/2]
+           + tau_0 log(1 + t^2/b^2) / 2    [n = 1],
+
+where F(0) takes -log(-p_k) for I(0, p_k) and tau_0 (gamma_E + ln t) for
+the last term; n = 0 leaves gamma divergent.  The Euler-Maclaurin tail
+needs F^(j)(b) = (-1)^j int w^j e^(-bw) J/w^2 (1 - cos wt) dw, pole sums of
+the same kind (``_lorentz_sums``).  Each pole's bracket is evaluated as its
+limit at p -> 0 plus terms in phi(z) = e^z E1(z) + gamma_E + log z, which
+vanishes at z = 0; the limits are summed over the poles exactly, so nothing
+cancels as t |p| or b |p| goes to zero (short times, strong overdamping).
+Once b |p| >= 40 a pole's term is summed from its asymptotic series in
+1/(bp) instead, where its polynomial part would cancel it.
 """
 
 from __future__ import annotations
@@ -57,7 +89,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -79,6 +110,7 @@ __all__ = [
     "closed_form_single_mode",
     "coth_half",
     "factors",
+    "lorentzian_factors",
     "ohmic_delta",
     "ohmic_gamma",
     "ohmic_delta_by_quadrature",
@@ -98,6 +130,20 @@ _COTH_DIRECT = 32
 #: B_2k / (2k)!, k = 1..6: the Euler-Maclaurin weights of the tail
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
               1.0 / 47900160.0, -691.0 / 1307674368000.0)
+_EULER_GAMMA = 0.5772156649015329
+#: e^z E1(z): power series below |z| + Re z = 4, asymptotic series (30
+#: terms) from |z| = 40, continued fraction (depth 50) in between
+_E1_SERIES = 4.0
+_E1_ASYMPTOTIC = 40.0
+_E1_ASYMPTOTIC_TERMS = 30
+_E1_CF_DEPTH = 50
+#: Lorentzian coth-series term at b: a pole's asymptotic series once
+#: b |p| >= this
+_ASYMPTOTIC_SWITCH = 40.0
+#: |Omega^2| / w_c^2 below this squared is interpolated across critical damping
+_CRITICAL = 1e-4
+#: times per Lorentzian block, which bounds the work arrays
+_BLOCK = 4096
 
 
 class Method(enum.Enum):
@@ -125,7 +171,8 @@ class DecoherenceFactors:
     then zeroes every coherence between different magnetization sectors.
     The fields are floats for one time, or arrays of the shape of a time
     array passed to ``factors``; ``gamma_divergent`` is then a bool array for
-    a Lorentzian bath and a single bool for the exact families.
+    a Lorentzian bath (an n = 0 bath diverges at every t > 0, not at t = 0)
+    and a single bool for the other families.
     """
 
     gamma: float
@@ -321,6 +368,374 @@ def ohmic_gamma(j: Ohmic, beta: float, t):
                 * _re_p(e + order, log1iu)
         total += 2.0 * b ** -e * tail
         return _checked(scale * total, f"Ohmic gamma at s={s}")
+
+
+def _phi(z):
+    """phi(z) = e^z E1(z) + gamma_E + log z for complex z, principal branch.
+
+    phi is e^z E1(z) less its logarithmic singularity at z = 0, where it
+    vanishes like -z log z.  On the cut z < 0, E1 takes the value from
+    above, E1(-x) = -Ei(x) - i pi (as mpmath does).  Where |z| + Re z < 4,
+    which bounds the cancellation of the series by e^4, phi is summed as
+    e^z Ein(z) - expm1(z) (gamma_E + log z) with Ein(z) = sum_k (-1)^(k+1)
+    z^k / (k k!); from |z| = 40 e^z E1(z) comes from its asymptotic series
+    sum_k (-1)^k k! / z^(k+1), and in between from the even continued
+    fraction 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))) (Abramowitz &
+    Stegun 5.1.11 and 5.1.22; Amos, ACM TOMS 16, 178 (1990)).  Each element
+    stops its series on its own terms, so a value does not depend on the
+    rest of the array.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    r = np.abs(z)
+    far = r >= _E1_ASYMPTOTIC
+    near = ~far & (r + z.real < _E1_SERIES)
+    mid = ~far & ~near
+    if far.any():
+        w = 1.0 / z[far]
+        h = np.ones_like(w)
+        for k in range(_E1_ASYMPTOTIC_TERMS - 1, 0, -1):
+            h = 1.0 - k * w * h
+        out[far] = w * h + _EULER_GAMMA + np.log(z[far])
+    if near.any():
+        zs = z[near]
+        term = total = zs
+        active = np.ones(zs.shape, dtype=bool)
+        k = 1
+        while active.any():
+            k += 1
+            term = np.where(active, term * zs * ((1.0 - k) / (k * k)), 0.0)
+            total = total + term
+            active &= np.abs(term) > 1e-17 * np.abs(total)
+        out[near] = np.exp(zs) * total \
+            - np.expm1(zs) * (_EULER_GAMMA + np.log(zs))
+    if mid.any():
+        zc = z[mid]
+        tail = np.zeros_like(zc)
+        for k in range(_E1_CF_DEPTH, 0, -1):
+            tail = k * k / (zc + (2 * k + 1) - tail)
+        out[mid] = 1.0 / (zc + 1.0 - tail) + _EULER_GAMMA + np.log(zc)
+    return out
+
+
+def _rays(b: float, t, p):
+    """-ap for a = b - it and a = b + it, and where the first ray crosses.
+
+    I(a, p) = int_0^inf e^(-aw) / (w - p) dw = e^(-ap) E1(-ap), plus
+    2 pi i e^(-ap) when the ray -ap + aw (w >= 0) crosses the negative real
+    axis.  With Im p > 0 (the upper poles, one per row of the result) that
+    happens only for a = b - it with t Re p >= b Im p; a start on the axis
+    itself (b = 0, Re p = 0) counts, since E1 takes the value from above
+    there and the ray runs below.  Every crossing has Re(-ap) <= -b |p|.
+    """
+    pr, pi_ = p.real[:, None], p.imag[:, None]
+    im = t * pr - b * pi_ + 0.0   # + 0.0: never -0.0, which would flip the cut
+    z_minus = (-b * pr - t * pi_) + 1j * im
+    z_plus = (t * pi_ - b * pr) - 1j * (t * pr + b * pi_)
+    return z_minus, z_plus, im >= 0.0
+
+
+def _residue(z, cross, shift=0.0):
+    """2 pi i e^(z + shift) where the ray crosses, else 0."""
+    return 2j * np.pi * np.exp(np.where(cross, z + shift, -np.inf))
+
+
+class _LorentzParts:
+    """Partial fractions of J/w^2 for the Lorentzian, from its poles.
+
+    With D(w) = (w^2 - w_c^2)^2 + q^2 w^2 = prod_k (w - p_k), the poles are
+    p = +-Omega + iq/2, Omega^2 = w_c^2 - q^2/4 (on the imaginary axis when
+    overdamped), and J/w^2 = (lam q / pi) w^(n-2) / D.  For every integer r,
+    w^r / D = sum_k c_k w^r / (w - p_k); for r < 0 that is
+    sum_k c_k p_k^r / (w - p_k) plus tau_0 / w^(-r) (tau_0 = 1/w_c^4, and no
+    1/w term for r = -2).  c_k = 1 / D'(p_k) is taken from the computed
+    roots, so each expansion is exact for them.  The lower poles are the
+    conjugates of ``p``, so every pole sum is twice the real part of a sum
+    over ``p``.
+    """
+
+    def __init__(self, q: float, omega2: float):
+        if omega2 >= 0.0:
+            om = math.sqrt(omega2)
+            self.p = np.array([complex(om, 0.5 * q), complex(-om, 0.5 * q)])
+        else:
+            # the roots multiply to w_c^2; q/2 - kappa would cancel
+            kappa = math.sqrt(-omega2)
+            big = 0.5 * q + kappa
+            self.p = np.array([complex(0.0, big),
+                               complex(0.0, (omega2 + 0.25 * q * q) / big)])
+        roots = np.concatenate([self.p, self.p.conj()])
+        self.c = np.array([1.0 / np.prod(roots[k] - np.delete(roots, k))
+                           for k in range(2)])
+        wc4 = (omega2 + 0.25 * q * q) ** 2
+        a2 = 0.5 * q * q - 2.0 * omega2
+        self.tau0 = 1.0 / wc4
+        # 1/D = w^-4 sum_k h_k w^(-2k) at infinity
+        self.h = [1.0, -a2]
+        for _ in range(4):
+            self.h.append(-(a2 * self.h[-1] + wc4 * self.h[-2]))
+
+    def coeff(self, r: int):
+        return self.c * self.p ** r
+
+    def moment(self, m: int) -> float:
+        """sum_k c_k p_k^m over all four poles for m >= 3, exactly: the
+        coefficients of 1/D at infinity."""
+        return self.h[(m - 3) // 2] if m % 2 else 0.0
+
+
+def _pole_sum(coeff, values):
+    """sum over all four poles: twice the real part of the upper-pole sum."""
+    return 2.0 * np.real(np.tensordot(coeff, values, axes=1))
+
+
+def _laplace_shape(i: int, u, log1iu):
+    """b^(i+1) int_0^inf w^i e^(-bw) (1 - cos wt) dw for i >= -2, u = t / b.
+
+    (i+1)! Re P(i+1, u) for i >= -1 (Re P(0, u) = log(1 + u^2) / 2), and
+    u atan u - log(1 + u^2) / 2 for i = -2.
+    """
+    if i == -2:
+        return u * log1iu[1] - log1iu[0]
+    return math.gamma(i + 2) * _re_p(float(i + 1), log1iu)
+
+
+def _coth_bracket(b: float, t, p, z_minus, z_plus, cross):
+    """I(b, p) - I(b - it, p)/2 - I(b + it, p)/2 less its p -> 0 limit.
+
+    That is phi(z0) - phi(z0 + itp)/2 - phi(z0 - itp)/2 - pi i expm1(z0 +
+    itp) [crossing] for the poles p (rows), z0 = -bp.  Where t <= b/4 the
+    step is short against z0 and the difference would cancel like
+    (t/b)^2, so it is summed from the Taylor series -sum_k (itp)^(2k) /
+    (2k)! phi^(2k)(z0) instead.  With phi' = g = e^z E1(z), g' = g - 1/z
+    and (itp / z0)^2 = -u^2, u = t/b, that is -z0 sum_k (-u^2)^k
+    d_(2k-1) / (2k)! with d_m = z0^m g^(m)(z0) = z0 d_(m-1) + (-1)^m
+    (m-1)!, which stays in range however small z0 is; 14 terms reach
+    (1/4)^28 < 1e-16.  The series continues phi across the cut, which is
+    what the crossing term does, so it takes no such term.
+    """
+    z0 = -b * p[:, None]
+    out = np.empty(z_minus.shape, dtype=complex)
+    small = t <= 0.25 * b
+    wide = ~small
+    if wide.any():
+        out[:, wide] = _phi(z0) - 0.5 * (_phi(z_minus[:, wide])
+                                         + _phi(z_plus[:, wide])) \
+            - 1j * np.pi * np.expm1(z_minus[:, wide]) * cross[:, wide]
+    if small.any():
+        u2 = (t[small] / b) ** 2
+        d = z0 * (_phi(z0) - _EULER_GAMMA - np.log(z0)) - 1.0   # d_1
+        power = np.ones_like(u2)
+        total = np.zeros((p.size, u2.size), dtype=complex)
+        for k in range(1, 15):
+            if k > 1:
+                for m in (2 * k - 2, 2 * k - 1):
+                    d = z0 * d + (-1) ** m * math.factorial(m - 1)
+            power = power * -u2 / ((2 * k - 1) * (2 * k))
+            total = total + power * d
+        out[:, small] = -z0 * total
+    return out
+
+
+def _lorentz_laplace(parts: _LorentzParts, b: float, t, s: int, beta: float,
+                     lifts):
+    """beta^j S(s + j, b) for each j in ``lifts``, at b > 0, where
+    S(r, b) = int_0^inf w^r / D e^(-bw) (1 - cos wt) dw.
+
+    Per pole, c_k int e^(-bw) (1 - cos wt) w^r / (w - p_k) dw is
+    p_k^r [I(b, p_k) - I(b - it, p_k)/2 - I(b + it, p_k)/2] plus, for
+    r > 0, the polynomial part sum_{i<r} p_k^(r-1-i) int w^i ...  The
+    bracket is its limit log(1 + t^2/b^2) / 2 at p -> 0 plus phi terms
+    (``_phi``), and those limits are summed exactly as moments, so nothing
+    cancels as b |p| and t |p| go to zero.  Once b |p_k| >= 40, the pole
+    term and its polynomial part cancel instead (catastrophically for large
+    r), and that pole's term is summed from its asymptotic series
+    -sum_{m >= max(r, 0)} p_k^(r-m-1) int w^m ..., up to its smallest term,
+    plus the residue of the crossing ray.  The weight beta^j of the
+    Euler-Maclaurin terms is folded into each term as (beta/b)^j
+    b^(j-i-1) in place of b^-(i+1), which stays inside the float range for
+    any beta.
+    """
+    # numpy scalars: a power beyond the float range is inf, not an error
+    b, beta = np.float64(b), np.float64(beta)
+    u = t / b
+    log1iu = _log1iu(u)
+    shapes = {}
+
+    def term(i, j):
+        # beta^j int_0^inf w^i e^(-bw) (1 - cos wt) dw
+        if i not in shapes:
+            shapes[i] = _laplace_shape(i, u, log1iu)
+        return (beta / b) ** j * b ** (j - i - 1) * shapes[i]
+
+    near = b * np.abs(parts.p) < _ASYMPTOTIC_SWITCH
+    cn, pn = parts.c[near], parts.p[near]
+    cf, pf = parts.c[~near], parts.p[~near]
+    z_minus, z_plus, cross = _rays(b, t, parts.p)
+
+    def moment(c, p, m):
+        # 2 Re sum_k c_k p_k^m over the given poles, 0 where it vanishes to
+        # rounding (the odd powers of a symmetric pair)
+        terms = [complex(ck) * complex(pk) ** m for ck, pk in zip(c, p)]
+        total = 2.0 * sum(x.real for x in terms)
+        return total if abs(total) > 1e-15 * sum(map(abs, terms)) else 0.0
+
+    if near.any():
+        bracket = _coth_bracket(b, t, pn, z_minus[near], z_plus[near],
+                                cross[near])
+    out = []
+    for j in lifts:
+        r = s + j
+        total = _pole_sum(cn * pn ** s * (beta * pn) ** j, bracket) \
+            if near.any() else 0.0
+        if r == -2:
+            total = total + parts.tau0 * term(-2, j)
+        # the near poles' share of each moment (with tau_0 at m = -1),
+        # taken where it does not cancel: below m = 3 the total is zero, so
+        # minus the far poles' part; above, the exact moment when every
+        # pole is near, else the near poles' own sum.  With no near pole
+        # only tau_0 / w is left.
+        for i in range(-1, max(r, 0) if near.any() or r == -1 else -1):
+            m = r - 1 - i if i >= 0 else r
+            if not near.any():
+                share = parts.tau0
+            elif m < 3:
+                share = -moment(cf, pf, m)
+            elif near.all():
+                share = parts.moment(m)
+            else:
+                share = moment(cn, pn, m)
+            if share:
+                total = total + share * term(i, j)
+        if not near.all():
+            # p^s (beta p)^j goes into the exponent: it may overflow where
+            # the residue underflows
+            shift = (s * np.log(pf) + j * np.log(beta * pf))[:, None]
+            total = total + _pole_sum(
+                cf, -0.5 * _residue(z_minus[~near], cross[~near], shift))
+            x = b * np.min(np.abs(pf))
+            m, size = max(r, 0), 1.0   # size: |term m| / |first term|
+            while True:
+                coeff = moment(cf, pf, r - m - 1)
+                if coeff:
+                    total = total - coeff * term(m, j)
+                ratio = (m + 1) / x
+                size *= ratio
+                if ratio >= 1.0 or size < 1e-17:
+                    break
+                m += 1
+        out.append(total)
+    return out
+
+
+def _lorentz_sums(q: float, omega2: float, n: int, beta: float, t):
+    """(S_gamma, S_Delta) for t > 0, with gamma and Delta = lam q/(4 pi) S.
+
+    With s = n - 2, the upper poles p (``_LorentzParts``) and z = itp,
+
+        S_Delta = sum_k c_k p_k^s [(I(-it, p_k) - I(it, p_k)) / 2i
+                                   + t p_k log(-p_k)]  + Z,
+
+    Z = 0, tau_0 pi/2, tau_0 t (1 - gamma_E - ln t) for n = 2, 1, 0: the
+    -wt part and the pole at zero, whose divergent logs cancel.  Each
+    bracket is pi/2 plus [phi(z) - phi(-z) + 2 pi i expm1(z) [crossing]
+    + 2 z log(-p)] / 2i, and the pi/2 terms cancel Z for n = 1, 2.  The coth
+    series gives S_gamma = S(s, 0) + 2 sum_{m>=1} S(s, m beta) with S from
+    ``_lorentz_laplace`` and
+
+        S(s, 0) = sum_k c_k p_k^s [-log(-p_k) - I(-it, p_k)/2 - I(it, p_k)/2]
+                  + tau_0 (gamma_E + ln t) [n = 1],
+
+    each bracket gamma_E + ln t - [phi(z) + phi(-z)] / 2 - pi i expm1(z)
+    [crossing], whose first terms cancel the rest.  As in ``ohmic_gamma``
+    the first coth terms are summed directly and the rest by
+    Euler-Maclaurin, whose integral and odd derivatives in m are
+    S(s - 1, B) / beta and -beta^j S(s + j, B).  n = 0 leaves S_gamma as
+    None.
+    """
+    parts = _LorentzParts(q, omega2)
+    s = n - 2
+    z, minus_z, cross = _rays(0.0, t, parts.p)
+    phi_z, phi_minus_z = _phi(z), _phi(minus_z)
+    growth = 2j * np.pi * np.expm1(z) * cross
+    delta = _pole_sum(parts.coeff(s), (phi_z - phi_minus_z + growth
+                                       + 2.0 * z * np.log(-parts.p)[:, None])
+                      / 2j)
+    if n == 0:
+        delta = delta + parts.tau0 * t * (1.0 - _EULER_GAMMA - np.log(t))
+        return None, delta
+    gamma = _pole_sum(parts.coeff(s), -0.5 * (phi_z + phi_minus_z + growth))
+    for m in range(1, _COTH_DIRECT):
+        gamma = gamma + 2.0 * _lorentz_laplace(parts, m * beta, t, s, beta,
+                                               [0])[0]
+    lifts = [-1, 0] + [2 * k + 1 for k in range(len(_EM_COEFFS))]
+    integral, edge, *odd = _lorentz_laplace(parts, _COTH_DIRECT * beta, t, s,
+                                            beta, lifts)
+    tail = integral + 0.5 * edge
+    for coeff, deriv in zip(_EM_COEFFS, odd):
+        tail = tail + coeff * deriv
+    return gamma + 2.0 * tail, delta
+
+
+def _lorentz_scaled(j: Lorentzian, beta: float, t):
+    """(gamma, Delta) over a 1-d array of times t > 0; gamma None for n = 0.
+
+    Frequencies are measured in units of w_c, so the poles have modulus 1
+    (underdamped) or straddle it (overdamped).  Near critical damping the
+    two upper poles merge into a double pole, the c_k grow like 1/Omega and
+    their pole sums cancel.  Within |Omega| < 1e-4 w_c both sums are
+    therefore interpolated linearly in Omega^2 between the two edges of that
+    band, where the cancellation costs a few 1e-12 relative; the
+    interpolation itself is off by about (1e-8)^2.
+    """
+    wc = j.omega_c
+    q = j.q / wc
+    omega2 = (1.0 - 0.5 * q) * (1.0 + 0.5 * q)
+    band = _CRITICAL ** 2
+    scale = 0.25 * j.coupling * j.q / math.pi * wc ** (j.n - 5)
+    out = []
+    for lo in range(0, t.size, _BLOCK):
+        tb = wc * t[lo:lo + _BLOCK]
+        if abs(omega2) >= band:
+            sums = _lorentz_sums(q, omega2, j.n, wc * beta, tb)
+        else:
+            w = (omega2 + band) / (2.0 * band)
+            sums = [None if a is None else a + w * (b - a) for a, b in zip(
+                _lorentz_sums(q, -band, j.n, wc * beta, tb),
+                _lorentz_sums(q, band, j.n, wc * beta, tb))]
+        out.append(sums)
+    delta = scale * np.concatenate([d for _, d in out])
+    if j.n == 0:
+        return None, delta
+    return scale * np.concatenate([g for g, _ in out]), delta
+
+
+def lorentzian_factors(j: Lorentzian, beta: float, t) -> DecoherenceFactors:
+    """Exact Lorentzian factors at a time or over a time array.
+
+    Both factors are zero at t = 0.  For n = 0, gamma is +inf and
+    ``gamma_divergent`` set at every t > 0 (``spectral.ir_exponent``).
+    ``gamma_divergent`` is a bool array for an array of times.  A value
+    beyond the float range raises QuadratureFailure.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    live = flat > 0.0
+    gamma, delta = np.zeros(flat.shape), np.zeros(flat.shape)
+    divergent = live if spectral.ir_exponent(j) <= 0.0 else np.zeros_like(live)
+    if live.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, d = _lorentz_scaled(j, beta, flat[live])
+        where = f"Lorentzian at q={j.q}, n={j.n}"
+        delta[live] = np.minimum(_checked(d, f"{where}: Delta"), 0.0)
+        gamma[live] = math.inf if g is None else \
+            np.maximum(_checked(g, f"{where}: gamma"), 0.0)
+    if not t.ndim:
+        return DecoherenceFactors(float(gamma[0]), float(delta[0]),
+                                  bool(divergent[0]), Method.ANALYTIC_REDUCTION)
+    return DecoherenceFactors(gamma.reshape(t.shape), delta.reshape(t.shape),
+                              divergent.reshape(t.shape),
+                              Method.ANALYTIC_REDUCTION)
 
 
 class _Stalled(Exception):
@@ -618,62 +1033,39 @@ def _ohmic_moment(s: float, omega_c: float) -> float:
     return res.value
 
 
-def _worker_count() -> int:
-    """Threads for a Lorentzian time array: DEPHASE_THREADS, 0 = auto."""
+def _check_threads_env() -> None:
+    """DEPHASE_THREADS must be an integer >= 0 (0 = auto).
+
+    No family is evaluated point by point, so the value changes nothing;
+    it is still validated on every array call, as the README documents.
+    """
     raw = os.environ.get("DEPHASE_THREADS", "0")
     try:
-        n = int(raw)
+        ok = int(raw) >= 0
     except ValueError:
-        n = -1
-    if n < 0:
+        ok = False
+    if not ok:
         raise ConfigError(f"DEPHASE_THREADS must be an integer >= 0, got {raw!r}")
-    return n or min(os.cpu_count() or 1, 8)
-
-
-def _lorentzian_point(j: Lorentzian, beta: float, t: float) -> DecoherenceFactors:
-    if t == 0.0:
-        return DecoherenceFactors(0.0, 0.0, False, Method.QUADRATURE)
-    try:
-        delta = float(min(_delta_lorentzian_by_quadrature(j, t), 0.0))
-        if spectral.ir_exponent(j) <= 0.0:
-            return DecoherenceFactors(math.inf, delta, True, Method.QUADRATURE)
-        gamma = _gamma_by_quadrature(j, beta, t)
-        return DecoherenceFactors(float(max(gamma, 0.0)), delta, False,
-                                  Method.QUADRATURE)
-    except _Stalled as exc:
-        raise QuadratureFailure(
-            f"decoherence factors for {type(j).__name__} at t={t}: {exc}") from exc
 
 
 def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     """Decoherence factors at time t (builtin floats) or over a time array.
 
-    Single-mode and Ohmic baths are exact over the whole array at once.
-    Lorentzian quadratures run one time each on DEPHASE_THREADS worker
-    threads (0 = auto, up to 8), bit-identical to the single-time calls for
-    any thread count.  Every array call validates DEPHASE_THREADS.
+    Every family is exact over the whole array in one call: a value does
+    not depend on the other times passed with it.  Every array call
+    validates DEPHASE_THREADS.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
         raise InvalidTime(f"t must be finite and >= 0, got {t}")
-    workers = _worker_count() if t_arr.ndim else None
+    if t_arr.ndim:
+        _check_threads_env()
     if isinstance(j, SingleMode):
         return closed_form_single_mode(j.coupling, j.omega_c, bc.beta, t_arr)
-    if isinstance(j, Ohmic):
-        gamma = np.maximum(ohmic_gamma(j, bc.beta, t_arr), 0.0)
-        delta = np.minimum(ohmic_delta(j, t_arr), 0.0)
-        if not t_arr.ndim:
-            gamma, delta = float(gamma), float(delta)
-        return DecoherenceFactors(gamma, delta, False, Method.ANALYTIC_REDUCTION)
-
+    if isinstance(j, Lorentzian):
+        return lorentzian_factors(j, bc.beta, t_arr)
+    gamma = np.maximum(ohmic_gamma(j, bc.beta, t_arr), 0.0)
+    delta = np.minimum(ohmic_delta(j, t_arr), 0.0)
     if not t_arr.ndim:
-        return _lorentzian_point(j, bc.beta, float(t_arr))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        dfs = list(pool.map(lambda t: _lorentzian_point(j, bc.beta, t),
-                            t_arr.ravel().tolist()))
-    shape = t_arr.shape
-    return DecoherenceFactors(
-        np.array([d.gamma for d in dfs], dtype=float).reshape(shape),
-        np.array([d.delta for d in dfs], dtype=float).reshape(shape),
-        np.array([d.gamma_divergent for d in dfs], dtype=bool).reshape(shape),
-        Method.QUADRATURE)
+        gamma, delta = float(gamma), float(delta)
+    return DecoherenceFactors(gamma, delta, False, Method.ANALYTIC_REDUCTION)

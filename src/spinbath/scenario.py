@@ -6,13 +6,12 @@ numeric partial transpose whenever the initial state is the x-projected
 one), the zero-dephasing reference curve |sin(4 Delta)|/2, and the purity.
 
 The factors come from one ``decoherence.factors`` call over the whole grid,
-whatever the bath; only that call knows which families are exact over an
-array and which run point by point (the Lorentzian quadrature, on its
-DEPHASE_THREADS pool).  Everything after the factors is array-native: one
-batched evolve (validated once), one batched partial-transpose spectrum,
-and vectorized purity and ideal negativity.  Identical configurations
-produce bit-identical records, independent of the worker count: every grid
-point is a pure function of the configuration.
+whatever the bath; every family is exact over an array there.  Everything
+after the factors is array-native: one batched evolve (validated once), one
+batched partial-transpose spectrum, and vectorized purity and ideal
+negativity.  Identical configurations produce bit-identical records, for
+any DEPHASE_THREADS setting: every grid point is a pure function of the
+configuration.
 
 ``builtin_presets`` carries one configuration per reproduced figure panel,
 with the exact parameter values quoted in the figure captions.

@@ -133,8 +133,8 @@ class TestFactorTypes:
             assert batch.gamma[k] == pytest.approx(one.gamma, rel=5e-16, abs=0)
 
     def test_lorentzian_array_matches_scalar_calls(self, monkeypatch):
-        # one array call maps the per-point quadrature, on the thread pool
-        # when DEPHASE_THREADS > 1; every time is computed alone
+        # the exact forms run the same array code for one time as for many,
+        # and no value depends on the other times passed with it
         times = np.array([0.0, 0.004, 0.5, 3.0, 11.0])
         for n in (0, 1, 2):
             j = Lorentzian(1.0, 0.5, 20.0, n)
@@ -142,7 +142,7 @@ class TestFactorTypes:
             for threads in ("1", "2"):
                 monkeypatch.setenv("DEPHASE_THREADS", threads)
                 batch = factors(j, BC, times)
-                assert batch.method is Method.QUADRATURE
+                assert batch.method is Method.ANALYTIC_REDUCTION
                 assert batch.gamma.dtype == batch.delta.dtype == float
                 assert batch.gamma_divergent.dtype == bool
                 assert bits(batch.gamma) == bits([d.gamma for d in alone])

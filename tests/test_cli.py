@@ -210,6 +210,14 @@ class TestOneWriter:
         assert blocked == whole
         assert len(data_lines(whole)) == 11
 
+    def test_row_template_matches_fmt(self):
+        # -0.0 and -inf are the two values "%.17g" writes unlike _fmt
+        a = np.array([-0.0, -np.inf, np.inf, 0.0, 1.0 / 3.0, -2.5e-300])
+        b = np.array([np.inf, 5, -0.0, -7.0, 1e300, -np.inf])
+        _, _, *rows = spinbath.cli._csv("", ("a", "b"), (a, b))
+        assert rows == [f"{spinbath.cli._fmt(x)},{spinbath.cli._fmt(y)}\n"
+                        for x, y in zip(a.tolist(), b.tolist())]
+
     @pytest.mark.parametrize("argv", [
         ("run", "--preset", "lorentz_n0", "--set", "grid.n_points=3"),
         ("run", "--preset", "fig3_s2", "--set", "grid.n_points=3"),

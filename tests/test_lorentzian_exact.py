@@ -1,0 +1,264 @@
+"""Exact Lorentzian factors against references that share no code with them.
+
+``factors`` sums the Lorentzian gamma and Delta from partial fractions of
+J/w^2 and the scaled exponential integral e^z E1(z).  The references here
+are a 30-digit ``mpmath`` quadrature of the defining integrals (the
+oscillating part moved onto a vertical ray), ``mpmath.e1``, and the
+program's own quadrature references on the preset grids.  All are held to
+the program's stated tolerance, 1e-8 relative with a 1e-12 absolute floor.
+"""
+
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from spinbath.decoherence import (
+    BathConditions,
+    Method,
+    _delta_lorentzian_by_quadrature,
+    _phi,
+    _gamma_by_quadrature,
+    factors,
+)
+from spinbath.scenario import builtin_presets
+from spinbath.spectral import Lorentzian
+
+mpmath = pytest.importorskip("mpmath")
+
+OMEGA_C = 20.0
+
+
+def mp_factors(coupling, q, omega_c, n, beta, t, dps=30, split=1.0):
+    """(gamma, Delta) by mpmath quadrature of the defining integrals.
+
+    gamma = 1/4 int J(w) (1 - cos wt) / w^2 coth(beta w/2) dw and
+    Delta = 1/4 int J(w) (sin wt - wt) / w^2 dw.  Up to A (four periods of
+    the kernel, or half the resonance frequency when the resonance lies
+    beyond that) the integrand is integrated on the real axis.  Beyond A
+    the smooth part stays there, and the oscillating part env(w) e^(iwt)
+    moves to the vertical ray A + iy, where it decays like e^(-yt), plus
+    2 pi i times the residue at the pole of J in Re w > A, Im w > 0.
+    ``split`` scales A, so two values give two independent evaluations.
+    """
+    with mpmath.workdps(dps):
+        lam, q, wc, b, t = (mpmath.mpf(v) for v in (coupling, q, omega_c,
+                                                     beta, t))
+        om2 = wc * wc - q * q / 4
+        om = mpmath.sqrt(om2) if om2 > 0 else mpmath.mpf(0)
+        pole = mpmath.mpc(om, q / 2)
+
+        def spec(w):
+            return lam / mpmath.pi * q * w ** n \
+                / ((w * w - wc * wc) ** 2 + q * q * w * w)
+
+        def gamma_kernel(w):
+            return mpmath.coth(b * w / 2) / (4 * w * w)
+
+        def delta_kernel(w):
+            return 1 / (4 * w * w)
+
+        def gamma_env(w):
+            return spec(w) * gamma_kernel(w)
+
+        def delta_env(w):
+            return spec(w) * delta_kernel(w)
+
+        a = 8 * mpmath.pi / t
+        if om > 0 and a < 2 * (wc + 16 * q):
+            a = min(a, om / 2)
+        a *= split
+        ys = {mpmath.mpf(0), 1 / t, 10 / t, q / 2, mpmath.inf}
+        if om2 < 0:
+            ys.update((q / 2 - mpmath.sqrt(-om2), q / 2 + mpmath.sqrt(-om2)))
+        ys.update(2 * mpmath.pi * m / b for m in (1, 2, 3))
+        ys = sorted(ys)
+
+        def osc(kernel):
+            # int_a^inf kernel(w) J(w) e^(iwt) dw
+            val = 1j * mpmath.expj(a * t) * mpmath.quad(
+                lambda y: kernel(a + 1j * y) * spec(a + 1j * y)
+                * mpmath.exp(-y * t), ys)
+            if om > a:
+                dprime = 4 * pole * (pole ** 2 - wc ** 2) + 2 * q * q * pole
+                val += 2j * mpmath.pi * kernel(pole) * lam / mpmath.pi * q \
+                    * pole ** n / dprime * mpmath.expj(pole * t)
+            return val
+
+        pts = {mpmath.mpf(0), a}
+        for k in (0, 0.25, 1, 4, 16):
+            pts.update(x for x in (wc - k * q, wc + k * q, om - k * q,
+                                   om + k * q) if x > 0)
+        head = sorted(x for x in pts if x <= a)
+        tail = [a] + sorted(x for x in pts if x > a) + [mpmath.inf]
+
+        d = mpmath.quad(lambda w: delta_env(w) * (mpmath.sin(w * t) - w * t),
+                        head)
+        d -= t * mpmath.quad(lambda w: delta_env(w) * w, tail)
+        d += mpmath.im(osc(delta_kernel))
+        if n == 0:
+            return mpmath.inf, d
+        g = mpmath.quad(
+            lambda w: gamma_env(w) * 2 * mpmath.sin(w * t / 2) ** 2, head)
+        g += mpmath.quad(gamma_env, tail)
+        g -= mpmath.re(osc(gamma_kernel))
+        return g, d
+
+
+def within_tolerance(value, ref):
+    ref = float(ref)
+    return abs(value - ref) <= max(1e-8 * abs(ref), 1e-12)
+
+
+def _log_uniform(rng, lo, hi):
+    return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+def _draws():
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for n, count in ((0, 3), (1, 6), (2, 6)):
+        for _ in range(count):
+            cases.append((n, _log_uniform(rng, 1e-3, 60.0),
+                          _log_uniform(rng, 1e-3, 100.0),
+                          _log_uniform(rng, 1e-4, 2e4)))
+    return cases
+
+
+#: (n, q, beta, t) where a partial-fraction evaluation is most fragile
+CORNERS = [
+    (2, 5.0, 100.0, 3.0),             # large beta: asymptotic tail terms
+    (2, 5.0, 1e-3, 3.0),
+    (1, 0.5, 1e-3, 0.2),
+    (2, 40.0, 1.0, 2.0),              # critical damping, a double pole
+    (2, 40.0 + 1e-9, 1.0, 2.0),
+    (2, 40.0 - 1e-9, 1.0, 2.0),
+    (1, 40.0, 1.0, 0.7),
+    (0, 40.0, 1.0, 2.0),
+    (2, 39.9, 1.0, 2.0),
+    (2, 50.0, 1.0, 2.0),              # overdamped: poles on the imaginary axis
+    (1, 60.0, 0.05, 30.0),
+    (1, 2e4, 1.0, 0.05),              # a pole near 0 (q = 1000 omega_c)
+    (0, 2e4, 1.0, 0.05),
+    (0, 60.0, 1.0, 1e-4),             # t -> 0, where the logs cancel
+    (1, 5.0, 1.0, 1e-4),
+    (2, 60.0, 0.3, 1e-4),
+    (1, 1e-3, 10.0, 2e4),             # long time on a narrow resonance
+    (2, 1e-3, 100.0, 2e4),
+    (0, 1e-3, 1.0, 2e4),
+]
+
+
+@pytest.mark.parametrize("n,q,beta,t", _draws() + CORNERS)
+def test_factors_match_mpmath(n, q, beta, t):
+    df = factors(Lorentzian(1.0, q, OMEGA_C, n), BathConditions(beta), t)
+    ref_g, ref_d = mp_factors(1.0, q, OMEGA_C, n, beta, t)
+    assert df.method is Method.ANALYTIC_REDUCTION
+    assert within_tolerance(df.delta, ref_d)
+    if n == 0:
+        assert df.gamma_divergent and math.isinf(df.gamma)
+    else:
+        assert not df.gamma_divergent
+        assert within_tolerance(df.gamma, ref_g)
+
+
+def test_reference_agrees_with_itself():
+    # a different split point of the contour and more digits, far below
+    # the tested tolerance
+    for n, q, beta, t in [(1, 1e-3, 10.0, 2e4)]:
+        lo = mp_factors(1.0, q, OMEGA_C, n, beta, t)
+        hi = mp_factors(1.0, q, OMEGA_C, n, beta, t, dps=40, split=0.5)
+        for x, y in zip(lo, hi):
+            if mpmath.isfinite(y):
+                assert abs(x - y) <= 1e-20 * abs(y)
+
+
+def test_phi_matches_mpmath():
+    # phi(z) = e^z E1(z) + gamma_E + log z, held to the larger of |phi| and
+    # |e^z E1(z)|: relative near z = 0, where phi vanishes like z log z
+    rng = np.random.default_rng(5)
+    r = np.exp(rng.uniform(math.log(1e-6), math.log(1.6e5), 600))
+    theta = np.concatenate([rng.uniform(-math.pi, math.pi, 300),
+                            math.pi * (1.0 - 10.0 ** rng.uniform(-8, 0, 150)),
+                            -math.pi * (1.0 - 10.0 ** rng.uniform(-8, 0, 150))])
+    z = np.concatenate([r * np.exp(1j * theta), [-3.0 + 0j, -39.5 + 0j]])
+    got = _phi(z)
+    with mpmath.workdps(30):
+        g = [mpmath.exp(v) * mpmath.e1(v) for v in z]
+        ref = np.array([complex(x + mpmath.euler + mpmath.log(v))
+                        for x, v in zip(g, z)])
+        scale = np.maximum(np.abs(ref), [float(abs(x)) for x in g])
+    assert np.max(np.abs(got - ref) / scale) <= 1e-13
+    # elementwise: one value does not depend on the rest of the array
+    assert np.array_equal(got, [_phi(np.array([v]))[0] for v in z])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_temperature_limits(n):
+    # beta^j of the Euler-Maclaurin terms leaves the float range here; the
+    # classical limit gamma ~ 1/beta and the zero-temperature limit hold
+    j = Lorentzian(1.0, 0.5, OMEGA_C, n)
+    t = np.array([0.01, 3.0, 400.0])
+    hot = [b * factors(j, BathConditions(b), t).gamma for b in (1e-50, 1e-150)]
+    cold = [factors(j, BathConditions(b), t).gamma for b in (1e50, 1e250)]
+    for a, b in (hot, cold):
+        assert np.all(np.isfinite(a)) and np.all(a > 0)
+        assert np.allclose(a, b, rtol=1e-12, atol=0)
+
+
+def test_large_coupling_is_linear():
+    # the quadrature could not reach its relative tolerance here: its
+    # truncation point grew with the coupling past the evaluation budget
+    bc, t = BathConditions(0.967), 0.00598
+    big = factors(Lorentzian(1e4, 1.294, 20.0, 2), bc, t)
+    unit = factors(Lorentzian(1.0, 1.294, 20.0, 2), bc, t)
+    assert math.isfinite(big.gamma) and math.isfinite(big.delta)
+    assert big.gamma == pytest.approx(1e4 * unit.gamma, rel=1e-12, abs=0)
+    assert big.delta == pytest.approx(1e4 * unit.delta, rel=1e-12, abs=0)
+
+
+def test_time_blocks_leave_values_unchanged():
+    # long grids are evaluated 4096 times at a time
+    times = np.linspace(0.0, 50.0, 4100)
+    j = Lorentzian(1.0, 0.5, OMEGA_C, 1)
+    df = factors(j, BathConditions(1.0), times)
+    for k in (1, 4095, 4096, 4099):
+        one = factors(j, BathConditions(1.0), float(times[k]))
+        assert (df.gamma[k], df.delta[k]) == (one.gamma, one.delta)
+
+
+def _distinct_lorentzian_grids():
+    seen = {}
+    for name, cfg in sorted(builtin_presets().items()):
+        if isinstance(cfg.bath, Lorentzian):
+            seen.setdefault((cfg.bath, cfg.beta, cfg.grid), name)
+    return sorted(seen.values())
+
+
+@pytest.mark.parametrize("preset", _distinct_lorentzian_grids())
+def test_vs_quadrature_on_preset_grids(preset):
+    cfg = builtin_presets()[preset]
+    times = cfg.grid.times()
+    df = factors(cfg.bath, BathConditions(cfg.beta), times)
+    for k, t in enumerate(times.tolist()):
+        if t == 0.0:
+            assert df.gamma[k] == df.delta[k] == 0.0
+            continue
+        assert within_tolerance(df.delta[k],
+                                _delta_lorentzian_by_quadrature(cfg.bath, t))
+        if cfg.bath.n:
+            assert within_tolerance(
+                df.gamma[k], _gamma_by_quadrature(cfg.bath, cfg.beta, t))
+
+
+def test_runtime_imports_numpy_only():
+    code = ("import sys\n"
+            "from spinbath.scenario import builtin_presets, run\n"
+            "run(builtin_presets()['fig5b'])\n"
+            "print(sorted({'scipy', 'mpmath'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert out.stderr == ""

@@ -1,11 +1,11 @@
-"""Lorentzian factors on the direct short-time quadrature pass, vs mpmath.
+"""Lorentzian factors at short times, vs mpmath.
 
-While t * (omega_c + 16 q) < 2 pi the integrand does not oscillate where the
-bath lives, and ``factors`` integrates the full kernel over [0, inf) in one
-``integrate_semi_infinite`` call.  The reference below is a 30-digit
-``mpmath.quad`` of the defining integrals that shares no code with the
-program.  Both are held to the program's stated tolerance, 1e-8 relative
-with a 1e-12 absolute floor.
+The draws keep t * (omega_c + 16 q) < 2 pi, where the integrand does not
+oscillate where the bath lives; this was the direct one-pass range of the
+former quadrature, and ``factors`` now sums its exact partial-fraction
+form there.  The reference below is a 30-digit ``mpmath.quad`` of the
+defining integrals that shares no code with the program.  Both are held to
+the program's stated tolerance, 1e-8 relative with a 1e-12 absolute floor.
 """
 
 import math
@@ -95,7 +95,7 @@ def test_direct_pass_matches_mpmath(n, q, beta, t):
     assert t * (OMEGA_C + 16.0 * q) < 2.0 * math.pi
     df = factors(Lorentzian(1.0, q, OMEGA_C, n), BathConditions(beta), t)
     ref_g, ref_d = mp_factors(1.0, q, OMEGA_C, n, beta, t)
-    assert df.method is Method.QUADRATURE
+    assert df.method is Method.ANALYTIC_REDUCTION
     assert within_tolerance(df.delta, ref_d)
     if n == 0:
         assert df.gamma_divergent and math.isinf(df.gamma)
