@@ -33,7 +33,7 @@ from .errors import ComputeError, ConfigError, NotPointwise, SpinBathError
 from .scenario import RunRecord, ScenarioConfig, builtin_presets, run
 from .spectral import SingleMode, evaluate
 
-#: rows a CSV table converts to Python floats at a time
+#: rows a CSV table formats at a time
 _BLOCK_ROWS = 4096
 
 
@@ -100,12 +100,13 @@ def _comments(cfg: ScenarioConfig, *extra: str) -> str:
 
 
 def _csv(comments: str, names, columns):
-    """CSV lines: the comment block, the header, then one line per row.
+    """CSV text: the comment block, the header, then the rows.
 
-    The columns are turned into Python floats ``_BLOCK_ROWS`` rows at a
-    time, so the memory this holds does not grow with the table.  Each
-    block is first brought to the two values that "%.17g" writes unlike
-    ``_fmt``: + 0.0 turns -0.0 into 0, and -inf becomes inf.
+    The rows come ``_BLOCK_ROWS`` at a time, each block as one string
+    formatted in one "%" operation, so the memory this holds does not grow
+    with the table.  Each block is first brought to the two values that
+    "%.17g" writes unlike ``_fmt``: + 0.0 turns -0.0 into 0, and -inf
+    becomes inf.
     """
     yield comments
     yield ",".join(names) + "\n"
@@ -114,8 +115,7 @@ def _csv(comments: str, names, columns):
         block = np.stack([col[start:start + _BLOCK_ROWS] for col in columns],
                          axis=1) + 0.0
         block[block == -np.inf] = np.inf
-        for row in block.tolist():
-            yield line % tuple(row)
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def _json_rows(names, columns) -> list[dict]:

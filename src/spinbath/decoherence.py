@@ -140,6 +140,8 @@ _E1_CF_DEPTH = 50
 #: Lorentzian coth-series term at b: a pole's asymptotic series once
 #: b |p| >= this
 _ASYMPTOTIC_SWITCH = 40.0
+#: n = 0 Delta: series terms z^n / n!, n < this, for a pole with |z| < 1
+_N0_SERIES_TERMS = 24
 #: |Omega^2| / w_c^2 below this squared is interpolated across critical damping
 _CRITICAL = 1e-4
 #: times per Lorentzian block, which bounds the work arrays
@@ -628,6 +630,42 @@ def _lorentz_laplace(parts: _LorentzParts, b: float, t, s: int, beta: float,
     return out
 
 
+def _lorentz_n0_delta(parts: _LorentzParts, t, z, minus_z, bracket):
+    """S_Delta for n = 0: the pole sum of ``bracket`` plus Z = tau_0 t K,
+    K = 1 - gamma_E - ln t.
+
+    Z is -t K sum_k c_k / p_k, so it folds into the brackets as -t p_k K.
+    For a pole with |z| < 1 (short times, or the small overdamped pole)
+    the folded bracket is O(z^2) while each of its terms is O(z log z); it
+    is then summed from its series T / 2i,
+
+        T = 2 sum_{n odd >= 3} (H_n - gamma_E - log(-z)) z^n / n!
+            + i pi sum_{n >= 2} z^n / n!,
+
+    from e^z Ein(z) = sum_n H_n z^n / n! (H_n the harmonic numbers).  The
+    other poles keep their bracket and their share -t K c_k / p_k of Z,
+    which is Z itself where no pole is near.
+    """
+    near = np.abs(z) < 1.0
+    k = 1.0 - _EULER_GAMMA - np.log(t)
+    if near.any():
+        zs, log_mz = z[near], np.log(minus_z[near])
+        power = 0.5 * zs * zs
+        total = 1j * np.pi * power
+        harmonic = 1.5
+        for m in range(3, _N0_SERIES_TERMS):
+            power = power * zs / m
+            harmonic += 1.0 / m
+            total = total + 1j * np.pi * power
+            if m % 2:
+                total = total + 2.0 * (harmonic - _EULER_GAMMA - log_mz) * power
+        bracket[near] = total / 2j
+    zero = np.where(near.any(axis=0),
+                    -t * k * _pole_sum(parts.coeff(-1), ~near),
+                    parts.tau0 * t * k)
+    return _pole_sum(parts.coeff(-2), bracket) + zero
+
+
 def _lorentz_sums(q: float, omega2: float, n: int, beta: float, t):
     """(S_gamma, S_Delta) for t > 0, with gamma and Delta = lam q/(4 pi) S.
 
@@ -658,12 +696,11 @@ def _lorentz_sums(q: float, omega2: float, n: int, beta: float, t):
     z, minus_z, cross = _rays(0.0, t, parts.p)
     phi_z, phi_minus_z = _phi(z), _phi(minus_z)
     growth = 2j * np.pi * np.expm1(z) * cross
-    delta = _pole_sum(parts.coeff(s), (phi_z - phi_minus_z + growth
-                                       + 2.0 * z * np.log(-parts.p)[:, None])
-                      / 2j)
+    bracket = (phi_z - phi_minus_z + growth
+               + 2.0 * z * np.log(-parts.p)[:, None]) / 2j
     if n == 0:
-        delta = delta + parts.tau0 * t * (1.0 - _EULER_GAMMA - np.log(t))
-        return None, delta
+        return None, _lorentz_n0_delta(parts, t, z, minus_z, bracket)
+    delta = _pole_sum(parts.coeff(s), bracket)
     gamma = _pole_sum(parts.coeff(s), -0.5 * (phi_z + phi_minus_z + growth))
     for m in range(1, _COTH_DIRECT):
         gamma = gamma + 2.0 * _lorentz_laplace(parts, m * beta, t, s, beta,

@@ -38,6 +38,8 @@ __all__ = [
 # m-labels per basis index, basis |1,1>, |1,-1>, |-1,1>, |-1,-1>
 _M_LABELS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 _M_SUM = _M_LABELS.sum(axis=1)  # m1 + m2 per index
+#: lowest eigenvalue a valid density matrix may have
+_POSITIVITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,11 @@ class TwoSpinState:
     stack of them along a leading time axis.
 
     Every matrix must be finite, Hermitian, of unit trace and positive
-    (lowest eigenvalue >= -1e-10); a stack is checked with one batched
-    eigvalsh.  ``rho`` is a read-only view of a complex input, not a copy.
+    (lowest eigenvalue >= -1e-10).  Positivity is screened with one batched
+    Cholesky factorization of rho + 1e-10 I, which exists exactly when the
+    lowest eigenvalue exceeds -1e-10 (up to rounding near that threshold);
+    only a stack it rejects is decided by a batched eigvalsh.  ``rho`` is
+    a read-only view of a complex input, not a copy.
     """
 
     rho: np.ndarray
@@ -115,9 +120,13 @@ class TwoSpinState:
         bad = (np.abs(trace.real - 1.0) > 1e-12) | (np.abs(trace.imag) > 1e-12)
         if np.any(bad):
             raise InvalidState(f"trace must be 1, got {trace[bad].flat[0]}")
-        lowest = float(np.min(np.linalg.eigvalsh(rho)[..., 0], initial=0.0))
-        if lowest < -1e-10:
-            raise InvalidState(f"density matrix not positive (min eig {lowest:.3e})")
+        try:
+            np.linalg.cholesky(rho + _POSITIVITY_TOL * np.eye(4))
+        except np.linalg.LinAlgError:
+            lowest = float(np.min(np.linalg.eigvalsh(rho)[..., 0], initial=0.0))
+            if lowest < -_POSITIVITY_TOL:
+                raise InvalidState(
+                    f"density matrix not positive (min eig {lowest:.3e})")
         # freeze a view: the caller's own array stays writable
         rho = rho.view()
         rho.setflags(write=False)
@@ -163,7 +172,7 @@ def evolve(init: GeneralInitialState, df: DecoherenceFactors,
 
     t, df.gamma, df.delta and df.gamma_divergent may be scalars or arrays
     over one leading time axis of length B; the result then holds a
-    (B, 4, 4) stack, validated once.
+    (B, 4, 4) stack, validated in one pass (``TwoSpinState``).
     """
     t, gamma, delta = (np.asarray(a, dtype=float)[..., None, None]
                        for a in (t, df.gamma, df.delta))

@@ -14,7 +14,9 @@ Three routes are provided and cross-check each other:
           - sqrt((1 - e^{-16 gamma})^2 + 16 e^{-8 gamma} sin^2(4 Delta)) / 8 |.
 
 * ``appendix_b_eigenvalues``: all four analytic eigenvalues of that partial
-  transpose.
+  transpose.  Both closed forms take arrays of gamma and Delta elementwise
+  in one numpy pass, and one code path serves a scalar call and an array
+  call alike, so the two give the same bits.
 * ``negativity_numeric``: the general route for any state, needed for tilted
   initial Bloch angles.  The 4x4 Hermitian partial transpose is diagonalized
   by LAPACK (``np.linalg.eigvalsh``); ``pt_spectra`` takes a whole (B, 4, 4)
@@ -27,7 +29,6 @@ states report exactly N = 0.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,6 @@ __all__ = [
 
 #: eigenvalues closer to zero than this count as zero, not negative
 ZERO_EIGENVALUE_TOL = 1e-13
-#: exponent beyond which e^-x underflows to an exact 0.0
-_EXP_UNDERFLOW = 750.0
 
 
 class NegativityMethod(enum.Enum):
@@ -60,48 +59,61 @@ class NegativityMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class NegativityResult:
-    """Negativity plus the full partial-transpose spectrum (ascending)."""
+    """Negativity plus the full partial-transpose spectrum (ascending).
+
+    For arrays of gamma and Delta, ``value`` is an array and
+    ``eigenvalues`` an array with one ascending spectrum along its last
+    axis.
+    """
 
     value: float
     eigenvalues: tuple
     method: NegativityMethod
 
 
-def _damped_exponentials(gamma: float):
-    """(1 - e^{-16g}, e^{-16g}, e^{-8g}) with hard underflow clamps."""
-    if gamma < 0 and not math.isinf(gamma):
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    e16 = 0.0 if 16.0 * gamma > _EXP_UNDERFLOW else math.exp(-16.0 * gamma)
-    e8 = 0.0 if 8.0 * gamma > _EXP_UNDERFLOW else math.exp(-8.0 * gamma)
-    # -expm1 keeps 1 - e^{-16g} accurate for tiny gamma
-    u = 1.0 if e16 == 0.0 else -math.expm1(-16.0 * gamma)
-    return u, e16, e8
-
-
-def appendix_b_eigenvalues(gamma: float, delta: float) -> tuple:
+def appendix_b_eigenvalues(gamma, delta) -> tuple:
     """The four analytic partial-transpose eigenvalues (Lambda_1..Lambda_4).
 
+    Elementwise for arrays of gamma and Delta (four arrays); builtin floats
+    for scalars.  gamma may be +inf; a negative gamma raises ValueError.
     Only Lambda_2 can be negative; Lambda_1 >= 0 and Lambda_3 >= Lambda_4.
     The Lambda_3/4 discriminant (3 + e)^2 + 16 e' cos^2 - 8(1 + e) is
     evaluated as (1 - e)^2 + 16 e' cos^2, the same polynomial without the
-    catastrophic cancellation near gamma = 0.
+    catastrophic cancellation near gamma = 0, and 1 - e^{-16 gamma} as
+    -expm1(-16 gamma), accurate for tiny gamma.  Beyond an exponent of
+    745.2, and at gamma = +inf, e^-x is exactly 0 and -expm1(-x) exactly 1.
     """
-    u, e16, e8 = _damped_exponentials(gamma)
-    s2 = math.sin(4.0 * delta) ** 2
-    c2 = math.cos(4.0 * delta) ** 2
-    r12 = math.sqrt(u * u + 16.0 * e8 * s2)
-    r34 = math.sqrt(u * u + 16.0 * e8 * c2)
-    lam1 = (u + r12) / 8.0
-    lam2 = (u - r12) / 8.0
-    lam3 = (3.0 + e16 + r34) / 8.0
-    lam4 = (3.0 + e16 - r34) / 8.0
-    return (lam1, lam2, lam3, lam4)
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheap
+    gamma = np.asarray(gamma, dtype=float)[()]
+    if (gamma < 0).any():
+        raise ValueError(f"gamma must be >= 0, got {np.min(gamma)}")
+    e16 = np.exp(-16.0 * gamma)
+    e8 = np.exp(-8.0 * gamma)
+    u = -np.expm1(-16.0 * gamma)
+    four_delta = 4.0 * np.asarray(delta, dtype=float)[()]
+    s = np.sin(four_delta)
+    c = np.cos(four_delta)
+    uu = u * u
+    r12 = np.sqrt(uu + 16.0 * e8 * (s * s))
+    r34 = np.sqrt(uu + 16.0 * e8 * (c * c))
+    lams = ((u + r12) / 8.0, (u - r12) / 8.0,
+            (3.0 + e16 + r34) / 8.0, (3.0 + e16 - r34) / 8.0)
+    if np.ndim(lams[0]):
+        return lams
+    return tuple(float(x) for x in lams)
 
 
-def negativity_closed_form(gamma: float, delta: float) -> NegativityResult:
-    """Closed-form negativity for the x-projected state; gamma may be +inf."""
+def negativity_closed_form(gamma, delta) -> NegativityResult:
+    """Closed-form negativity for the x-projected state; gamma may be +inf.
+
+    Elementwise for arrays of gamma and Delta, one numpy pass for all.
+    """
     lams = appendix_b_eigenvalues(gamma, delta)
-    return NegativityResult(abs(lams[1]), tuple(sorted(lams)),
+    if isinstance(lams[1], float):
+        return NegativityResult(abs(lams[1]), tuple(sorted(lams)),
+                                NegativityMethod.CLOSED_FORM)
+    return NegativityResult(np.abs(lams[1]),
+                            np.sort(np.stack(lams, axis=-1), axis=-1),
                             NegativityMethod.CLOSED_FORM)
 
 

@@ -1,6 +1,8 @@
 """The array-native scenario pipeline against its per-point definitions."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,12 +27,13 @@ from spinbath.dynamics import (
 from spinbath.entanglement import (
     appendix_b_eigenvalues,
     ideal_negativity,
+    negativity_closed_form,
     negativity_from_spectrum,
     negativity_numeric,
     pt_spectra,
 )
 from spinbath.errors import EigenNonConvergence, InvalidState, SpinBathError
-from spinbath.scenario import ScenarioConfig, TimeGrid, run
+from spinbath.scenario import _BLOCK_POINTS, ScenarioConfig, TimeGrid, run
 from spinbath.spectral import Lorentzian, Ohmic, SingleMode
 
 BC = BathConditions(beta=1.0)
@@ -108,6 +111,83 @@ class TestPtSpectraGuards:
                         for g, d in zip(gammas, deltas)])
         assert spectra.shape == (1000, 4)
         assert np.max(np.abs(spectra - ref)) <= 1e-12
+
+
+def _closed_form_points():
+    """gamma and Delta pairs around every branch of the closed form: 0 and
+    +inf, 16 gamma and 8 gamma on either side of 745 (where e^-x reaches
+    0) and of 750, tiny gamma, and random values."""
+    edges = [x / m for x in (744.9, 745.1, 745.3, 749.9, 750.1)
+             for m in (16.0, 8.0)]
+    gammas = [0.0, math.inf, 1e-300, 1e-20, 1e-9, *edges]
+    rng = np.random.default_rng(13)
+    gammas += rng.uniform(0.0, 3.0, 40).tolist()
+    deltas = [0.0, -math.pi / 8, -math.pi / 16, -0.3, -1e-9]
+    deltas += (-rng.uniform(0.0, 4.0, 8)).tolist()
+    g, d = np.meshgrid(gammas, deltas)
+    return g.ravel(), d.ravel()
+
+
+class TestClosedFormArrays:
+    def test_array_call_matches_scalar_calls_bit_for_bit(self):
+        gammas, deltas = _closed_form_points()
+        batch = negativity_closed_form(gammas, deltas)
+        alone = [negativity_closed_form(g, d)
+                 for g, d in zip(gammas.tolist(), deltas.tolist())]
+        assert bits(batch.value) == bits([r.value for r in alone])
+        assert bits(batch.eigenvalues) == bits([r.eigenvalues for r in alone])
+        lams = appendix_b_eigenvalues(gammas, deltas)
+        one = [appendix_b_eigenvalues(g, d)
+               for g, d in zip(gammas.tolist(), deltas.tolist())]
+        assert bits(np.stack(lams, axis=-1)) == bits(one)
+
+    def test_scalar_call_returns_builtins(self):
+        r = negativity_closed_form(0.2, -0.3)
+        assert type(r.value) is float
+        assert type(r.eigenvalues) is tuple
+        assert all(type(x) is float for x in r.eigenvalues)
+        assert all(type(x) is float for x in appendix_b_eigenvalues(0.2, -0.3))
+
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_negative_gamma_anywhere_rejected(self, where):
+        gammas = np.linspace(0.0, 1.0, 7)
+        gammas[where] = -1e-300
+        with pytest.raises(ValueError):
+            negativity_closed_form(gammas, np.full(7, -0.2))
+        gammas[where] = -math.inf
+        with pytest.raises(ValueError):
+            appendix_b_eigenvalues(gammas, np.full(7, -0.2))
+
+
+def _with_lowest_eigenvalue(lowest, seed):
+    """A Hermitian unit-trace 4x4 matrix with the given lowest eigenvalue,
+    in a random basis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    spectrum = np.array([0.5, 0.3, 0.2 - lowest, lowest])
+    rho = (q * spectrum) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+class TestPositivityScreen:
+    def stack(self, lowest, where):
+        rhos = np.stack([_with_lowest_eigenvalue(0.05, k) for k in range(6)])
+        rhos[where] = _with_lowest_eigenvalue(lowest, 99)
+        return rhos
+
+    @pytest.mark.parametrize("where", [0, 2, -1])
+    def test_slightly_negative_member_rejected(self, where):
+        rhos = self.stack(-2e-10, where)
+        for rho in (rhos, rhos[where]):
+            with pytest.raises(InvalidState, match="min eig -2.0"):
+                TwoSpinState(rho)
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_member_within_tolerance_accepted(self, where):
+        rhos = self.stack(-5e-11, where)
+        assert np.linalg.eigvalsh(rhos)[where, 0] < 0.0
+        TwoSpinState(rhos)
+        TwoSpinState(rhos[where])
 
 
 class TestFactorTypes:
@@ -221,6 +301,56 @@ class TestTiltedRun:
         assert rec.negativity.max() > 0.0
 
 
+class TestBlocks:
+    #: three blocks, the last one of 3 points
+    N_POINTS = 2 * _BLOCK_POINTS + 3
+
+    def test_blocked_run_matches_per_point_calls(self):
+        cfg = ScenarioConfig(bath=SingleMode(1.0, 20.0), beta=1.0, h=0.4,
+                             init=InitialProductState(math.pi / 4, 2.0, 0.3, 1.1),
+                             grid=TimeGrid(0.0, 40.0, self.N_POINTS),
+                             outputs=frozenset({"negativity", "state_dump"}))
+        rec = run(cfg)
+        init = bloch_product_to_general(cfg.init)
+        field = FieldConfig(cfg.h)
+        negativity, purity = [], []
+        for k, t in enumerate(rec.t.tolist()):
+            state = evolve(init, DecoherenceFactors(rec.gamma[k], rec.delta[k]),
+                           field, t)
+            negativity.append(negativity_from_spectrum(pt_spectra(state.rho)))
+            purity.append(state.purity())
+        assert bits(rec.negativity) == bits(negativity)
+        assert bits(rec.purity) == bits(purity)
+        whole = evolve(init, DecoherenceFactors(rec.gamma, rec.delta), field,
+                       rec.t)
+        assert rec.states == whole.to_json_obj()
+        assert len(rec.states) == self.N_POINTS
+
+    @pytest.mark.parametrize("n", [0, 1])   # n = 0: divergent for t > 0
+    def test_x_state_blocks_match_whole_grid(self, n):
+        cfg = ScenarioConfig(bath=Lorentzian(1.0, 0.5, 20.0, n), beta=1.0,
+                             grid=TimeGrid(0.0, 40.0, self.N_POINTS))
+        rec = run(cfg)
+        closed = negativity_closed_form(rec.gamma, rec.delta).value
+        assert bits(rec.negativity) == bits(closed)
+        whole = evolve(bloch_product_to_general(cfg.init),
+                       factors(cfg.bath, BC, rec.t), FieldConfig(), rec.t)
+        assert bits(rec.purity) == bits(whole.purity())
+
+    def test_peak_memory_of_a_large_grid(self):
+        # a fresh interpreter: ru_maxrss is the peak of the whole process
+        code = ("import resource\n"
+                "from dataclasses import replace\n"
+                "from spinbath.scenario import TimeGrid, builtin_presets, run\n"
+                "cfg = builtin_presets()['fig3_s2']\n"
+                "run(replace(cfg, grid=TimeGrid(0.0, 40.0, 200_000)))\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stderr == ""
+        assert int(out.stdout) / 1024 < 100.0   # ru_maxrss is in KiB
+
+
 #: names that benchmarks/tracing.py replaces on spinbath.scenario
 TRACED_NAMES = ("factors", "evolve", "pt_spectra", "negativity_closed_form",
                 "ideal_negativity", "run")
@@ -238,6 +368,17 @@ class TestTracerContract:
         (Lorentzian(1.0, 0.5, 20.0, 2), True),
     ])
     def test_run_calls_go_through_module_names(self, monkeypatch, bath, x_state):
+        self.check_calls(monkeypatch, bath, x_state, 5)
+
+    @pytest.mark.parametrize("bath,x_state", [
+        (SingleMode(1.0, 20.0), True),
+        (Lorentzian(1.0, 0.5, 20.0, 1), False),
+    ])
+    def test_one_evolve_and_spectrum_call_per_block(self, monkeypatch, bath,
+                                                    x_state):
+        self.check_calls(monkeypatch, bath, x_state, 2 * _BLOCK_POINTS + 3)
+
+    def check_calls(self, monkeypatch, bath, x_state, n_points):
         calls = {}
         for name in TRACED_NAMES[:-1]:
             fn = getattr(spinbath.scenario, name)
@@ -250,11 +391,13 @@ class TestTracerContract:
         init = (InitialProductState(math.pi / 2, math.pi / 2) if x_state
                 else InitialProductState(math.pi / 4, math.pi / 4))
         spinbath.scenario.run(ScenarioConfig(
-            bath=bath, beta=1.0, init=init, grid=TimeGrid(0.0, 2.0, 5)))
+            bath=bath, beta=1.0, init=init, grid=TimeGrid(0.0, 2.0, n_points)))
         expect = {"factors", "evolve", "pt_spectra", "ideal_negativity"}
         if x_state:
             expect.add("negativity_closed_form")
         assert set(calls) == expect
-        assert calls["evolve"] == calls["pt_spectra"] == 1
-        # every family takes the whole grid in one call
-        assert calls["factors"] == 1
+        # the states go block by block, everything else over the whole grid
+        blocks = -(-n_points // _BLOCK_POINTS)
+        assert calls["evolve"] == calls["pt_spectra"] == blocks
+        assert calls["factors"] == calls["ideal_negativity"] == 1
+        assert calls.get("negativity_closed_form", 1) == 1

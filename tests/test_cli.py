@@ -214,9 +214,10 @@ class TestOneWriter:
         # -0.0 and -inf are the two values "%.17g" writes unlike _fmt
         a = np.array([-0.0, -np.inf, np.inf, 0.0, 1.0 / 3.0, -2.5e-300])
         b = np.array([np.inf, 5, -0.0, -7.0, 1e300, -np.inf])
-        _, _, *rows = spinbath.cli._csv("", ("a", "b"), (a, b))
-        assert rows == [f"{spinbath.cli._fmt(x)},{spinbath.cli._fmt(y)}\n"
-                        for x, y in zip(a.tolist(), b.tolist())]
+        _, _, *blocks = spinbath.cli._csv("", ("a", "b"), (a, b))
+        assert "".join(blocks) == "".join(
+            f"{spinbath.cli._fmt(x)},{spinbath.cli._fmt(y)}\n"
+            for x, y in zip(a.tolist(), b.tolist()))
 
     @pytest.mark.parametrize("argv", [
         ("run", "--preset", "lorentz_n0", "--set", "grid.n_points=3"),

@@ -142,6 +142,8 @@ CORNERS = [
     (1, 60.0, 0.05, 30.0),
     (1, 2e4, 1.0, 0.05),              # a pole near 0 (q = 1000 omega_c)
     (0, 2e4, 1.0, 0.05),
+    (0, 2e5, 1.0, 0.05),              # q = 1e4 and 1e5 omega_c, omega_c t = 1
+    (0, 2e6, 1.0, 0.05),
     (0, 60.0, 1.0, 1e-4),             # t -> 0, where the logs cancel
     (1, 5.0, 1.0, 1e-4),
     (2, 60.0, 0.3, 1e-4),
@@ -162,6 +164,18 @@ def test_factors_match_mpmath(n, q, beta, t):
     else:
         assert not df.gamma_divergent
         assert within_tolerance(df.gamma, ref_g)
+
+
+@pytest.mark.parametrize("q,t", [(1e4, 1.0), (1e5, 1.0), (1e6, 1.0),
+                                 (1e5, 0.1), (1e5, 10.0)])
+def test_n0_delta_under_extreme_overdamping(q, t):
+    # at omega_c = 1 Delta is large enough against the 1e-12 floor to show
+    # the cancellation between the small overdamped pole (|p| ~ 1/q) and
+    # the pole at zero, which cost up to 181 times the tolerance before
+    # the pole at zero was folded into the pole brackets
+    df = factors(Lorentzian(1.0, q, 1.0, 0), BathConditions(1.0), t)
+    ref_g, ref_d = mp_factors(1.0, q, 1.0, 0, 1.0, t)
+    assert within_tolerance(df.delta, ref_d)
 
 
 def test_reference_agrees_with_itself():
