@@ -81,7 +81,10 @@ limit at p -> 0 plus terms in phi(z) = e^z E1(z) + gamma_E + log z, which
 vanishes at z = 0; the limits are summed over the poles exactly, so nothing
 cancels as t |p| or b |p| goes to zero (short times, strong overdamping).
 Once b |p| >= 40 a pole's term is summed from its asymptotic series in
-1/(bp) instead, where its polynomial part would cancel it.
+1/(bp) instead, where its polynomial part would cancel it.  Times go
+through blocks of ``_BLOCK``; in each, the direct terms F(m beta),
+m < 32, and the Euler-Maclaurin terms are the rows of one array pass
+(``_lorentz_laplace``).
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ _COTH_SWITCH = 1e-4
 _SIN_SWITCH = 1e-3
 # curvature probes of the oscillatory-tail remainder, in units of its start
 _TAIL_PROBES = np.array([1.0, 1.3, 1.7, 2.2, 3.0, 4.5, 6.0, 8.0])
-#: Ohmic gamma: coth-series terms summed directly before the tail
+#: Ohmic and Lorentzian gamma: coth-series terms below this index are
+#: summed directly, the rest by Euler-Maclaurin
 _COTH_DIRECT = 32
 #: B_2k / (2k)!, k = 1..6: the Euler-Maclaurin weights of the tail
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
@@ -144,7 +148,8 @@ _ASYMPTOTIC_SWITCH = 40.0
 _N0_SERIES_TERMS = 24
 #: |Omega^2| / w_c^2 below this squared is interpolated across critical damping
 _CRITICAL = 1e-4
-#: times per Lorentzian block, which bounds the work arrays
+#: times per Lorentzian block, which bounds the (row, pole, time) work
+#: arrays of its coth-series pass (39 rows: about 27 MB at 4096 times)
 _BLOCK = 4096
 
 
@@ -420,8 +425,8 @@ def _phi(z):
     return out
 
 
-def _rays(b: float, t, p):
-    """-ap for a = b - it and a = b + it, and where the first ray crosses.
+def _crossing_ray(b, t, p):
+    """-ap for a = b - it, and where that ray crosses the negative real axis.
 
     I(a, p) = int_0^inf e^(-aw) / (w - p) dw = e^(-ap) E1(-ap), plus
     2 pi i e^(-ap) when the ray -ap + aw (w >= 0) crosses the negative real
@@ -429,17 +434,20 @@ def _rays(b: float, t, p):
     happens only for a = b - it with t Re p >= b Im p; a start on the axis
     itself (b = 0, Re p = 0) counts, since E1 takes the value from above
     there and the ray runs below.  Every crossing has Re(-ap) <= -b |p|.
+    ``b`` is a number, giving (pole, time) arrays, or has shape (B, 1, 1),
+    giving (B, pole, time) arrays.
     """
     pr, pi_ = p.real[:, None], p.imag[:, None]
     im = t * pr - b * pi_ + 0.0   # + 0.0: never -0.0, which would flip the cut
-    z_minus = (-b * pr - t * pi_) + 1j * im
-    z_plus = (t * pi_ - b * pr) - 1j * (t * pr + b * pi_)
-    return z_minus, z_plus, im >= 0.0
+    return (-b * pr - t * pi_) + 1j * im, im >= 0.0
 
 
-def _residue(z, cross, shift=0.0):
-    """2 pi i e^(z + shift) where the ray crosses, else 0."""
-    return 2j * np.pi * np.exp(np.where(cross, z + shift, -np.inf))
+def _rays(b, t, p):
+    """-ap for a = b - it and a = b + it, and where the first ray crosses
+    (``_crossing_ray``)."""
+    z_minus, cross = _crossing_ray(b, t, p)
+    pr, pi_ = p.real[:, None], p.imag[:, None]
+    return z_minus, (t * pi_ - b * pr) - 1j * (t * pr + b * pi_), cross
 
 
 class _LorentzParts:
@@ -487,28 +495,22 @@ class _LorentzParts:
 
 
 def _pole_sum(coeff, values):
-    """sum over all four poles: twice the real part of the upper-pole sum."""
-    return 2.0 * np.real(np.tensordot(coeff, values, axes=1))
+    """sum over all four poles: twice the real part of the upper-pole sum.
 
-
-def _laplace_shape(i: int, u, log1iu):
-    """b^(i+1) int_0^inf w^i e^(-bw) (1 - cos wt) dw for i >= -2, u = t / b.
-
-    (i+1)! Re P(i+1, u) for i >= -1 (Re P(0, u) = log(1 + u^2) / 2), and
-    u atan u - log(1 + u^2) / 2 for i = -2.
+    ``coeff`` is (pole,) with ``values`` (pole, time), or a stack of both
+    with a leading row axis.
     """
-    if i == -2:
-        return u * log1iu[1] - log1iu[0]
-    return math.gamma(i + 2) * _re_p(float(i + 1), log1iu)
+    return 2.0 * np.real(coeff[..., None, :] @ values)[..., 0, :]
 
 
-def _coth_bracket(b: float, t, p, z_minus, z_plus, cross):
+def _coth_bracket(b, t, p, z_minus, z_plus, cross):
     """I(b, p) - I(b - it, p)/2 - I(b + it, p)/2 less its p -> 0 limit.
 
-    That is phi(z0) - phi(z0 + itp)/2 - phi(z0 - itp)/2 - pi i expm1(z0 +
-    itp) [crossing] for the poles p (rows), z0 = -bp.  Where t <= b/4 the
-    step is short against z0 and the difference would cancel like
-    (t/b)^2, so it is summed from the Taylor series -sum_k (itp)^(2k) /
+    One row per (b, p) pair of the 1-d arrays ``b`` and ``p``, with the rays
+    of ``_rays`` for those pairs.  That is phi(z0) - phi(z0 + itp)/2 -
+    phi(z0 - itp)/2 - pi i expm1(z0 + itp) [crossing], z0 = -bp.  Where
+    t <= b/4 the step is short against z0 and the difference would cancel
+    like (t/b)^2, so it is summed from the Taylor series -sum_k (itp)^(2k) /
     (2k)! phi^(2k)(z0) instead.  With phi' = g = e^z E1(z), g' = g - 1/z
     and (itp / z0)^2 = -u^2, u = t/b, that is -z0 sum_k (-u^2)^k
     d_(2k-1) / (2k)! with d_m = z0^m g^(m)(z0) = z0 d_(m-1) + (-1)^m
@@ -516,118 +518,188 @@ def _coth_bracket(b: float, t, p, z_minus, z_plus, cross):
     (1/4)^28 < 1e-16.  The series continues phi across the cut, which is
     what the crossing term does, so it takes no such term.
     """
-    z0 = -b * p[:, None]
+    z0 = (-b * p)[:, None]
+    phi0 = _phi(z0)
     out = np.empty(z_minus.shape, dtype=complex)
-    small = t <= 0.25 * b
+    small = t <= 0.25 * b[:, None]
     wide = ~small
     if wide.any():
-        out[:, wide] = _phi(z0) - 0.5 * (_phi(z_minus[:, wide])
-                                         + _phi(z_plus[:, wide])) \
-            - 1j * np.pi * np.expm1(z_minus[:, wide]) * cross[:, wide]
+        out[wide] = np.broadcast_to(phi0, out.shape)[wide] \
+            - 0.5 * (_phi(z_minus[wide]) + _phi(z_plus[wide])) \
+            - 1j * np.pi * np.expm1(z_minus[wide]) * cross[wide]
     if small.any():
-        u2 = (t[small] / b) ** 2
-        d = z0 * (_phi(z0) - _EULER_GAMMA - np.log(z0)) - 1.0   # d_1
+        u2 = (t / b[:, None])[small] ** 2
+        d = z0 * (phi0 - _EULER_GAMMA - np.log(z0)) - 1.0   # d_1
         power = np.ones_like(u2)
-        total = np.zeros((p.size, u2.size), dtype=complex)
+        total = np.zeros(u2.shape, dtype=complex)
         for k in range(1, 15):
             if k > 1:
                 for m in (2 * k - 2, 2 * k - 1):
                     d = z0 * d + (-1) ** m * math.factorial(m - 1)
             power = power * -u2 / ((2 * k - 1) * (2 * k))
-            total = total + power * d
-        out[:, small] = -z0 * total
+            total = total + power * np.broadcast_to(d, out.shape)[small]
+        out[small] = -np.broadcast_to(z0, out.shape)[small] * total
     return out
 
 
-def _lorentz_laplace(parts: _LorentzParts, b: float, t, s: int, beta: float,
-                     lifts):
-    """beta^j S(s + j, b) for each j in ``lifts``, at b > 0, where
+def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
+    """Rows beta^j S(s + j, b), one per pair (b, j) of the 1-d arrays ``b``
+    (all > 0) and ``lifts``, where
     S(r, b) = int_0^inf w^r / D e^(-bw) (1 - cos wt) dw.
 
     Per pole, c_k int e^(-bw) (1 - cos wt) w^r / (w - p_k) dw is
     p_k^r [I(b, p_k) - I(b - it, p_k)/2 - I(b + it, p_k)/2] plus, for
     r > 0, the polynomial part sum_{i<r} p_k^(r-1-i) int w^i ...  The
     bracket is its limit log(1 + t^2/b^2) / 2 at p -> 0 plus phi terms
-    (``_phi``), and those limits are summed exactly as moments, so nothing
-    cancels as b |p| and t |p| go to zero.  Once b |p_k| >= 40, the pole
-    term and its polynomial part cancel instead (catastrophically for large
-    r), and that pole's term is summed from its asymptotic series
+    (``_coth_bracket``), and those limits are summed exactly as moments, so
+    nothing cancels as b |p| and t |p| go to zero.  Once b |p_k| >= 40, the
+    pole term and its polynomial part cancel instead (catastrophically for
+    large r), and that pole's term is summed from its asymptotic series
     -sum_{m >= max(r, 0)} p_k^(r-m-1) int w^m ..., up to its smallest term,
     plus the residue of the crossing ray.  The weight beta^j of the
     Euler-Maclaurin terms is folded into each term as (beta/b)^j
     b^(j-i-1) in place of b^-(i+1), which stays inside the float range for
     any beta.
+
+    All rows are one array pass: the rays and brackets are taken once per
+    distinct b, which poles are near is a (row, pole) mask, and the
+    asymptotic series runs over its index m, each row summing from its own
+    first term to its own stop through an active mask.  A row adds its
+    terms in the same order whatever the other rows are, so its values do
+    not depend on them.
     """
-    # numpy scalars: a power beyond the float range is inf, not an error
-    b, beta = np.float64(b), np.float64(beta)
-    u = t / b
-    log1iu = _log1iu(u)
-    shapes = {}
+    # the row weights are powers of numpy scalars: beyond the float range
+    # they are inf, not an error, and they round as libm pow, which an
+    # array np.power does not always do
+    beta = np.float64(beta)
+    b = np.asarray(b, dtype=float)
+    rows_b, rows_j = list(b), [int(j) for j in lifts]
+    weight = [(beta / x) ** j for x, j in zip(rows_b, rows_j)]
+    bs, at = np.unique(b, return_inverse=True)   # distinct b, and each row's
+    u = t / bs[:, None]
+    l, a = _log1iu(u)
 
-    def term(i, j):
-        # beta^j int_0^inf w^i e^(-bw) (1 - cos wt) dw
-        if i not in shapes:
-            shapes[i] = _laplace_shape(i, u, log1iu)
-        return (beta / b) ** j * b ** (j - i - 1) * shapes[i]
+    def term(i, rows):
+        # beta^j int_0^inf w^i e^(-bw) (1 - cos wt) dw for the given rows,
+        # i >= -2: the shape b^(i+1) int ... is (i+1)! Re P(i+1, u) for
+        # i >= -1 (Re P(0, u) = log(1 + u^2) / 2), and u atan u -
+        # log(1 + u^2) / 2 for i = -2; each distinct b takes it once
+        scale = [weight[k] * rows_b[k] ** (rows_j[k] - i - 1) for k in rows]
+        ids = at[rows].tolist()
+        which = list(dict.fromkeys(ids))
+        if i == -2:
+            shape = u[which] * a[which] - l[which]
+        else:
+            shape = math.gamma(i + 2) * _re_p(float(i + 1),
+                                              (l[which], a[which]))
+        if len(which) < len(ids):
+            shape = shape[[which.index(x) for x in ids]]
+        return np.array(scale)[:, None] * shape
 
-    near = b * np.abs(parts.p) < _ASYMPTOTIC_SWITCH
-    cn, pn = parts.c[near], parts.p[near]
-    cf, pf = parts.c[~near], parts.p[~near]
-    z_minus, z_plus, cross = _rays(b, t, parts.p)
+    moments = {}
 
-    def moment(c, p, m):
+    def moment(poles, m):
         # 2 Re sum_k c_k p_k^m over the given poles, 0 where it vanishes to
         # rounding (the odd powers of a symmetric pair)
-        terms = [complex(ck) * complex(pk) ** m for ck, pk in zip(c, p)]
-        total = 2.0 * sum(x.real for x in terms)
-        return total if abs(total) > 1e-15 * sum(map(abs, terms)) else 0.0
+        if (poles, m) not in moments:
+            terms = [complex(ck) * complex(pk) ** m
+                     for ck, pk, on in zip(parts.c, parts.p, poles) if on]
+            total = 2.0 * sum(x.real for x in terms)
+            moments[poles, m] = total if abs(total) > 1e-15 * sum(
+                map(abs, terms)) else 0.0
+        return moments[poles, m]
 
-    if near.any():
-        bracket = _coth_bracket(b, t, pn, z_minus[near], z_plus[near],
-                                cross[near])
-    out = []
-    for j in lifts:
-        r = s + j
-        total = _pole_sum(cn * pn ** s * (beta * pn) ** j, bracket) \
-            if near.any() else 0.0
-        if r == -2:
-            total = total + parts.tau0 * term(-2, j)
-        # the near poles' share of each moment (with tau_0 at m = -1),
-        # taken where it does not cancel: below m = 3 the total is zero, so
-        # minus the far poles' part; above, the exact moment when every
-        # pole is near, else the near poles' own sum.  With no near pole
-        # only tau_0 / w is left.
-        for i in range(-1, max(r, 0) if near.any() or r == -1 else -1):
+    absp = np.abs(parts.p)
+    near_b = bs[:, None] * absp < _ASYMPTOTIC_SWITCH   # (distinct b, pole)
+    near = near_b[at]                                  # (row, pole)
+    lift_set = set(rows_j)
+    total = np.zeros((b.size, t.size))
+    rows = np.flatnonzero(near.any(axis=1))
+    if rows.size:
+        # the near poles' brackets, for the b that have a near pole
+        nb = np.flatnonzero(near_b.any(axis=1))
+        pairs = near_b[nb]
+        z_minus, z_plus, cross = (
+            z[pairs] for z in _rays(bs[nb][:, None, None], t, parts.p))
+        bracket = np.zeros(pairs.shape + t.shape, dtype=complex)
+        bracket[pairs] = _coth_bracket(
+            np.broadcast_to(bs[nb][:, None], pairs.shape)[pairs], t,
+            np.broadcast_to(parts.p, pairs.shape)[pairs],
+            z_minus, z_plus, cross)
+        coeff = {j: parts.c * parts.p ** s * (beta * parts.p) ** j
+                 for j in lift_set}
+        cn = np.where(near[rows], [coeff[rows_j[k]] for k in rows], 0.0)
+        total[rows] = _pole_sum(cn, bracket[np.searchsorted(nb, at[rows])])
+
+    # the near poles' share of each moment (with tau_0 at m = -1), taken
+    # where it does not cancel: below m = 3 the total is zero, so minus the
+    # far poles' part; above, the exact moment when every pole is near,
+    # else the near poles' own sum.  With no near pole only tau_0 / w is
+    # left.  A row adds its shares in the order of i, from -2.
+    shares = []
+    for k, j in enumerate(rows_j):
+        r, poles = s + j, tuple(near[k].tolist())
+        row = {-2: parts.tau0} if r == -2 else {}
+        for i in range(-1, max(r, 0) if any(poles) or r == -1 else -1):
             m = r - 1 - i if i >= 0 else r
-            if not near.any():
-                share = parts.tau0
+            if not any(poles):
+                row[i] = parts.tau0
             elif m < 3:
-                share = -moment(cf, pf, m)
-            elif near.all():
-                share = parts.moment(m)
+                row[i] = -moment(tuple(not x for x in poles), m)
+            elif all(poles):
+                row[i] = parts.moment(m)
             else:
-                share = moment(cn, pn, m)
-            if share:
-                total = total + share * term(i, j)
-        if not near.all():
-            # p^s (beta p)^j goes into the exponent: it may overflow where
-            # the residue underflows
-            shift = (s * np.log(pf) + j * np.log(beta * pf))[:, None]
-            total = total + _pole_sum(
-                cf, -0.5 * _residue(z_minus[~near], cross[~near], shift))
-            x = b * np.min(np.abs(pf))
-            m, size = max(r, 0), 1.0   # size: |term m| / |first term|
-            while True:
-                coeff = moment(cf, pf, r - m - 1)
-                if coeff:
-                    total = total - coeff * term(m, j)
-                ratio = (m + 1) / x
-                size *= ratio
-                if ratio >= 1.0 or size < 1e-17:
-                    break
-                m += 1
-        out.append(total)
-    return out
+                row[i] = moment(poles, m)
+        shares.append(row)
+    top = max((i for row in shares for i in row), default=-3)
+    for i in range(-2, top + 1):
+        rows = [k for k, row in enumerate(shares) if row.get(i)]
+        if rows:
+            share = np.array([shares[k][i] for k in rows])[:, None]
+            total[rows] = total[rows] + share * term(i, rows)
+
+    far = np.flatnonzero(~near.all(axis=1))
+    if far.size:
+        off = ~near[far]
+        fb = np.flatnonzero(~near_b.all(axis=1))
+        z_minus, cross = _crossing_ray(bs[fb][:, None, None], t, parts.p)
+        slot = np.searchsorted(fb, at[far])
+        hit = cross[slot] & off[:, :, None]
+        # p^s (beta p)^j goes into the exponent: it may overflow where the
+        # residue underflows
+        shift = {j: s * np.log(parts.p) + j * np.log(beta * parts.p)
+                 for j in lift_set}
+        shifts = np.array([shift[rows_j[k]] for k in far])[:, :, None]
+        residue = np.zeros(hit.shape, dtype=complex)
+        residue[hit] = -0.5 * (2j * np.pi * np.exp(
+            z_minus[slot][hit] + np.broadcast_to(shifts, hit.shape)[hit]))
+        total[far] = total[far] + _pole_sum(np.where(off, parts.c, 0.0),
+                                            residue)
+        # the asymptotic series, over its index m; a row's coefficients
+        # depend on its far poles and r only
+        x = bs[at[far]] * np.min(np.where(off, absp, np.inf), axis=1)
+        keys = [(tuple(o), s + rows_j[k])
+                for o, k in zip(off.tolist(), far.tolist())]
+        groups = list(dict.fromkeys(keys))
+        group = np.array([groups.index(key) for key in keys])
+        first = np.maximum([r for _, r in groups], 0)[group]
+        size = np.ones(far.size)   # |term m| / |first term|
+        live = np.ones(far.size, dtype=bool)
+        m = int(first.min())
+        while live.any():
+            on = np.flatnonzero(live & (first <= m))
+            coeffs = np.array([moment(poles, r - m - 1)
+                               for poles, r in groups])[group[on]]
+            add = coeffs != 0.0
+            rows = far[on[add]]
+            if rows.size:
+                total[rows] = total[rows] \
+                    - coeffs[add][:, None] * term(m, rows)
+            ratio = (m + 1) / x[on]
+            size[on] *= ratio
+            live[on] = ~((ratio >= 1.0) | (size[on] < 1e-17))
+            m += 1
+    return total
 
 
 def _lorentz_n0_delta(parts: _LorentzParts, t, z, minus_z, bracket):
@@ -686,10 +758,12 @@ def _lorentz_sums(q: float, omega2: float, n: int, beta: float, t):
 
     each bracket gamma_E + ln t - [phi(z) + phi(-z)] / 2 - pi i expm1(z)
     [crossing], whose first terms cancel the rest.  As in ``ohmic_gamma``
-    the first coth terms are summed directly and the rest by
-    Euler-Maclaurin, whose integral and odd derivatives in m are
-    S(s - 1, B) / beta and -beta^j S(s + j, B).  n = 0 leaves S_gamma as
-    None.
+    the terms m < _COTH_DIRECT are summed directly and the rest by
+    Euler-Maclaurin at B = _COTH_DIRECT beta, whose integral and odd
+    derivatives in m are S(s - 1, B) / beta and -beta^j S(s + j, B).  All
+    of them are rows of one ``_lorentz_laplace`` call, and the direct rows
+    are added to S_gamma one by one in the order of m.  n = 0 leaves
+    S_gamma as None.
     """
     parts = _LorentzParts(q, omega2)
     s = n - 2
@@ -702,12 +776,16 @@ def _lorentz_sums(q: float, omega2: float, n: int, beta: float, t):
         return None, _lorentz_n0_delta(parts, t, z, minus_z, bracket)
     delta = _pole_sum(parts.coeff(s), bracket)
     gamma = _pole_sum(parts.coeff(s), -0.5 * (phi_z + phi_minus_z + growth))
-    for m in range(1, _COTH_DIRECT):
-        gamma = gamma + 2.0 * _lorentz_laplace(parts, m * beta, t, s, beta,
-                                               [0])[0]
+    # rows: the direct terms m beta, m < _COTH_DIRECT, then the
+    # Euler-Maclaurin lifts at B = _COTH_DIRECT beta
     lifts = [-1, 0] + [2 * k + 1 for k in range(len(_EM_COEFFS))]
-    integral, edge, *odd = _lorentz_laplace(parts, _COTH_DIRECT * beta, t, s,
-                                            beta, lifts)
+    b = np.concatenate([np.arange(1, _COTH_DIRECT) * beta,
+                        np.full(len(lifts), _COTH_DIRECT * beta)])
+    rows = _lorentz_laplace(parts, b, [0] * (_COTH_DIRECT - 1) + lifts, t, s,
+                            beta)
+    for row in rows[:_COTH_DIRECT - 1]:
+        gamma = gamma + 2.0 * row
+    integral, edge, *odd = rows[_COTH_DIRECT - 1:]
     tail = integral + 0.5 * edge
     for coeff, deriv in zip(_EM_COEFFS, odd):
         tail = tail + coeff * deriv

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,16 +60,25 @@ class NegativityMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class NegativityResult:
-    """Negativity plus the full partial-transpose spectrum (ascending).
+    """Negativity plus the full partial-transpose spectrum.
 
-    For arrays of gamma and Delta, ``value`` is an array and
-    ``eigenvalues`` an array with one ascending spectrum along its last
-    axis.
+    ``lambdas`` holds the four eigenvalues in any order, and
+    ``eigenvalues`` sorts them ascending when first read, so a caller that
+    needs only ``value`` never builds the spectrum.  For arrays of gamma
+    and Delta, ``value`` and each of ``lambdas`` are arrays, and
+    ``eigenvalues`` is an array with one ascending spectrum along its last
+    axis; for scalars ``eigenvalues`` is a tuple of floats.
     """
 
     value: float
-    eigenvalues: tuple
+    lambdas: tuple
     method: NegativityMethod
+
+    @cached_property
+    def eigenvalues(self):
+        if np.ndim(self.lambdas[0]):
+            return np.sort(np.stack(self.lambdas, axis=-1), axis=-1)
+        return tuple(sorted(self.lambdas))
 
 
 def appendix_b_eigenvalues(gamma, delta) -> tuple:
@@ -109,12 +119,7 @@ def negativity_closed_form(gamma, delta) -> NegativityResult:
     Elementwise for arrays of gamma and Delta, one numpy pass for all.
     """
     lams = appendix_b_eigenvalues(gamma, delta)
-    if isinstance(lams[1], float):
-        return NegativityResult(abs(lams[1]), tuple(sorted(lams)),
-                                NegativityMethod.CLOSED_FORM)
-    return NegativityResult(np.abs(lams[1]),
-                            np.sort(np.stack(lams, axis=-1), axis=-1),
-                            NegativityMethod.CLOSED_FORM)
+    return NegativityResult(abs(lams[1]), lams, NegativityMethod.CLOSED_FORM)
 
 
 def ideal_negativity(delta):

@@ -141,6 +141,18 @@ class TestClosedFormArrays:
                for g, d in zip(gammas.tolist(), deltas.tolist())]
         assert bits(np.stack(lams, axis=-1)) == bits(one)
 
+    def test_array_spectrum_is_sorted_when_read(self):
+        gammas, deltas = _closed_form_points()
+        r = negativity_closed_form(gammas, deltas)
+        assert "eigenvalues" not in vars(r)   # not built for .value alone
+        eigs = r.eigenvalues
+        assert eigs is r.eigenvalues
+        assert eigs.shape == (gammas.size, 4)
+        assert np.all(np.diff(eigs, axis=-1) >= 0.0)
+        lams = appendix_b_eigenvalues(gammas, deltas)
+        assert bits(eigs) == bits(np.sort(np.stack(lams, axis=-1), axis=-1))
+        assert bits(r.value) == bits(np.abs(lams[1]))
+
     def test_scalar_call_returns_builtins(self):
         r = negativity_closed_form(0.2, -0.3)
         assert type(r.value) is float

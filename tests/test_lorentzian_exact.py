@@ -15,10 +15,16 @@ import sys
 import numpy as np
 import pytest
 
+import spinbath.decoherence
 from spinbath.decoherence import (
+    _ASYMPTOTIC_SWITCH,
+    _COTH_DIRECT,
+    _EM_COEFFS,
     BathConditions,
     Method,
     _delta_lorentzian_by_quadrature,
+    _LorentzParts,
+    _lorentz_laplace,
     _phi,
     _gamma_by_quadrature,
     factors,
@@ -234,13 +240,78 @@ def test_large_coupling_is_linear():
 
 
 def test_time_blocks_leave_values_unchanged():
-    # long grids are evaluated 4096 times at a time
+    # long grids are evaluated _BLOCK = 4096 times at a time, each block in
+    # one array pass over the coth-series rows
     times = np.linspace(0.0, 50.0, 4100)
     j = Lorentzian(1.0, 0.5, OMEGA_C, 1)
     df = factors(j, BathConditions(1.0), times)
     for k in (1, 4095, 4096, 4099):
         one = factors(j, BathConditions(1.0), float(times[k]))
         assert (df.gamma[k], df.delta[k]) == (one.gamma, one.delta)
+
+
+def _coth_rows(beta):
+    """The rows of one gamma pass: (m beta, 0) for m < _COTH_DIRECT, then
+    the Euler-Maclaurin lifts at _COTH_DIRECT beta."""
+    lifts = [-1, 0] + [2 * k + 1 for k in range(len(_EM_COEFFS))]
+    b = np.concatenate([np.arange(1, _COTH_DIRECT) * beta,
+                        np.full(len(lifts), _COTH_DIRECT * beta)])
+    return b, [0] * (_COTH_DIRECT - 1) + lifts
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+#: (regime, q, beta) in units of omega_c, as the coth rows see them
+ROW_REGIMES = [
+    ("near", 0.5, 0.05),      # every pole of every row near: brackets
+    ("mixed", 1e3, 1.0),      # widely split overdamped poles: one of each
+    ("far", 0.5, 50.0),       # every pole of every row far: series only
+]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("regime,q,beta", ROW_REGIMES)
+def test_batched_rows_match_rows_alone(regime, q, beta, n):
+    parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q))
+    b, lifts = _coth_rows(beta)
+    t = np.geomspace(1e-3, 3e3, 41)
+    near = b[:, None] * np.abs(parts.p) < _ASYMPTOTIC_SWITCH
+    if regime == "near":
+        assert near.all()
+    elif regime == "mixed":
+        assert (near.any(axis=1) & ~near.all(axis=1)).all()
+    else:
+        assert not near.any()
+    if near.any():
+        # the near brackets take both their wide and their short-time
+        # (t <= b/4) form somewhere in the block
+        short = t <= 0.25 * b[near.any(axis=1), None]
+        assert short.any() and not short.all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _lorentz_laplace(parts, b, lifts, t, n - 2, beta)
+        alone = [_lorentz_laplace(parts, b[k:k + 1], lifts[k:k + 1], t,
+                                  n - 2, beta)[0] for k in range(b.size)]
+    assert rows.shape == (b.size, t.size) and np.all(np.isfinite(rows))
+    for k in range(b.size):
+        assert _bits(rows[k]) == _bits(alone[k]), k
+
+
+@pytest.mark.parametrize("n,per_block", [(0, 0), (1, 1), (2, 1)])
+def test_one_laplace_call_per_time_block(monkeypatch, n, per_block):
+    calls = []
+
+    def counted(parts, b, lifts, t, s, beta):
+        calls.append((len(b), t.size))
+        return _lorentz_laplace(parts, b, lifts, t, s, beta)
+
+    monkeypatch.setattr(spinbath.decoherence, "_lorentz_laplace", counted)
+    monkeypatch.setattr(spinbath.decoherence, "_BLOCK", 5)
+    factors(Lorentzian(1.0, 0.5, OMEGA_C, n), BathConditions(1.0),
+            np.linspace(0.01, 3.0, 12))
+    rows = _COTH_DIRECT - 1 + 2 + len(_EM_COEFFS)
+    assert calls == per_block * [(rows, 5), (rows, 5), (rows, 2)]
 
 
 def _distinct_lorentzian_grids():
