@@ -19,12 +19,6 @@ from .spectral import (  # noqa: E402
     evaluate,
     ir_exponent,
 )
-from .quadrature import (  # noqa: E402
-    IntegrationRequest,
-    IntegrationResult,
-    integrate_on_interval,
-    integrate_semi_infinite,
-)
 from .decoherence import (  # noqa: E402
     BathConditions,
     DecoherenceFactors,
@@ -92,3 +86,15 @@ __all__ = [
     "SpinBathError", "NotPointwise", "InvalidTime", "QuadratureFailure",
     "InvalidState", "EigenNonConvergence", "ConfigError", "ComputeError",
 ]
+
+#: the quadrature engine's public names, loaded on first use so that
+#: ``import spinbath`` does not import ``spinbath.quadrature``
+_LAZY = ("IntegrationRequest", "IntegrationResult",
+         "integrate_on_interval", "integrate_semi_infinite")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import quadrature
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

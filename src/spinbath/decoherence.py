@@ -14,22 +14,10 @@ bath, Gamma-function forms of both Ohmic factors (any s > 0), and partial
 fractions with the exponential integral for both Lorentzian factors.
 A Lorentzian bath with n = 0 makes gamma infrared-divergent (J tends to a
 constant and the thermal weight contributes 1/w); that case is classified up
-front as instantaneous total dephasing.
-
-The quadratures (``ohmic_delta_by_quadrature``, ``_gamma_by_quadrature``,
-``_delta_lorentzian_by_quadrature``) are kept only as references for the
-tests; ``factors`` never calls them.  Their kernels are guarded:
-
-* (1 - cos(w t)) / w^2 is evaluated as 2 sin^2(w t / 2) / w^2;
-* coth(beta w / 2) switches to its Laurent form 2/(beta w) + beta w / 6
-  for beta w < 1e-4;
-* sin(w t) - w t switches to -(w t)^3/6 * (1 - (w t)^2/20) for w t < 1e-3.
-
-Far beyond the bath cutoff the oscillatory component of each reference
-integrand is dropped and replaced by its integration-by-parts bound
-2 g(Omega) / t (g the decaying amplitude), which is folded into the error
-budget; any remaining non-oscillatory tail is integrated on geometrically
-growing panels.
+front as instantaneous total dephasing.  The quadrature references of
+both factors, which only the tests use, live in ``spinbath.quadrature``;
+the old names kept importable here (``__getattr__``) load that module on
+first use.
 
 Both Ohmic factors reduce, with x = w_c t and e = s - 1, to the function
 
@@ -91,19 +79,12 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import spectral
-from .errors import ConfigError, InvalidTime, QuadratureFailure
-from .quadrature import (
-    IntegrationRequest,
-    integrate_on_interval,
-    integrate_semi_infinite,
-)
+from .errors import InvalidTime, QuadratureFailure
 from .spectral import Lorentzian, Ohmic, SingleMode, SpectralDensity
 
 __all__ = [
@@ -116,18 +97,14 @@ __all__ = [
     "lorentzian_factors",
     "ohmic_delta",
     "ohmic_gamma",
-    "ohmic_delta_by_quadrature",
-    "ohmic_delta_s2_closed_form",
     "sin_minus_wt",
 ]
 
+#: the tolerances a run reports, which the quadrature references hold
 _REL_TOL = 1e-8
 _ABS_TOL = 1e-12
-_MAX_EVALS = 2_000_000
 _COTH_SWITCH = 1e-4
 _SIN_SWITCH = 1e-3
-# curvature probes of the oscillatory-tail remainder, in units of its start
-_TAIL_PROBES = np.array([1.0, 1.3, 1.7, 2.2, 3.0, 4.5, 6.0, 8.0])
 #: Ohmic and Lorentzian gamma: coth-series terms below this index are
 #: summed directly, the rest by Euler-Maclaurin
 _COTH_DIRECT = 32
@@ -148,6 +125,8 @@ _ASYMPTOTIC_SWITCH = 40.0
 _N0_SERIES_TERMS = 24
 #: |Omega^2| / w_c^2 below this squared is interpolated across critical damping
 _CRITICAL = 1e-4
+#: largest q / w_c evaluated (``_lorentz_scaled``)
+_MAX_OVERDAMPING = 1e7
 #: times per Lorentzian block, which bounds the (row, pole, time) work
 #: arrays of its coth-series pass (39 rows: about 27 MB at 4096 times)
 _BLOCK = 4096
@@ -238,16 +217,6 @@ def closed_form_single_mode(coupling: float, omega_c: float, beta: float,
     return DecoherenceFactors(_checked(gamma, f"single-mode gamma {where}"),
                               _checked(delta, f"single-mode Delta {where}"),
                               False, Method.CLOSED_FORM)
-
-
-def ohmic_delta_s2_closed_form(coupling: float, omega_c: float, t: float) -> float:
-    """Elementary antiderivative of the s = 2 Ohmic phase integral.
-
-    Delta(t) = coupling/(4 omega_c) * [t/(t^2 + omega_c^-2) - omega_c^2 t].
-    Kept as an independent cross-check of the quadrature reference.
-    """
-    return coupling / (4.0 * omega_c) * (t / (t * t + omega_c ** -2.0)
-                                         - omega_c * omega_c * t)
 
 
 def _ohmic_series_switch(s: float) -> float:
@@ -802,12 +771,25 @@ def _lorentz_scaled(j: Lorentzian, beta: float, t):
     therefore interpolated linearly in Omega^2 between the two edges of that
     band, where the cancellation costs a few 1e-12 relative; the
     interpolation itself is off by about (1e-8)^2.
+
+    Beyond q / w_c = ``_MAX_OVERDAMPING`` the bath is not evaluated: there
+    the n = 1 gamma at beta w_c = 1 nears the tolerance (2.8 times it at
+    1e8 against mpmath), and from about 2e8 on the scaled w_c^2 = Omega^2 +
+    q^2/4 loses its digits, down to 0 at 5e8.  That, and a scale w_c^(n-5)
+    beyond the float range, raise QuadratureFailure.
     """
     wc = j.omega_c
     q = j.q / wc
+    if not q <= _MAX_OVERDAMPING:
+        raise QuadratureFailure(f"Lorentzian at q/omega_c={q:.3g}: beyond the "
+                                f"overdamping limit {_MAX_OVERDAMPING:g}")
     omega2 = (1.0 - 0.5 * q) * (1.0 + 0.5 * q)
     band = _CRITICAL ** 2
-    scale = 0.25 * j.coupling * j.q / math.pi * wc ** (j.n - 5)
+    try:
+        scale = 0.25 * j.coupling * j.q / math.pi * wc ** (j.n - 5)
+    except OverflowError:
+        raise QuadratureFailure(f"Lorentzian at omega_c={wc}: "
+                                f"omega_c^{j.n - 5} is not finite") from None
     out = []
     for lo in range(0, t.size, _BLOCK):
         tb = wc * t[lo:lo + _BLOCK]
@@ -831,7 +813,8 @@ def lorentzian_factors(j: Lorentzian, beta: float, t) -> DecoherenceFactors:
     Both factors are zero at t = 0.  For n = 0, gamma is +inf and
     ``gamma_divergent`` set at every t > 0 (``spectral.ir_exponent``).
     ``gamma_divergent`` is a bool array for an array of times.  A value
-    beyond the float range raises QuadratureFailure.
+    beyond the float range, or a bath past q = ``_MAX_OVERDAMPING`` w_c,
+    raises QuadratureFailure.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
@@ -853,328 +836,16 @@ def lorentzian_factors(j: Lorentzian, beta: float, t) -> DecoherenceFactors:
                               Method.ANALYTIC_REDUCTION)
 
 
-class _Stalled(Exception):
-    """Internal: a quadrature piece missed its tolerance."""
-
-
-def _piece(result):
-    if not result.converged:
-        raise _Stalled(f"evals={result.evals}, err={result.error_estimate:.3g}")
-    return result
-
-
-def _osc_tail(amp, t: float, a: float, kind: str, h: float):
-    """Asymptotic value and remainder bound of int_a^inf amp(w) osc(w t) dw.
-
-    Two integrations by parts give boundary terms at a (the contribution at
-    infinity vanishes with the amplitude); the remainder is bounded by
-    int_a^inf |amp''| / t^2, estimated from probed second derivatives with a
-    generous tail allowance.  Valid when the amplitude varies on a scale L
-    with t L >> 1; otherwise falls back to a zero-value drop with the
-    conservative first-order bound 2 amp(a) / t.  The amplitude is sampled
-    in one array call, on a three-point stencil of width hx = min(h, 1e-3 x)
-    around each curvature probe x; the first probe is a itself, so its
-    stencil also gives g(a) and g'(a).
-    """
-    probes = a * _TAIL_PROBES
-    hx = np.minimum(h, 1e-3 * probes)
-    g_lo, g_mid, g_hi = np.abs(np.asarray(
-        amp(np.concatenate([probes - hx, probes, probes + hx])),
-        dtype=float)).reshape(3, -1)
-    g0 = float(g_mid[0])
-    gp = float(g_hi[0] - g_lo[0]) / (2.0 * hx[0])
-    L = g0 / max(abs(gp), 1e-300)
-    if t * L < 30.0:
-        return 0.0, 2.0 * g0 / t
-    s, c = math.sin(a * t), math.cos(a * t)
-    if kind == "cos":
-        val = -g0 * s / t + gp * c / (t * t)
-    else:
-        val = g0 * c / t - gp * s / (t * t)
-    curv = np.abs(g_hi - 2.0 * g_mid + g_lo + 4e-16 * g_mid) / (hx * hx)
-    total_curv = float(np.sum(0.5 * (curv[1:] + curv[:-1]) * np.diff(probes)))
-    total_curv += curv[-1] * probes[-1]
-    return val, 2.0 * total_curv / (t * t)
-
-
-def _osc_split_integral(full: Callable, dc: Callable | None,
-                        osc_amp: Callable, t: float, omega0: float,
-                        scale: float,
-                        features: Sequence[tuple[float, float]],
-                        osc_kind: str, osc_sign: float) -> float:
-    """int_0^inf full(w) dw for full = dc + osc_sign * amp * osc(w t).
-
-    ``osc_amp`` is the amplitude of the oscillating component (``osc_kind``
-    is "cos" or "sin"); it may diverge at the origin (the full kernel stays
-    regular there) and must be smooth and decaying beyond ``omega0``.
-    Oscillation-resolving panels (width pi/t) are laid down only where the
-    amplitude makes the oscillation matter; past that point only ``dc`` is
-    integrated, and the dropped oscillatory tail is replaced by its
-    integration-by-parts asymptotics with a t^-3 remainder bound.
-    """
-    if t * omega0 < 2.0 * np.pi:
-        # no fast oscillation where the integrand lives; one direct pass
-        res = _piece(integrate_semi_infinite(
-            IntegrationRequest(full, t, scale, _REL_TOL, _ABS_TOL, _MAX_EVALS),
-            features=features))
-        return res.value
-
-    width = np.pi / t
-    fd_h = (0.25 * min(h for _, h in features)) if features else None
-    if features and omega0 / width > 12000.0:
-        return _feature_core_integral(full, dc, osc_amp, t, features,
-                                      osc_kind, osc_sign, fd_h)
-
-    omega = omega0
-    res = _piece(integrate_on_interval(
-        full, 0.0, omega, _REL_TOL, 0.5 * _ABS_TOL,
-        max_panel_width=width, features=features, max_evals=_MAX_EVALS,
-        origin_grading=40))
-    value, evals = res.value, res.evals
-
-    while True:
-        target = max(_ABS_TOL, _REL_TOL * abs(value))
-        h = min(1e-3 * omega, fd_h) if fd_h else 1e-3 * omega
-        corr, bound = _osc_tail(osc_amp, t, omega, osc_kind, h)
-        if bound <= 0.125 * target:
-            value += osc_sign * corr
-            break
-        if omega > 1e9 * scale or evals >= _MAX_EVALS:
-            raise _Stalled(f"oscillation remainder {bound:.3g} stuck above "
-                           f"target at omega={omega:.3g}")
-        ext = _piece(integrate_on_interval(
-            full, omega, 1.6 * omega, _REL_TOL, 0.25 * target,
-            max_panel_width=width, max_evals=_MAX_EVALS))
-        value += ext.value
-        evals += ext.evals
-        omega *= 1.6
-
-    if dc is not None:
-        tail = _piece(integrate_semi_infinite(
-            IntegrationRequest(dc, 0.0, omega / 4.0, _REL_TOL,
-                               0.25 * max(_ABS_TOL, _REL_TOL * abs(value)),
-                               _MAX_EVALS),
-            lower=omega))
-        value += tail.value
-    return value
-
-
-def _feature_core_integral(full, dc, osc_amp, t, features,
-                           osc_kind, osc_sign, fd_h) -> float:
-    """Long-time variant for a sharply resonant amplitude.
-
-    Oscillation is resolved on a stretch above the origin (which carries the
-    thermal infrared mass at long times) and on a core window around the
-    resonance; between and beyond them only the dc component is integrated
-    and the oscillatory part is restored through its integration-by-parts
-    asymptotics at the segment ends.  Pieces are assembled largest-first so
-    the running tolerance target is meaningful.
-    """
-    width = np.pi / t
-    center = max(c for c, _ in features)
-    halfw = max(h for _, h in features)
-
-    # origin stretch first: at long times the (1 - cos)/w^2 weight piles its
-    # mass below w ~ 1/t, and the target must know about it
-    b0 = 64.0 * width
-    res = _piece(integrate_on_interval(
-        full, 0.0, b0, _REL_TOL, 0.25 * _ABS_TOL, max_panel_width=width,
-        max_evals=_MAX_EVALS, origin_grading=40))
-    value, evals = res.value, res.evals
-
-    reach = max(4.0 * halfw, 16.0 * width)
-    lo = max(center - reach, b0)
-    hi = center + reach
-    res = _piece(integrate_on_interval(
-        full, lo, hi, _REL_TOL, 0.5 * _ABS_TOL, max_panel_width=width,
-        features=features, max_evals=_MAX_EVALS))
-    value += res.value
-    evals += res.evals
-
-    def target():
-        return max(_ABS_TOL, _REL_TOL * abs(value))
-
-    def tail_at(a):
-        h = min(1e-3 * a, fd_h) if fd_h else 1e-3 * a
-        return _osc_tail(osc_amp, t, a, osc_kind, h)
-
-    # close the origin-resonance gap from whichever end dominates the
-    # asymptotic remainder
-    while b0 < lo:
-        corr_b, bound_b = tail_at(b0)
-        corr_l, bound_l = tail_at(lo)
-        if bound_b + bound_l <= 0.125 * target():
-            # int_gap amp*osc = tail(b0) - tail(lo)
-            value += osc_sign * (corr_b - corr_l)
-            break
-        grow_b0 = bound_b >= bound_l
-        if grow_b0:
-            new_b0 = min(2.0 * b0, lo)
-            ext = _piece(integrate_on_interval(
-                full, b0, new_b0, _REL_TOL, 0.125 * target(),
-                max_panel_width=width, max_evals=_MAX_EVALS))
-            b0 = new_b0
-        else:
-            new_lo = max(center - 1.6 * (center - lo), b0)
-            ext = _piece(integrate_on_interval(
-                full, new_lo, lo, _REL_TOL, 0.125 * target(),
-                max_panel_width=width, features=features,
-                max_evals=_MAX_EVALS))
-            lo = new_lo
-        value += ext.value
-        evals += ext.evals
-        if evals >= _MAX_EVALS:
-            raise _Stalled(f"resonance wings grew past the budget "
-                           f"(b0={b0:.3g}, lo={lo:.3g})")
-
-    while True:
-        corr_h, bound_h = tail_at(hi)
-        if bound_h <= 0.125 * target():
-            value += osc_sign * corr_h
-            break
-        new_hi = center + 1.6 * (hi - center)
-        ext = _piece(integrate_on_interval(
-            full, hi, new_hi, _REL_TOL, 0.125 * target(),
-            max_panel_width=width, max_evals=_MAX_EVALS))
-        value += ext.value
-        evals += ext.evals
-        hi = new_hi
-        if evals >= _MAX_EVALS:
-            raise _Stalled(f"resonance core grew past the budget at {hi:.3g}")
-
-    if dc is not None and b0 < lo:
-        gap = _piece(integrate_on_interval(
-            dc, b0, lo, _REL_TOL, 0.125 * target(), max_evals=_MAX_EVALS))
-        value += gap.value
-    if dc is not None:
-        tail = _piece(integrate_semi_infinite(
-            IntegrationRequest(dc, 0.0, hi / 4.0, _REL_TOL, 0.125 * target(),
-                               _MAX_EVALS),
-            lower=hi))
-        value += tail.value
-    return value
-
-
-def _features_of(j: SpectralDensity):
-    if isinstance(j, Lorentzian):
-        return [(j.omega_c, j.q / 2.0)]
-    return []
-
-
-def _omega0_of(j: SpectralDensity) -> float:
-    # start of the monotone-tail region: past the envelope peak for
-    # super-Ohmic baths, past the resonance for Lorentzian ones; the
-    # tail-residue loop extends it whenever the bound is not yet met
-    if isinstance(j, Ohmic):
-        return max(2.0, j.s - 1.0) * j.omega_c
-    if isinstance(j, Lorentzian):
-        return j.omega_c + 16.0 * j.q
-    raise TypeError(type(j).__name__)
-
-
-def _gamma_by_quadrature(j: SpectralDensity, beta: float, t: float) -> float:
-    def envelope(w):
-        return 0.25 * spectral.evaluate(j, w) * coth_half(beta, w) / w ** 2
-
-    def full(w):
-        # envelope * (1 - cos w t), regular at the origin
-        return 0.5 * spectral.evaluate(j, w) * coth_half(beta, w) \
-            * (np.sin(0.5 * w * t) / w) ** 2
-
-    return _osc_split_integral(full, envelope, envelope, t, _omega0_of(j),
-                               j.omega_c, _features_of(j), "cos", -1.0)
-
-
-def _delta_lorentzian_by_quadrature(j: Lorentzian, t: float) -> float:
-    def amp(w):
-        return 0.25 * spectral.evaluate(j, w) / w ** 2
-
-    def full(w):
-        return amp(w) * sin_minus_wt(w, t)
-
-    def dc(w):
-        return amp(w) * (-(w * t))
-
-    return _osc_split_integral(full, dc, amp, t, _omega0_of(j), j.omega_c,
-                               _features_of(j), "sin", 1.0)
-
-
-def ohmic_delta_by_quadrature(j: Ohmic, t: float) -> float:
-    """Ohmic phase by quadrature, any s > 0: a reference for ``ohmic_delta``.
-
-    The non-oscillatory -w t part is split off exactly,
-
-        Delta = lam/(4 w_c^(s-1)) * [ int sin(w t) w^(s-2) e^(-w/w_c) dw
-                                      - t * int w^(s-1) e^(-w/w_c) dw ],
-
-    which removes the cancellation between a bounded oscillatory term and a
-    linearly growing one.  The moment integral is (s-1)! * w_c^s for integer
-    s (factorial recurrence, no special functions) and a smooth quadrature
-    otherwise.  Shares no code with the closed form, so the two cross-check
-    each other; ``factors`` never calls it.  It is a valid reference only
-    for x = w_c t >= 0.1: sine - t * moment is O(x^2) times either part, so
-    at smaller x the 1e-8 tolerance of each part does not carry to Delta.
-    """
-    if t == 0.0:
-        return 0.0
-    wc = j.omega_c
-
-    def amp(w):
-        return np.power(w, j.s - 2.0) * np.exp(-w / wc)
-
-    def sin_part(w):
-        return np.sin(w * t) * amp(w)
-
-    try:
-        sine = _osc_split_integral(sin_part, None, amp, t, _omega0_of(j), wc,
-                                   [], "sin", 1.0)
-        moment = _ohmic_moment(j.s, wc)
-    except _Stalled as exc:
-        raise QuadratureFailure(f"Ohmic Delta at t={t}: {exc}") from exc
-    return 0.25 * j.coupling * wc ** (1.0 - j.s) * (sine - t * moment)
-
-
-def _ohmic_moment(s: float, omega_c: float) -> float:
-    """int_0^inf w^(s-1) e^(-w/w_c) dw without gamma-function dependencies."""
-    if s == int(s):
-        # factorial recurrence: I_m = m * w_c * I_(m-1), I_0 = w_c
-        val = omega_c
-        for m in range(1, int(s)):
-            val *= m * omega_c
-        return val
-    res = _piece(integrate_semi_infinite(IntegrationRequest(
-        lambda w: np.power(w, s - 1.0) * np.exp(-w / omega_c),
-        0.0, omega_c, _REL_TOL, _ABS_TOL, _MAX_EVALS)))
-    return res.value
-
-
-def _check_threads_env() -> None:
-    """DEPHASE_THREADS must be an integer >= 0 (0 = auto).
-
-    No family is evaluated point by point, so the value changes nothing;
-    it is still validated on every array call, as the README documents.
-    """
-    raw = os.environ.get("DEPHASE_THREADS", "0")
-    try:
-        ok = int(raw) >= 0
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ConfigError(f"DEPHASE_THREADS must be an integer >= 0, got {raw!r}")
-
-
 def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     """Decoherence factors at time t (builtin floats) or over a time array.
 
     Every family is exact over the whole array in one call: a value does
-    not depend on the other times passed with it.  Every array call
-    validates DEPHASE_THREADS.
+    not depend on the other times passed with it.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
-        raise InvalidTime(f"t must be finite and >= 0, got {t}")
-    if t_arr.ndim:
-        _check_threads_env()
+    bad = t_arr[~(np.isfinite(t_arr) & (t_arr >= 0))]
+    if bad.size:
+        raise InvalidTime(f"t must be finite and >= 0, got {bad[0]}")
     if isinstance(j, SingleMode):
         return closed_form_single_mode(j.coupling, j.omega_c, bc.beta, t_arr)
     if isinstance(j, Lorentzian):
@@ -1184,3 +855,16 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     if not t_arr.ndim:
         gamma, delta = float(gamma), float(delta)
     return DecoherenceFactors(gamma, delta, False, Method.ANALYTIC_REDUCTION)
+
+
+#: names of ``spinbath.quadrature`` still importable from here, loaded on
+#: first use so that the production path never imports that module
+_LAZY = ("integrate_on_interval", "integrate_semi_infinite",
+         "ohmic_delta_by_quadrature", "ohmic_delta_s2_closed_form")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import quadrature
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,9 +20,12 @@ class InvalidTime(SpinBathError):
 
 
 class QuadratureFailure(SpinBathError):
-    """A decoherence factor could not be evaluated: its integral did not
-    converge within the evaluation budget, its integrand left the float
-    range, or its closed form did."""
+    """A decoherence factor could not be evaluated.  ``factors`` raises it
+    when an exact form leaves the float range or a Lorentzian bath lies
+    past the overdamping limit.  In ``spinbath.quadrature``, which only the
+    tests use, the engine raises it when an integrand leaves the float
+    range, and ``ohmic_delta_by_quadrature`` when it misses its tolerance
+    within the evaluation budget."""
 
 
 class InvalidState(SpinBathError):

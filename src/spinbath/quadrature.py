@@ -1,34 +1,63 @@
-"""Adaptive Gauss-Kronrod quadrature on [a, b] and [0, inf).
+"""Adaptive Gauss-Kronrod quadrature, and the quadrature references of the
+decoherence factors.
 
-Built for the bath integrals this package needs: oscillatory integrands
-(frequency set by the evolution time t), exponentially or algebraically
-decaying envelopes, and integrable endpoint behaviour at omega = 0.  The
-rule pair is open (no panel endpoint is ever evaluated), so integrands may
-contain factors like coth(beta*omega/2) that blow up at the origin as long
-as the full integrand stays integrable.
+``decoherence.factors`` is exact for every bath family and calls no
+quadrature; this module holds the references that the tests check it
+against, and no production path imports it.  It imports production code
+(the guarded kernels and the tolerances of ``decoherence``), never the
+reverse.  The old public names stay importable from ``spinbath`` and
+``spinbath.decoherence``, which load this module on first use.
 
-The module does not classify divergence.  It reports failure in one of two
+The engine integrates on [a, b] and [0, inf).  It is built for the bath
+integrals of the references: oscillatory integrands (frequency set by the
+evolution time t), exponentially or algebraically decaying envelopes, and
+integrable endpoint behaviour at omega = 0.  The rule pair is open (no
+panel endpoint is ever evaluated), so integrands may contain factors like
+coth(beta*omega/2) that blow up at the origin as long as the full
+integrand stays integrable.
+
+The engine does not classify divergence.  It reports failure in one of two
 ways: a result that misses its tolerance within the evaluation budget comes
 back with ``converged`` False, and an integrand value outside the float
 range (inf or nan) raises QuadratureFailure.  A divergent integral is one of
 these two cases, whichever it reaches first; callers that need to know about
 a divergence decide it from the integrand's analytic form beforehand.
+
+The references (``ohmic_delta_by_quadrature``, ``_gamma_by_quadrature``,
+``_delta_lorentzian_by_quadrature``) integrate guarded kernels:
+
+* (1 - cos(w t)) / w^2 is evaluated as 2 sin^2(w t / 2) / w^2;
+* coth(beta w / 2) switches to its Laurent form 2/(beta w) + beta w / 6
+  for beta w < 1e-4;
+* sin(w t) - w t switches to -(w t)^3/6 * (1 - (w t)^2/20) for w t < 1e-3.
+
+Far beyond the bath cutoff the oscillatory component of each reference
+integrand is dropped and replaced by its integration-by-parts bound
+2 g(Omega) / t (g the decaying amplitude), which is folded into the error
+budget; any remaining non-oscillatory tail is integrated on geometrically
+growing panels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import spectral
+from .decoherence import _ABS_TOL, _REL_TOL, coth_half, sin_minus_wt
 from .errors import QuadratureFailure
+from .spectral import Lorentzian, Ohmic, SpectralDensity
 
 __all__ = [
     "IntegrationRequest",
     "IntegrationResult",
     "integrate_on_interval",
     "integrate_semi_infinite",
+    "ohmic_delta_by_quadrature",
+    "ohmic_delta_s2_closed_form",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (QUADPACK dqk15).
@@ -57,9 +86,9 @@ _WG = np.array([
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
 
-_DEFAULT_REL_TOL = 1e-8
-_DEFAULT_ABS_TOL = 1e-12
-_DEFAULT_MAX_EVALS = 2_000_000
+_MAX_EVALS = 2_000_000
+# curvature probes of the oscillatory-tail remainder, in units of its start
+_TAIL_PROBES = np.array([1.0, 1.3, 1.7, 2.2, 3.0, 4.5, 6.0, 8.0])
 
 
 @dataclass(frozen=True)
@@ -74,9 +103,9 @@ class IntegrationRequest:
     integrand: Callable[[np.ndarray], np.ndarray]
     t_scale: float = 0.0
     cutoff_scale: float = 1.0
-    rel_tol: float = _DEFAULT_REL_TOL
-    abs_tol: float = _DEFAULT_ABS_TOL
-    max_evals: int = _DEFAULT_MAX_EVALS
+    rel_tol: float = _REL_TOL
+    abs_tol: float = _ABS_TOL
+    max_evals: int = _MAX_EVALS
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
@@ -181,12 +210,12 @@ def _adaptive(f, edges, rel_tol, abs_tol, max_evals, evals_used=0):
 
 
 def integrate_on_interval(integrand, a: float, b: float,
-                          rel_tol: float = _DEFAULT_REL_TOL,
-                          abs_tol: float = _DEFAULT_ABS_TOL,
+                          rel_tol: float = _REL_TOL,
+                          abs_tol: float = _ABS_TOL,
                           *,
                           max_panel_width: float | None = None,
                           features: Sequence[tuple[float, float]] = (),
-                          max_evals: int = _DEFAULT_MAX_EVALS,
+                          max_evals: int = _MAX_EVALS,
                           origin_grading: int = 0) -> IntegrationResult:
     """Adaptive integral of ``integrand`` over the finite interval [a, b].
 
@@ -324,3 +353,308 @@ def integrate_semi_infinite(req: IntegrationRequest,
     err += tail_bound
     ok = ok and err <= max(req.abs_tol, req.rel_tol * abs(value))
     return IntegrationResult(value, err, evals, ok)
+
+
+def ohmic_delta_s2_closed_form(coupling: float, omega_c: float, t: float) -> float:
+    """Elementary antiderivative of the s = 2 Ohmic phase integral.
+
+    Delta(t) = coupling/(4 omega_c) * [t/(t^2 + omega_c^-2) - omega_c^2 t].
+    Kept as an independent cross-check of the quadrature reference.
+    """
+    return coupling / (4.0 * omega_c) * (t / (t * t + omega_c ** -2.0)
+                                         - omega_c * omega_c * t)
+
+
+class _Stalled(Exception):
+    """Internal: a quadrature piece missed its tolerance."""
+
+
+def _piece(result):
+    if not result.converged:
+        raise _Stalled(f"evals={result.evals}, err={result.error_estimate:.3g}")
+    return result
+
+
+def _osc_tail(amp, t: float, a: float, kind: str, h: float):
+    """Asymptotic value and remainder bound of int_a^inf amp(w) osc(w t) dw.
+
+    Two integrations by parts give boundary terms at a (the contribution at
+    infinity vanishes with the amplitude); the remainder is bounded by
+    int_a^inf |amp''| / t^2, estimated from probed second derivatives with a
+    generous tail allowance.  Valid when the amplitude varies on a scale L
+    with t L >> 1; otherwise falls back to a zero-value drop with the
+    conservative first-order bound 2 amp(a) / t.  The amplitude is sampled
+    in one array call, on a three-point stencil of width hx = min(h, 1e-3 x)
+    around each curvature probe x; the first probe is a itself, so its
+    stencil also gives g(a) and g'(a).
+    """
+    probes = a * _TAIL_PROBES
+    hx = np.minimum(h, 1e-3 * probes)
+    g_lo, g_mid, g_hi = np.abs(np.asarray(
+        amp(np.concatenate([probes - hx, probes, probes + hx])),
+        dtype=float)).reshape(3, -1)
+    g0 = float(g_mid[0])
+    gp = float(g_hi[0] - g_lo[0]) / (2.0 * hx[0])
+    L = g0 / max(abs(gp), 1e-300)
+    if t * L < 30.0:
+        return 0.0, 2.0 * g0 / t
+    s, c = math.sin(a * t), math.cos(a * t)
+    if kind == "cos":
+        val = -g0 * s / t + gp * c / (t * t)
+    else:
+        val = g0 * c / t - gp * s / (t * t)
+    curv = np.abs(g_hi - 2.0 * g_mid + g_lo + 4e-16 * g_mid) / (hx * hx)
+    total_curv = float(np.sum(0.5 * (curv[1:] + curv[:-1]) * np.diff(probes)))
+    total_curv += curv[-1] * probes[-1]
+    return val, 2.0 * total_curv / (t * t)
+
+
+def _osc_split_integral(full: Callable, dc: Callable | None,
+                        osc_amp: Callable, t: float, omega0: float,
+                        scale: float,
+                        features: Sequence[tuple[float, float]],
+                        osc_kind: str, osc_sign: float) -> float:
+    """int_0^inf full(w) dw for full = dc + osc_sign * amp * osc(w t).
+
+    ``osc_amp`` is the amplitude of the oscillating component (``osc_kind``
+    is "cos" or "sin"); it may diverge at the origin (the full kernel stays
+    regular there) and must be smooth and decaying beyond ``omega0``.
+    Oscillation-resolving panels (width pi/t) are laid down only where the
+    amplitude makes the oscillation matter; past that point only ``dc`` is
+    integrated, and the dropped oscillatory tail is replaced by its
+    integration-by-parts asymptotics with a t^-3 remainder bound.
+    """
+    if t * omega0 < 2.0 * np.pi:
+        # no fast oscillation where the integrand lives; one direct pass
+        res = _piece(integrate_semi_infinite(
+            IntegrationRequest(full, t, scale, _REL_TOL, _ABS_TOL, _MAX_EVALS),
+            features=features))
+        return res.value
+
+    width = np.pi / t
+    fd_h = (0.25 * min(h for _, h in features)) if features else None
+    if features and omega0 / width > 12000.0:
+        return _feature_core_integral(full, dc, osc_amp, t, features,
+                                      osc_kind, osc_sign, fd_h)
+
+    omega = omega0
+    res = _piece(integrate_on_interval(
+        full, 0.0, omega, _REL_TOL, 0.5 * _ABS_TOL,
+        max_panel_width=width, features=features, max_evals=_MAX_EVALS,
+        origin_grading=40))
+    value, evals = res.value, res.evals
+
+    while True:
+        target = max(_ABS_TOL, _REL_TOL * abs(value))
+        h = min(1e-3 * omega, fd_h) if fd_h else 1e-3 * omega
+        corr, bound = _osc_tail(osc_amp, t, omega, osc_kind, h)
+        if bound <= 0.125 * target:
+            value += osc_sign * corr
+            break
+        if omega > 1e9 * scale or evals >= _MAX_EVALS:
+            raise _Stalled(f"oscillation remainder {bound:.3g} stuck above "
+                           f"target at omega={omega:.3g}")
+        ext = _piece(integrate_on_interval(
+            full, omega, 1.6 * omega, _REL_TOL, 0.25 * target,
+            max_panel_width=width, max_evals=_MAX_EVALS))
+        value += ext.value
+        evals += ext.evals
+        omega *= 1.6
+
+    if dc is not None:
+        tail = _piece(integrate_semi_infinite(
+            IntegrationRequest(dc, 0.0, omega / 4.0, _REL_TOL,
+                               0.25 * max(_ABS_TOL, _REL_TOL * abs(value)),
+                               _MAX_EVALS),
+            lower=omega))
+        value += tail.value
+    return value
+
+
+def _feature_core_integral(full, dc, osc_amp, t, features,
+                           osc_kind, osc_sign, fd_h) -> float:
+    """Long-time variant for a sharply resonant amplitude.
+
+    Oscillation is resolved on a stretch above the origin (which carries the
+    thermal infrared mass at long times) and on a core window around the
+    resonance; between and beyond them only the dc component is integrated
+    and the oscillatory part is restored through its integration-by-parts
+    asymptotics at the segment ends.  Pieces are assembled largest-first so
+    the running tolerance target is meaningful.
+    """
+    width = np.pi / t
+    center = max(c for c, _ in features)
+    halfw = max(h for _, h in features)
+
+    # origin stretch first: at long times the (1 - cos)/w^2 weight piles its
+    # mass below w ~ 1/t, and the target must know about it
+    b0 = 64.0 * width
+    res = _piece(integrate_on_interval(
+        full, 0.0, b0, _REL_TOL, 0.25 * _ABS_TOL, max_panel_width=width,
+        max_evals=_MAX_EVALS, origin_grading=40))
+    value, evals = res.value, res.evals
+
+    reach = max(4.0 * halfw, 16.0 * width)
+    lo = max(center - reach, b0)
+    hi = center + reach
+    res = _piece(integrate_on_interval(
+        full, lo, hi, _REL_TOL, 0.5 * _ABS_TOL, max_panel_width=width,
+        features=features, max_evals=_MAX_EVALS))
+    value += res.value
+    evals += res.evals
+
+    def target():
+        return max(_ABS_TOL, _REL_TOL * abs(value))
+
+    def tail_at(a):
+        h = min(1e-3 * a, fd_h) if fd_h else 1e-3 * a
+        return _osc_tail(osc_amp, t, a, osc_kind, h)
+
+    # close the origin-resonance gap from whichever end dominates the
+    # asymptotic remainder
+    while b0 < lo:
+        corr_b, bound_b = tail_at(b0)
+        corr_l, bound_l = tail_at(lo)
+        if bound_b + bound_l <= 0.125 * target():
+            # int_gap amp*osc = tail(b0) - tail(lo)
+            value += osc_sign * (corr_b - corr_l)
+            break
+        grow_b0 = bound_b >= bound_l
+        if grow_b0:
+            new_b0 = min(2.0 * b0, lo)
+            ext = _piece(integrate_on_interval(
+                full, b0, new_b0, _REL_TOL, 0.125 * target(),
+                max_panel_width=width, max_evals=_MAX_EVALS))
+            b0 = new_b0
+        else:
+            new_lo = max(center - 1.6 * (center - lo), b0)
+            ext = _piece(integrate_on_interval(
+                full, new_lo, lo, _REL_TOL, 0.125 * target(),
+                max_panel_width=width, features=features,
+                max_evals=_MAX_EVALS))
+            lo = new_lo
+        value += ext.value
+        evals += ext.evals
+        if evals >= _MAX_EVALS:
+            raise _Stalled(f"resonance wings grew past the budget "
+                           f"(b0={b0:.3g}, lo={lo:.3g})")
+
+    while True:
+        corr_h, bound_h = tail_at(hi)
+        if bound_h <= 0.125 * target():
+            value += osc_sign * corr_h
+            break
+        new_hi = center + 1.6 * (hi - center)
+        ext = _piece(integrate_on_interval(
+            full, hi, new_hi, _REL_TOL, 0.125 * target(),
+            max_panel_width=width, max_evals=_MAX_EVALS))
+        value += ext.value
+        evals += ext.evals
+        hi = new_hi
+        if evals >= _MAX_EVALS:
+            raise _Stalled(f"resonance core grew past the budget at {hi:.3g}")
+
+    if dc is not None and b0 < lo:
+        gap = _piece(integrate_on_interval(
+            dc, b0, lo, _REL_TOL, 0.125 * target(), max_evals=_MAX_EVALS))
+        value += gap.value
+    if dc is not None:
+        tail = _piece(integrate_semi_infinite(
+            IntegrationRequest(dc, 0.0, hi / 4.0, _REL_TOL, 0.125 * target(),
+                               _MAX_EVALS),
+            lower=hi))
+        value += tail.value
+    return value
+
+
+def _features_of(j: SpectralDensity):
+    if isinstance(j, Lorentzian):
+        return [(j.omega_c, j.q / 2.0)]
+    return []
+
+
+def _omega0_of(j: SpectralDensity) -> float:
+    # start of the monotone-tail region: past the envelope peak for
+    # super-Ohmic baths, past the resonance for Lorentzian ones; the
+    # tail-residue loop extends it whenever the bound is not yet met
+    if isinstance(j, Ohmic):
+        return max(2.0, j.s - 1.0) * j.omega_c
+    if isinstance(j, Lorentzian):
+        return j.omega_c + 16.0 * j.q
+    raise TypeError(type(j).__name__)
+
+
+def _gamma_by_quadrature(j: SpectralDensity, beta: float, t: float) -> float:
+    def envelope(w):
+        return 0.25 * spectral.evaluate(j, w) * coth_half(beta, w) / w ** 2
+
+    def full(w):
+        # envelope * (1 - cos w t), regular at the origin
+        return 0.5 * spectral.evaluate(j, w) * coth_half(beta, w) \
+            * (np.sin(0.5 * w * t) / w) ** 2
+
+    return _osc_split_integral(full, envelope, envelope, t, _omega0_of(j),
+                               j.omega_c, _features_of(j), "cos", -1.0)
+
+
+def _delta_lorentzian_by_quadrature(j: Lorentzian, t: float) -> float:
+    def amp(w):
+        return 0.25 * spectral.evaluate(j, w) / w ** 2
+
+    def full(w):
+        return amp(w) * sin_minus_wt(w, t)
+
+    def dc(w):
+        return amp(w) * (-(w * t))
+
+    return _osc_split_integral(full, dc, amp, t, _omega0_of(j), j.omega_c,
+                               _features_of(j), "sin", 1.0)
+
+
+def ohmic_delta_by_quadrature(j: Ohmic, t: float) -> float:
+    """Ohmic phase by quadrature, any s > 0: a reference for ``ohmic_delta``.
+
+    The non-oscillatory -w t part is split off exactly,
+
+        Delta = lam/(4 w_c^(s-1)) * [ int sin(w t) w^(s-2) e^(-w/w_c) dw
+                                      - t * int w^(s-1) e^(-w/w_c) dw ],
+
+    which removes the cancellation between a bounded oscillatory term and a
+    linearly growing one.  The moment integral is (s-1)! * w_c^s for integer
+    s (factorial recurrence, no special functions) and a smooth quadrature
+    otherwise.  Shares no code with the closed form, so the two cross-check
+    each other; ``factors`` never calls it.  It is a valid reference only
+    for x = w_c t >= 0.1: sine - t * moment is O(x^2) times either part, so
+    at smaller x the 1e-8 tolerance of each part does not carry to Delta.
+    """
+    if t == 0.0:
+        return 0.0
+    wc = j.omega_c
+
+    def amp(w):
+        return np.power(w, j.s - 2.0) * np.exp(-w / wc)
+
+    def sin_part(w):
+        return np.sin(w * t) * amp(w)
+
+    try:
+        sine = _osc_split_integral(sin_part, None, amp, t, _omega0_of(j), wc,
+                                   [], "sin", 1.0)
+        moment = _ohmic_moment(j.s, wc)
+    except _Stalled as exc:
+        raise QuadratureFailure(f"Ohmic Delta at t={t}: {exc}") from exc
+    return 0.25 * j.coupling * wc ** (1.0 - j.s) * (sine - t * moment)
+
+
+def _ohmic_moment(s: float, omega_c: float) -> float:
+    """int_0^inf w^(s-1) e^(-w/w_c) dw without gamma-function dependencies."""
+    if s == int(s):
+        # factorial recurrence: I_m = m * w_c * I_(m-1), I_0 = w_c
+        val = omega_c
+        for m in range(1, int(s)):
+            val *= m * omega_c
+        return val
+    res = _piece(integrate_semi_infinite(IntegrationRequest(
+        lambda w: np.power(w, s - 1.0) * np.exp(-w / omega_c),
+        0.0, omega_c, _REL_TOL, _ABS_TOL, _MAX_EVALS)))
+    return res.value

@@ -12,8 +12,8 @@ The states go through fixed blocks of ``_BLOCK_POINTS`` grid points: per
 block one batched evolve (validated in one pass), one batched
 partial-transpose spectrum and the purity, so the (B, 4, 4) stacks take
 the same memory whatever the grid size.  Identical configurations produce
-bit-identical records, for any DEPHASE_THREADS setting: every grid point
-is a pure function of the configuration, whatever block it falls in.
+bit-identical records: every grid point is a pure function of the
+configuration, whatever block it falls in.
 
 ``builtin_presets`` carries one configuration per reproduced figure panel,
 with the exact parameter values quoted in the figure captions.
@@ -89,9 +89,9 @@ class TimeGrid:
     spacing: str = "linear"
 
     def __post_init__(self):
-        if not (0.0 <= self.t_start < self.t_end):
-            raise ConfigError(
-                f"need 0 <= t_start < t_end, got [{self.t_start}, {self.t_end}]")
+        if not (0.0 <= self.t_start < self.t_end < math.inf):
+            raise ConfigError(f"need 0 <= t_start < t_end < inf, got "
+                              f"[{self.t_start}, {self.t_end}]")
         if not (2 <= self.n_points <= 10_000_000):
             raise ConfigError(f"n_points must lie in [2, 1e7], got {self.n_points}")
         if self.spacing != "linear":

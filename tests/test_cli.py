@@ -350,6 +350,14 @@ class TestErrorClasses:
             assert code == 2, t
             assert out == "" and "--t" in err
 
+    @pytest.mark.parametrize("t_end", ["inf", "1e400"])
+    def test_infinite_grid_end_is_config_error(self, t_end):
+        proc = run_fresh("run", "--preset", "fig1_lambda1",
+                         "--set", f"grid.t_end={t_end}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Warning" not in proc.stderr and "t_end" in proc.stderr
+
     def test_usage_error_returns_exit_code(self, capsys):
         # "-inf" reads as an option, so --t has no value
         code, out, err = invoke(capsys, "state-dump", "--preset",
@@ -396,6 +404,19 @@ class TestErrorClasses:
         assert proc.returncode == 3
         assert "Warning" not in proc.stderr
         assert "not finite" in proc.stderr
+
+    @pytest.mark.parametrize("overrides", [
+        ["bath.omega_c=1e-10"], ["bath.omega_c=1e-300"],
+        ["bath.q=1e-300", "bath.omega_c=1e-300"]])
+    def test_lorentzian_beyond_range_is_compute_error(self, overrides):
+        # q / omega_c = 5e8 and 5e298 pass the overdamping limit; the last
+        # leaves omega_c^-3 beyond the float range
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        proc = run_fresh("run", "--preset", "fig5b", *sets)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spinbath: Lorentzian")
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("override", [
         "bath.lamda=5", "bath.s=2", "grid.t_stop=3", "init.phi=1", "betta=2",

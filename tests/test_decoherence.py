@@ -7,7 +7,6 @@ from spinbath.decoherence import (
     BathConditions,
     DecoherenceFactors,
     Method,
-    _osc_tail,
     closed_form_single_mode,
     coth_half,
     factors,
@@ -16,6 +15,7 @@ from spinbath.decoherence import (
     sin_minus_wt,
 )
 from spinbath.errors import InvalidTime
+from spinbath.quadrature import _osc_tail
 from spinbath.spectral import Lorentzian, Ohmic, SingleMode
 
 BC = BathConditions(beta=1.0)

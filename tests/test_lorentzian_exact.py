@@ -20,14 +20,18 @@ from spinbath.decoherence import (
     _ASYMPTOTIC_SWITCH,
     _COTH_DIRECT,
     _EM_COEFFS,
+    _MAX_OVERDAMPING,
     BathConditions,
     Method,
-    _delta_lorentzian_by_quadrature,
     _LorentzParts,
     _lorentz_laplace,
     _phi,
-    _gamma_by_quadrature,
     factors,
+)
+from spinbath.errors import QuadratureFailure
+from spinbath.quadrature import (
+    _delta_lorentzian_by_quadrature,
+    _gamma_by_quadrature,
 )
 from spinbath.scenario import builtin_presets
 from spinbath.spectral import Lorentzian
@@ -182,6 +186,25 @@ def test_n0_delta_under_extreme_overdamping(q, t):
     df = factors(Lorentzian(1.0, q, 1.0, 0), BathConditions(1.0), t)
     ref_g, ref_d = mp_factors(1.0, q, 1.0, 0, 1.0, t)
     assert within_tolerance(df.delta, ref_d)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_overdamping_limit(n):
+    # at q = _MAX_OVERDAMPING w_c the factors still hold to the tolerance
+    # (t = 10 beta is where the n = 1 gamma is least accurate); beyond it,
+    # where the scaled w_c^2 cancels to 0 (q = 5e8 w_c), and where the
+    # scale w_c^(n-5) leaves the float range, they raise QuadratureFailure
+    bc = BathConditions(1.0)
+    for t in (0.1, 10.0, 1e3):
+        df = factors(Lorentzian(1.0, _MAX_OVERDAMPING, 1.0, n), bc, t)
+        ref_g, ref_d = mp_factors(1.0, _MAX_OVERDAMPING, 1.0, n, 1.0, t)
+        assert within_tolerance(df.delta, ref_d)
+        if n:
+            assert within_tolerance(df.gamma, ref_g)
+    for q, omega_c in ((1.000001 * _MAX_OVERDAMPING, 1.0), (0.05, 1e-10),
+                       (1e-300, 1e-300)):
+        with pytest.raises(QuadratureFailure):
+            factors(Lorentzian(1.0, q, omega_c, n), bc, np.array([0.0, 1.0]))
 
 
 def test_reference_agrees_with_itself():

@@ -8,11 +8,11 @@ import pytest
 from spinbath.decoherence import (
     BathConditions,
     Method,
-    _gamma_by_quadrature,
     factors,
     ohmic_gamma,
 )
 from spinbath.errors import QuadratureFailure
+from spinbath.quadrature import _gamma_by_quadrature
 from spinbath.scenario import builtin_presets
 from spinbath.spectral import Ohmic
 

@@ -11,9 +11,9 @@ from spinbath.decoherence import (
     _ohmic_series_switch,
     factors,
     ohmic_delta,
-    ohmic_delta_by_quadrature,
 )
 from spinbath.errors import QuadratureFailure
+from spinbath.quadrature import ohmic_delta_by_quadrature
 from spinbath.spectral import Ohmic
 
 mpmath = pytest.importorskip("mpmath")

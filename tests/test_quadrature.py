@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinbath
+import spinbath.decoherence
+import spinbath.quadrature
 from spinbath.errors import QuadratureFailure
 from spinbath.quadrature import (
     IntegrationRequest,
@@ -156,3 +162,37 @@ class TestOnInterval:
         for deg in (13, 18, 22):
             r = integrate_on_interval(lambda w, d=deg: w ** d, 0.0, 1.0)
             assert abs(r.value - 1.0 / (deg + 1)) < 1e-14
+
+
+class TestOutsideTheProductionPath:
+    def test_runs_never_import_quadrature(self, tmp_path):
+        # one preset of each family through the CLI, in a fresh interpreter
+        code = (
+            "import sys\n"
+            "import spinbath, spinbath.cli\n"
+            "for name in ('fig1_lambda1', 'fig3_s2', 'fig5b'):\n"
+            "    out = sys.argv[1] + '/' + name + '.csv'\n"
+            "    argv = ['run', '--preset', name, '-o', out]\n"
+            "    assert spinbath.cli.main(argv) == 0\n"
+            "print('spinbath.quadrature' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(spinbath.__file__))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+        assert len(list(tmp_path.iterdir())) == 3
+
+    @pytest.mark.parametrize("module,names", [
+        (spinbath, ["IntegrationRequest", "IntegrationResult",
+                    "integrate_on_interval", "integrate_semi_infinite"]),
+        (spinbath.decoherence, ["integrate_on_interval",
+                                "integrate_semi_infinite",
+                                "ohmic_delta_by_quadrature",
+                                "ohmic_delta_s2_closed_form"])])
+    def test_old_names_are_the_quadrature_objects(self, module, names):
+        for name in names:
+            assert getattr(module, name) is getattr(spinbath.quadrature, name)
+        with pytest.raises(AttributeError):
+            module.no_such_name
+

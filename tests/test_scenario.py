@@ -111,11 +111,6 @@ class TestRun:
         for x, y in zip(a.columns(), b.columns()):
             assert np.array_equal(x, y)
 
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("DEPHASE_THREADS", "many")
-        with pytest.raises(ConfigError):
-            run(small_single_mode())
-
     def test_divergent_bath_columns(self):
         cfg = ScenarioConfig(bath=Lorentzian(1.0, 0.05, 20.0, 0), beta=1.0,
                              grid=TimeGrid(0.5, 20.0, 10))
