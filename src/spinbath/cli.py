@@ -30,7 +30,13 @@ from . import __version__, configio
 from .decoherence import BathConditions, factors
 from .dynamics import FieldConfig, bloch_product_to_general, evolve
 from .errors import ComputeError, ConfigError, NotPointwise, SpinBathError
-from .scenario import RunRecord, ScenarioConfig, builtin_presets, run
+from .scenario import (
+    MAX_POINTS,
+    RunRecord,
+    ScenarioConfig,
+    builtin_presets,
+    run,
+)
 from .spectral import SingleMode, evaluate
 
 #: rows a CSV table formats at a time
@@ -99,23 +105,69 @@ def _comments(cfg: ScenarioConfig, *extra: str) -> str:
     return "".join(f"# {line}\n" for line in lines)
 
 
-def _csv(comments: str, names, columns):
-    """CSV text: the comment block, the header, then the rows.
+def _block(columns, start: int, rows: int) -> np.ndarray:
+    """Rows ``start:start + rows`` of ``columns`` as a (rows, k) array, brought
+    to the two values that "%.17g" writes unlike ``_fmt``: + 0.0 turns -0.0
+    into 0, and -inf becomes inf."""
+    block = np.empty((rows, len(columns)))
+    for j, col in enumerate(columns):
+        block[:, j] = col[start:start + rows]
+    block += 0.0
+    block[block == -np.inf] = np.inf
+    return block
 
-    The rows come ``_BLOCK_ROWS`` at a time, each block as one string
-    formatted in one "%" operation, so the memory this holds does not grow
-    with the table.  Each block is first brought to the two values that
-    "%.17g" writes unlike ``_fmt``: + 0.0 turns -0.0 into 0, and -inf
-    becomes inf.
+
+def _csv(comments: str, names, groups):
+    """CSV text: the comment block, the header, then each group's rows.
+
+    ``groups`` is a list of ``(lead, columns)`` pairs, one per group of
+    rows: ``lead`` holds the cells that are constant over the group (a
+    sweep's value, or none), ``columns`` one array per remaining name.  A
+    ``run`` or ``spectrum`` table is one group; a sweep is one group per
+    value.
+
+    The rows come ``_BLOCK_ROWS`` at a time, each block as one string.  Each
+    lead cell is formatted once per group.  A column whose bits are equal
+    in every group (the grid t of any sweep over equal grids; gamma, Delta
+    and negativity_ideal too when only the initial state or h changes) is
+    formatted once per block, into a row template in which every other
+    cell is a placeholder; each group then fills in its own cells in one
+    "%" operation.  A template is kept only while a later group still
+    needs it: about 100 B per grid point, held once per sweep, not once
+    per group.  A single-group table holds one block at a time.
     """
     yield comments
     yield ",".join(names) + "\n"
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.stack([col[start:start + _BLOCK_ROWS] for col in columns],
-                         axis=1) + 0.0
-        block[block == -np.inf] = np.inf
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+    first, later = groups[0][1], groups[1:]
+    same_length = all(len(cols[0]) == len(first[0]) for _, cols in later)
+    shared = [same_length and all(np.array_equal(col.view(np.uint64),
+                                                 cols[j].view(np.uint64))
+                                  for _, cols in later)
+              for j, col in enumerate(first)]
+    line = ",".join(["%%s"] * len(groups[0][0]) +
+                    ["%.17g" if s else "%%.17g" for s in shared]) + "\n"
+    templates = {}
+    for g, (lead, columns) in enumerate(groups):
+        heads = [_fmt(v) for v in lead]
+        common = [col for col, s in zip(columns, shared) if s]
+        own = [col for col, s in zip(columns, shared) if not s]
+        keep = bool(common) and g + 1 < len(groups)
+        n = len(columns[0])
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - start)
+            template = templates.pop(start, None)
+            if template is None:
+                template = (line * rows) % tuple(
+                    _block(common, start, rows).ravel().tolist())
+            if keep:
+                templates[start] = template
+            if not (heads or own):
+                yield template
+                continue
+            cells = np.empty((rows, len(heads) + len(own)), dtype=object)
+            cells[:, :len(heads)] = heads
+            cells[:, len(heads):] = _block(own, start, rows)
+            yield template % tuple(cells.ravel().tolist())
 
 
 def _json_rows(names, columns) -> list[dict]:
@@ -138,8 +190,8 @@ def _record_json_obj(rec: RunRecord) -> dict:
 def _cmd_run(args) -> int:
     rec = run(_load_config(args))
     if args.format == "csv":
-        _emit(_csv(_comments(rec.config), RunRecord.COLUMNS, rec.columns()),
-              args.output)
+        _emit(_csv(_comments(rec.config), RunRecord.COLUMNS,
+                   [((), rec.columns())]), args.output)
     else:
         _emit(_json(_record_json_obj(rec)), args.output)
     return 0
@@ -169,6 +221,11 @@ def _parse_sweep_values(args) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
+    """One run per value; in CSV one table, one ``_csv`` group per value.
+
+    The groups keep each record's own columns: the sweep value is formatted
+    once per group, and a column that every group shares once per sweep.
+    """
     base = _load_config(args)
     values = _parse_sweep_values(args)
     recs = []
@@ -178,11 +235,9 @@ def _cmd_sweep(args) -> int:
         recs.append(run(ScenarioConfig.from_dict(nested)))
     if args.format == "csv":
         note = f"sweep {args.field} = " + ",".join(_fmt(v) for v in values)
-        columns = [np.repeat(values, [len(rec.t) for rec in recs])]
-        columns += [np.concatenate(col)
-                    for col in zip(*(rec.columns() for rec in recs))]
         _emit(_csv(_comments(base, note), ("sweep_value", *RunRecord.COLUMNS),
-                   columns), args.output)
+                   [((v,), rec.columns()) for v, rec in zip(values, recs)]),
+              args.output)
     else:
         _emit(_json({
             "version": __version__,
@@ -205,8 +260,8 @@ def _cmd_spectrum(args) -> int:
     if not 0.0 < lo < hi < math.inf:
         raise ConfigError(f"need finite 0 < omega-min < omega-max, "
                           f"got [{lo}, {hi}]")
-    if args.n < 2:
-        raise ConfigError("spectrum needs at least 2 points")
+    if not 2 <= args.n <= MAX_POINTS:
+        raise ConfigError(f"spectrum --n must lie in [2, 1e7], got {args.n}")
     omegas = np.linspace(lo, hi, args.n)
     with np.errstate(all="ignore"):
         js = evaluate(cfg.bath, omegas)
@@ -216,7 +271,7 @@ def _cmd_spectrum(args) -> int:
                            f"{omegas[bad][0]:.17g}")
     names = ("omega", "J")
     if args.format == "csv":
-        _emit(_csv(_comments(cfg), names, (omegas, js)), args.output)
+        _emit(_csv(_comments(cfg), names, [((), (omegas, js))]), args.output)
     else:
         _emit(_json({"version": __version__, "config": cfg.to_dict(),
                      "rows": _json_rows(names, (omegas, js))}), args.output)

@@ -142,18 +142,26 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
         rho.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4))
 
 
-def pt_spectra(rhos: np.ndarray) -> np.ndarray:
+def pt_spectra(rhos) -> np.ndarray:
     """Partial-transpose spectra for a batch of 4x4 density matrices.
 
-    Input (B, 4, 4) or (4, 4) complex Hermitian; output (B, 4) or (4,)
-    real ascending, from one batched LAPACK eigvalsh.
+    Input (B, 4, 4) or (4, 4) complex Hermitian, as an array or a
+    ``TwoSpinState``; output (B, 4) or (4,) real ascending, from one
+    batched LAPACK eigvalsh.  A raw array is checked finite and Hermitian
+    here.  A ``TwoSpinState`` is not: it has checked both already, and the
+    partial transpose only permutes the entries it checked.
     """
-    pt = partial_transpose(rhos)
-    if not np.all(np.isfinite(pt)):
-        raise InvalidState("partial transpose has non-finite entries")
-    herm_defect = np.max(np.abs(pt - pt.conj().swapaxes(-1, -2)), initial=0.0)
-    if herm_defect > 1e-10:
-        raise InvalidState(f"partial transpose not Hermitian (defect {herm_defect:.3e})")
+    if isinstance(rhos, TwoSpinState):
+        pt = partial_transpose(rhos.rho)
+    else:
+        pt = partial_transpose(rhos)
+        if not np.all(np.isfinite(pt)):
+            raise InvalidState("partial transpose has non-finite entries")
+        herm_defect = np.max(np.abs(pt - pt.conj().swapaxes(-1, -2)),
+                             initial=0.0)
+        if herm_defect > 1e-10:
+            raise InvalidState(f"partial transpose not Hermitian "
+                               f"(defect {herm_defect:.3e})")
     try:
         return np.linalg.eigvalsh(pt)
     except np.linalg.LinAlgError as exc:
@@ -173,7 +181,7 @@ def negativity_from_spectrum(eigs):
 
 def negativity_numeric(state: TwoSpinState) -> NegativityResult:
     """Negativity of an arbitrary two-spin state via its partial transpose."""
-    eigs = pt_spectra(state.rho)
+    eigs = pt_spectra(state)
     return NegativityResult(negativity_from_spectrum(eigs),
                             tuple(float(x) for x in eigs),
                             NegativityMethod.NUMERIC_PT)

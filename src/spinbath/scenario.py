@@ -62,12 +62,15 @@ __all__ = [
     "compare_ideal",
     "builtin_presets",
     "CROSS_CHECK_TOL",
+    "MAX_POINTS",
 ]
 
 #: closed form vs numeric partial transpose agreement enforced per point
 CROSS_CHECK_TOL = 1e-10
 #: grid points per evolve -> partial-transpose block of ``run``
 _BLOCK_POINTS = 2048
+#: most points a time grid (or a tabulated spectrum) may have
+MAX_POINTS = 10_000_000
 
 _OUTPUT_CHOICES = frozenset(
     {"gamma", "delta", "negativity", "negativity_ideal", "purity", "state_dump"})
@@ -92,7 +95,7 @@ class TimeGrid:
         if not (0.0 <= self.t_start < self.t_end < math.inf):
             raise ConfigError(f"need 0 <= t_start < t_end < inf, got "
                               f"[{self.t_start}, {self.t_end}]")
-        if not (2 <= self.n_points <= 10_000_000):
+        if not (2 <= self.n_points <= MAX_POINTS):
             raise ConfigError(f"n_points must lie in [2, 1e7], got {self.n_points}")
         if self.spacing != "linear":
             raise ConfigError(f"only linear spacing is supported, got {self.spacing!r}")
@@ -196,7 +199,7 @@ def run(cfg: ScenarioConfig) -> RunRecord:
         block = evolve(init, DecoherenceFactors(df.gamma[part], df.delta[part],
                                                 divergent[part], df.method),
                        field, times[part])
-        numeric[part] = negativity_from_spectrum(pt_spectra(block.rho))
+        numeric[part] = negativity_from_spectrum(pt_spectra(block))
         purity[part] = block.purity()
         if states is not None:
             states += block.to_json_obj()

@@ -112,6 +112,25 @@ class TestPtSpectraGuards:
         assert spectra.shape == (1000, 4)
         assert np.max(np.abs(spectra - ref)) <= 1e-12
 
+    def test_non_hermitian_array_raises(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 1] = 1e-9
+        with pytest.raises(InvalidState):
+            pt_spectra(rho)
+        with pytest.raises(InvalidState):
+            pt_spectra(np.stack([np.eye(4, dtype=complex) / 4, rho]))
+
+    def test_checked_state_gives_the_array_spectra(self):
+        # a TwoSpinState skips the re-check, not a bit of the result
+        rng = np.random.default_rng(17)
+        states = evolve(random_init(rng),
+                        DecoherenceFactors(rng.uniform(0.0, 2.0, 300),
+                                           -rng.uniform(0.0, 2.0, 300)),
+                        FieldConfig(0.7), np.linspace(0.0, 5.0, 300))
+        assert bits(pt_spectra(states)) == bits(pt_spectra(states.rho))
+        one = TwoSpinState(states.rho[7])
+        assert bits(pt_spectra(one)) == bits(pt_spectra(one.rho))
+
 
 def _closed_form_points():
     """gamma and Delta pairs around every branch of the closed form: 0 and

@@ -9,6 +9,7 @@ import pytest
 
 import spinbath
 import spinbath.cli
+from spinbath import configio
 from spinbath.cli import main
 
 SMALL_CONFIG = """\
@@ -214,10 +215,76 @@ class TestOneWriter:
         # -0.0 and -inf are the two values "%.17g" writes unlike _fmt
         a = np.array([-0.0, -np.inf, np.inf, 0.0, 1.0 / 3.0, -2.5e-300])
         b = np.array([np.inf, 5, -0.0, -7.0, 1e300, -np.inf])
-        _, _, *blocks = spinbath.cli._csv("", ("a", "b"), (a, b))
+        _, _, *blocks = spinbath.cli._csv("", ("a", "b"), [((), (a, b))])
         assert "".join(blocks) == "".join(
             f"{spinbath.cli._fmt(x)},{spinbath.cli._fmt(y)}\n"
             for x, y in zip(a.tolist(), b.tolist()))
+
+    def test_shared_and_own_cells_match_fmt(self, monkeypatch):
+        # a is shared by both groups and formatted once, into the row
+        # template; b and the lead cell are each group's own
+        monkeypatch.setattr(spinbath.cli, "_BLOCK_ROWS", 4)
+        fmt = spinbath.cli._fmt
+        a = np.array([-0.0, -np.inf, np.inf, 0.0, 1.0 / 3.0, -2.5e-300])
+        groups = [((-0.0,), (a, np.array([np.inf, 5, -0.0, -7.0, 1e300,
+                                          -np.inf]))),
+                  ((-np.inf,), (a.copy(), np.array([-np.inf, -0.0, 2.0, 0.0,
+                                                    -1e-300, 0.1])))]
+        _, header, *blocks = spinbath.cli._csv("", ("v", "a", "b"), groups)
+        assert header == "v,a,b\n"
+        assert "".join(blocks) == "".join(
+            f"{fmt(v)},{fmt(x)},{fmt(y)}\n"
+            for (v,), (col_a, col_b) in groups
+            for x, y in zip(col_a.tolist(), col_b.tolist()))
+
+    @pytest.mark.parametrize("preset,field,values,n_points", [
+        ("fig6_single_theta", "init.theta", ("pi/8", "pi/4", "pi/2", "pi/8"),
+         11),
+        ("fig3_s2", "grid.n_points", ("5", "3", "9"), 7),
+        ("fig5b", "bath.q", ("0.5",), 10),
+        ("lorentz_n0", "init.theta", ("pi/8", "pi/4", "pi/2"), 9)])
+    def test_grouped_rows_are_run_rows(self, capsys, monkeypatch, preset,
+                                       field, values, n_points):
+        # 4-row blocks: no group length is a multiple of the block, so a
+        # table-wide block would straddle two groups
+        monkeypatch.setattr(spinbath.cli, "_BLOCK_ROWS", 4)
+        grid = ("--set", f"grid.n_points={n_points}")
+        code, out, err = invoke(capsys, "sweep", "--preset", preset,
+                                "--field", field, "--values", ",".join(values),
+                                *grid)
+        assert code == 0
+        expect = []
+        for v in values:
+            code, run_out, err = invoke(capsys, "run", "--preset", preset,
+                                        *grid, "--set", f"{field}={v}")
+            assert code == 0
+            header, *rows = data_lines(run_out)
+            head = spinbath.cli._fmt(configio.parse_value(v))
+            expect += [f"{head},{row}" for row in rows]
+        assert data_lines(out) == ["sweep_value," + header] + expect
+        if preset == "lorentz_n0":
+            assert all(row.split(",")[2] == "inf" for row in expect)
+
+    def test_single_group_streams_in_bounded_memory(self, tmp_path):
+        # The command runs as the child of a small interpreter that reports
+        # its children's peak: on Linux a process's own ru_maxrss starts
+        # from the peak of the process that executed it, here pytest.
+        # Streaming one block at a time, this 24 MB table peaked at 60.6 MiB
+        # (most of three runs, Python 3.11, numpy 2.4); a writer that keeps
+        # every block until the end peaks at 66.2 MiB.
+        path = tmp_path / "big.csv"
+        argv = [sys.executable, "-m", "spinbath.cli", "run", "--preset",
+                "fig3_s2", "--set", "grid.n_points=200000", "-o", str(path)]
+        code = ("import resource, subprocess, sys\n"
+                f"subprocess.run({argv!r}, check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        src = os.path.dirname(os.path.dirname(spinbath.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stderr == ""
+        assert path.stat().st_size > 20e6
+        assert int(out.stdout) / 1024 < 64.0   # ru_maxrss is in KiB
 
     @pytest.mark.parametrize("argv", [
         ("run", "--preset", "lorentz_n0", "--set", "grid.n_points=3"),
@@ -389,6 +456,18 @@ class TestErrorClasses:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert "Warning" not in proc.stderr and "not finite" in proc.stderr
+
+    def test_spectrum_points_beyond_grid_cap_is_config_error(
+            self, capsys, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("--n must be rejected before any allocation")
+
+        monkeypatch.setattr(np, "linspace", allocate)
+        monkeypatch.setattr(spinbath.cli, "evaluate", allocate)
+        code, out, err = invoke(capsys, "spectrum", "--preset", "fig5b",
+                                "--n", "10000001")
+        assert code == 2
+        assert out == "" and "--n" in err
 
     def test_compute_error_leaves_no_file(self, capsys, tmp_path):
         path = tmp_path / "j.csv"
