@@ -31,13 +31,10 @@ expm1, free of cancellation at small u.  The phase is
 
 for small x the two terms cancel, and the bracket is summed from its Taylor
 series instead.  The dephasing exponent follows from coth(beta w / 2) =
-1 + 2 sum_n e^(-n beta w) (Palma, Suominen & Ekert 1996; Reina, Quiroga &
-Johnson 2002) as a sum over b_n = 1 + n beta w_c,
+1 + 2 sum_m e^(-m beta w) (Palma, Suominen & Ekert 1996; Reina, Quiroga &
+Johnson 2002) as a sum over b_m = 1 + m beta w_c (``ohmic_gamma``),
 
-    gamma = lam/4 * Gamma(s) * sum_n w_n b_n^(-e) Re P(e, x / b_n),
-
-taken directly for its first terms and by Euler-Maclaurin for the rest
-(``ohmic_gamma``).
+    gamma = lam/4 * Gamma(s) * sum_m w_m b_m^(-e) Re P(e, x / b_m).
 
 The Lorentzian J/w^2 = (lam q / pi) w^(n-2) / D, with D(w) = (w^2 - w_c^2)^2
 + q^2 w^2 = prod_k (w - p_k), splits into partial fractions over the poles
@@ -69,10 +66,12 @@ limit at p -> 0 plus terms in phi(z) = e^z E1(z) + gamma_E + log z, which
 vanishes at z = 0; the limits are summed over the poles exactly, so nothing
 cancels as t |p| or b |p| goes to zero (short times, strong overdamping).
 Once b |p| >= 40 a pole's term is summed from its asymptotic series in
-1/(bp) instead, where its polynomial part would cancel it.  Times go
-through blocks of ``_BLOCK``; in each, the direct terms F(m beta),
-m < 32, and the Euler-Maclaurin terms are the rows of one array pass
-(``_lorentz_laplace``).
+1/(bp) instead, where its polynomial part would cancel it.
+
+Both families sum the coth series alike (``_coth_series``): its first 31
+terms directly, the rest by Euler-Maclaurin at m = 32, each term and each
+correction one row (``_COTH_ROWS``) of an array over the times.
+``factors`` takes the times t > 0 of both through blocks of ``_BLOCK``.
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ __all__ = [
     "closed_form_single_mode",
     "coth_half",
     "factors",
-    "lorentzian_factors",
     "ohmic_delta",
     "ohmic_gamma",
     "sin_minus_wt",
@@ -111,6 +109,13 @@ _COTH_DIRECT = 32
 #: B_2k / (2k)!, k = 1..6: the Euler-Maclaurin weights of the tail
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
               1.0 / 47900160.0, -691.0 / 1307674368000.0)
+#: the rows (m, j) of every coth series (``_coth_series``): the direct
+#: terms m = 1..31 (j = 0), then at m = 32 the Euler-Maclaurin integral
+#: (j = -1), edge (j = 0) and odd derivatives (j = 1, 3, ..., 11)
+_COTH_ROWS = np.array(
+    [(m, 0) for m in range(1, _COTH_DIRECT)]
+    + [(_COTH_DIRECT, j)
+       for j in (-1, 0, *range(1, 2 * len(_EM_COEFFS), 2))]).T
 _EULER_GAMMA = 0.5772156649015329
 #: e^z E1(z): power series below |z| + Re z = 4, asymptotic series (30
 #: terms) from |z| = 40, continued fraction (depth 50) in between
@@ -127,8 +132,9 @@ _N0_SERIES_TERMS = 24
 _CRITICAL = 1e-4
 #: largest q / w_c evaluated (``_lorentz_scaled``)
 _MAX_OVERDAMPING = 1e7
-#: times per Lorentzian block, which bounds the (row, pole, time) work
-#: arrays of its coth-series pass (39 rows: about 27 MB at 4096 times)
+#: times per block of ``factors``, which bounds the (row, time) work arrays
+#: of the coth-series passes (Lorentzian: (row, pole, time), 39 rows, about
+#: 27 MB at 4096 times)
 _BLOCK = 4096
 
 
@@ -157,8 +163,8 @@ class DecoherenceFactors:
     then zeroes every coherence between different magnetization sectors.
     The fields are floats for one time, or arrays of the shape of a time
     array passed to ``factors``; ``gamma_divergent`` is then a bool array for
-    a Lorentzian bath (an n = 0 bath diverges at every t > 0, not at t = 0)
-    and a single bool for the other families.
+    an Ohmic or Lorentzian bath (an n = 0 bath diverges at every t > 0, not
+    at t = 0) and a single bool for the single-mode bath.
     """
 
     gamma: float
@@ -240,18 +246,20 @@ def _log1iu(u):
             np.arctan(u))
 
 
-def _re_p(e: float, log1iu):
+def _re_p(e, log1iu):
     """Re P(e, u), P(e, u) = [1 - (1 + iu)^(-e)] / e, from log(1 + iu).
 
     With z = -e log(1 + iu) = X + iY, 1 - exp(z) is minus the complex expm1
     expm1(X) cos Y - 2 sin^2(Y/2) + i e^X sin Y, which is free of
-    cancellation at small u; P tends to log(1 + iu) as e -> 0.
+    cancellation at small u; P tends to log(1 + iu) as e -> 0.  ``e`` is a
+    number or an array of orders that broadcasts against u.
     """
     l, a = log1iu
-    if e == 0.0:
+    if not np.ndim(e) and e == 0.0:
         return l
     X, Y = -e * l, -e * a
-    return (2.0 * np.sin(0.5 * Y) ** 2 - np.expm1(X) * np.cos(Y)) / e
+    p = (2.0 * np.sin(0.5 * Y) ** 2 - np.expm1(X) * np.cos(Y)) / e
+    return np.where(e == 0.0, l, p) if np.ndim(e) else p
 
 
 def _im_p(e: float, log1iu):
@@ -265,18 +273,19 @@ def _im_p(e: float, log1iu):
 def _ohmic_scale(j: Ohmic, what: str) -> float:
     """lam/4 Gamma(s), the prefactor of both Ohmic factors."""
     try:
-        return 0.25 * j.coupling * math.gamma(j.s)
+        scale = 0.25 * j.coupling * math.gamma(j.s)
     except OverflowError:
-        raise QuadratureFailure(
-            f"Ohmic {what} at s={j.s}: Gamma(s) is not finite") from None
+        scale = math.inf
+    return _checked(scale, f"Ohmic {what} at s={j.s}: lam/4 Gamma(s)")
 
 
 def ohmic_delta(j: Ohmic, t):
     """Exact Ohmic phase Delta(t) for any s > 0 (see the module docstring).
 
-    t may be an array of times.  The bracket is Im P(e, x) - x; below the
-    switch it is summed from the series sum_{m>=1} (-1)^m Gamma(s+2m)/Gamma(s)
-    x^(2m+1)/(2m+1)!, free of cancellation.  A result beyond the float range
+    t may be an array of times; ``factors`` checks the result.  The bracket
+    is Im P(e, x) - x; below the switch it is summed from the series
+    sum_{m>=1} (-1)^m Gamma(s+2m)/Gamma(s) x^(2m+1)/(2m+1)!, free of
+    cancellation.  A prefactor lam/4 Gamma(s) beyond the float range
     (Gamma(s) overflows from s ~ 171) raises QuadratureFailure.
     """
     s, scale = j.s, _ohmic_scale(j, "Delta")
@@ -293,57 +302,73 @@ def ohmic_delta(j: Ohmic, t):
                 break
             m += 1
         bracket = np.where(small, series, _im_p(s - 1.0, _log1iu(x)) - x)
-        return _checked(scale * bracket, f"Ohmic Delta at s={s}")
+        return scale * bracket
+
+
+def _coth_series(head, rows):
+    """head + 2 sum_{m>=1} f(m) from the rows of ``_COTH_ROWS``.
+
+    The rows are the direct terms f(m), m < N = ``_COTH_DIRECT``, added one
+    by one in the order of m, then the Euler-Maclaurin tail at N: the
+    integral int_N^inf f, the edge f(N) and -f^(j)(N) for odd j, with
+    sum_{m>=N} f(m) = int_N^inf f + f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N).
+    """
+    total = head
+    for row in rows[:_COTH_DIRECT - 1]:
+        total = total + 2.0 * row
+    integral, edge, *odd = rows[_COTH_DIRECT - 1:]
+    tail = integral + 0.5 * edge
+    for coeff, deriv in zip(_EM_COEFFS, odd):
+        tail = tail + coeff * deriv
+    return total + 2.0 * tail
 
 
 def ohmic_gamma(j: Ohmic, beta: float, t):
     """Exact Ohmic dephasing exponent gamma(t) for any s > 0 and beta > 0.
 
-    t may be an array of times.  With coth(beta w / 2) = 1 + 2 sum_n
-    e^(-n beta w), x = w_c t, kappa = beta w_c, b_n = 1 + n kappa and
-    e = s - 1,
+    t may be an array of times; ``factors`` checks the result.  With
+    x = w_c t, kappa = beta w_c, b_m = 1 + m kappa, e = s - 1 and u = x/b,
+    gamma = lam/4 Gamma(s) [f(0) + 2 sum_{m>=1} f(m)] (``_coth_series``)
+    with f(m) = F(b_m), F(b) = b^(-e) Re P(e, u).  Its row (m, j),
 
-        gamma = lam/4 Gamma(s) sum_{n>=0} w_n b_n^(-e) Re P(e, x / b_n),
+        (kappa/b)^j (e+1)...(e+j) b^(-e) Re P(e + j, u)  at b = b_m,
 
-    w_0 = 1, w_n = 2.  The first N = ``_COTH_DIRECT`` terms are summed
-    directly, the rest by Euler-Maclaurin on f(n) = F(b_n) with
-    F(b) = b^(-e) Re P(e, x/b).  With u = x/b,
+    is (-1)^j f^(j)(m) for j >= 0, and for j = -1, with 1/e in place of the
+    product, int_m^inf f = int_b^inf F db / kappa, from
 
-        int_b^inf F = b^(1-e) Re[(1 + iu) P(e, u)] / (s - 2)
-                    = b^(1-e) Re P(e - 1, u) / e    (used for s >= 1.5),
-        F^(j)(b) = (-1)^j (e+1)(e+2)...(e+j) b^(-e-j) Re P(e + j, u).
+        int_b^inf F = b^(1-e) Re P(e - 1, u) / e    (used for s >= 1.5)
+                    = b^(1-e) Re[(1 + iu) P(e, u)] / (s - 2).
 
     Since kappa / b_N < 1 / N, successive correction terms fall by a factor
     of about ((e + 2k) / (2 pi N))^2, so the work per time is fixed for
-    every s, beta and t.  Memory is a few arrays of the grid size.
+    every s, beta and t.  f(m), m = 0..N, are one array pass, and the rows
+    j != 0, all at b_N, a second; log(1 + iu) is taken once per b_m.
     """
     s, e, kappa = j.s, j.s - 1.0, beta * j.omega_c
     scale = _ohmic_scale(j, "gamma")
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = j.omega_c * np.asarray(t, dtype=float)
-        total = np.zeros_like(x)
-        for n in range(_COTH_DIRECT):
-            b = 1.0 + n * kappa
-            total += (2.0 if n else 1.0) * b ** -e * _re_p(e, _log1iu(x / b))
-        # tail is kept in units of b^(-e); the sum over n >= N starts with
-        # int_N^inf f dn = int_b^inf F db / kappa
-        b = 1.0 + _COTH_DIRECT * kappa
-        u = x / b
-        log1iu = _log1iu(u)
-        ratio = kappa / b
+    x = j.omega_c * np.ravel(np.asarray(t, dtype=float))
+    m, lift = _COTH_ROWS
+    at_n = np.flatnonzero(lift)            # the rows j != 0, all at m = N
+    i = lift[at_n]
+    integral = i == -1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = 1.0 + np.arange(_COTH_DIRECT + 1) * kappa
+        l, a = _log1iu(x / b[:, None])
+        f = (b ** -e)[:, None] * _re_p(e, (l, a))      # f(m), m = 0..N
+        bn, ratio = b[-1], kappa / b[-1]
+        order = e + np.where(integral & (s < 1.5), 0, i)
+        lifted = _re_p(order[:, None], (l[-1], a[-1]))
         if s < 1.5:
-            integral = (_re_p(e, log1iu) - u * _im_p(e, log1iu)) / (s - 2.0)
-        else:
-            integral = _re_p(e - 1.0, log1iu) / e
-        tail = integral / ratio + 0.5 * _re_p(e, log1iu)
-        rising = 1.0
-        for k, coeff in enumerate(_EM_COEFFS):
-            order = 2 * k + 1
-            rising *= (e + order - 1.0) * (e + order) if k else e + 1.0
-            tail = tail + coeff * rising * ratio ** order \
-                * _re_p(e + order, log1iu)
-        total += 2.0 * b ** -e * tail
-        return _checked(scale * total, f"Ohmic gamma at s={s}")
+            lifted[integral] -= x / bn * _im_p(e, (l[-1], a[-1]))
+        rising = [math.prod(e + k for k in range(1, q + 1)) for q in i]
+        weight = bn ** -e * ratio ** np.maximum(i, 0) * rising
+        weight[integral] /= (s - 2.0) if s < 1.5 else e
+        lifted *= weight[:, None]
+        # (kappa/b)^-1 as a division: it may overflow where the row is tiny
+        lifted[integral] /= ratio
+        rows = f[m]
+        rows[at_n] = lifted
+        return scale * _coth_series(f[0], rows).reshape(np.shape(t))
 
 
 def _phi(z):
@@ -467,9 +492,11 @@ def _pole_sum(coeff, values):
     """sum over all four poles: twice the real part of the upper-pole sum.
 
     ``coeff`` is (pole,) with ``values`` (pole, time), or a stack of both
-    with a leading row axis.
+    with a leading row axis.  The sum is written out elementwise: a matrix
+    product would round an element by where it falls in the row.
     """
-    return 2.0 * np.real(coeff[..., None, :] @ values)[..., 0, :]
+    return 2.0 * np.real(coeff[..., 0, None] * values[..., 0, :]
+                         + coeff[..., 1, None] * values[..., 1, :])
 
 
 def _coth_bracket(b, t, p, z_minus, z_plus, cross):
@@ -726,13 +753,12 @@ def _lorentz_sums(q: float, omega2: float, n: int, beta: float, t):
                   + tau_0 (gamma_E + ln t) [n = 1],
 
     each bracket gamma_E + ln t - [phi(z) + phi(-z)] / 2 - pi i expm1(z)
-    [crossing], whose first terms cancel the rest.  As in ``ohmic_gamma``
-    the terms m < _COTH_DIRECT are summed directly and the rest by
-    Euler-Maclaurin at B = _COTH_DIRECT beta, whose integral and odd
-    derivatives in m are S(s - 1, B) / beta and -beta^j S(s + j, B).  All
-    of them are rows of one ``_lorentz_laplace`` call, and the direct rows
-    are added to S_gamma one by one in the order of m.  n = 0 leaves
-    S_gamma as None.
+    [crossing], whose first terms cancel the rest.  As for ``ohmic_gamma``,
+    ``_coth_series`` sums the rows (m, j) of ``_COTH_ROWS``, here
+    beta^j S(s + j, m beta): the direct terms, then at B = _COTH_DIRECT beta
+    the integral and odd derivatives in m, S(s - 1, B) / beta and
+    -beta^j S(s + j, B).  All of them are rows of one ``_lorentz_laplace``
+    call.  n = 0 leaves S_gamma as None.
     """
     parts = _LorentzParts(q, omega2)
     s = n - 2
@@ -744,21 +770,10 @@ def _lorentz_sums(q: float, omega2: float, n: int, beta: float, t):
     if n == 0:
         return None, _lorentz_n0_delta(parts, t, z, minus_z, bracket)
     delta = _pole_sum(parts.coeff(s), bracket)
-    gamma = _pole_sum(parts.coeff(s), -0.5 * (phi_z + phi_minus_z + growth))
-    # rows: the direct terms m beta, m < _COTH_DIRECT, then the
-    # Euler-Maclaurin lifts at B = _COTH_DIRECT beta
-    lifts = [-1, 0] + [2 * k + 1 for k in range(len(_EM_COEFFS))]
-    b = np.concatenate([np.arange(1, _COTH_DIRECT) * beta,
-                        np.full(len(lifts), _COTH_DIRECT * beta)])
-    rows = _lorentz_laplace(parts, b, [0] * (_COTH_DIRECT - 1) + lifts, t, s,
-                            beta)
-    for row in rows[:_COTH_DIRECT - 1]:
-        gamma = gamma + 2.0 * row
-    integral, edge, *odd = rows[_COTH_DIRECT - 1:]
-    tail = integral + 0.5 * edge
-    for coeff, deriv in zip(_EM_COEFFS, odd):
-        tail = tail + coeff * deriv
-    return gamma + 2.0 * tail, delta
+    head = _pole_sum(parts.coeff(s), -0.5 * (phi_z + phi_minus_z + growth))
+    m, lift = _COTH_ROWS
+    rows = _lorentz_laplace(parts, m * beta, lift, t, s, beta)
+    return _coth_series(head, rows), delta
 
 
 def _lorentz_scaled(j: Lorentzian, beta: float, t):
@@ -790,57 +805,27 @@ def _lorentz_scaled(j: Lorentzian, beta: float, t):
     except OverflowError:
         raise QuadratureFailure(f"Lorentzian at omega_c={wc}: "
                                 f"omega_c^{j.n - 5} is not finite") from None
-    out = []
-    for lo in range(0, t.size, _BLOCK):
-        tb = wc * t[lo:lo + _BLOCK]
-        if abs(omega2) >= band:
-            sums = _lorentz_sums(q, omega2, j.n, wc * beta, tb)
-        else:
-            w = (omega2 + band) / (2.0 * band)
-            sums = [None if a is None else a + w * (b - a) for a, b in zip(
-                _lorentz_sums(q, -band, j.n, wc * beta, tb),
-                _lorentz_sums(q, band, j.n, wc * beta, tb))]
-        out.append(sums)
-    delta = scale * np.concatenate([d for _, d in out])
-    if j.n == 0:
-        return None, delta
-    return scale * np.concatenate([g for g, _ in out]), delta
-
-
-def lorentzian_factors(j: Lorentzian, beta: float, t) -> DecoherenceFactors:
-    """Exact Lorentzian factors at a time or over a time array.
-
-    Both factors are zero at t = 0.  For n = 0, gamma is +inf and
-    ``gamma_divergent`` set at every t > 0 (``spectral.ir_exponent``).
-    ``gamma_divergent`` is a bool array for an array of times.  A value
-    beyond the float range, or a bath past q = ``_MAX_OVERDAMPING`` w_c,
-    raises QuadratureFailure.
-    """
-    t = np.asarray(t, dtype=float)
-    flat = t.ravel()
-    live = flat > 0.0
-    gamma, delta = np.zeros(flat.shape), np.zeros(flat.shape)
-    divergent = live if spectral.ir_exponent(j) <= 0.0 else np.zeros_like(live)
-    if live.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            g, d = _lorentz_scaled(j, beta, flat[live])
-        where = f"Lorentzian at q={j.q}, n={j.n}"
-        delta[live] = np.minimum(_checked(d, f"{where}: Delta"), 0.0)
-        gamma[live] = math.inf if g is None else \
-            np.maximum(_checked(g, f"{where}: gamma"), 0.0)
-    if not t.ndim:
-        return DecoherenceFactors(float(gamma[0]), float(delta[0]),
-                                  bool(divergent[0]), Method.ANALYTIC_REDUCTION)
-    return DecoherenceFactors(gamma.reshape(t.shape), delta.reshape(t.shape),
-                              divergent.reshape(t.shape),
-                              Method.ANALYTIC_REDUCTION)
+    if abs(omega2) >= band:
+        sums = _lorentz_sums(q, omega2, j.n, wc * beta, wc * t)
+    else:
+        w = (omega2 + band) / (2.0 * band)
+        sums = [None if a is None else a + w * (b - a) for a, b in zip(
+            _lorentz_sums(q, -band, j.n, wc * beta, wc * t),
+            _lorentz_sums(q, band, j.n, wc * beta, wc * t))]
+    return [None if x is None else scale * x for x in sums]
 
 
 def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     """Decoherence factors at time t (builtin floats) or over a time array.
 
     Every family is exact over the whole array in one call: a value does
-    not depend on the other times passed with it.
+    not depend on the other times passed with it.  For the Ohmic and
+    Lorentzian families both factors are zero at t = 0, the times t > 0 go
+    through blocks of ``_BLOCK``, and ``gamma_divergent`` is a bool array
+    for an array of times; for n = 0 (``spectral.ir_exponent``) gamma is
+    +inf and ``gamma_divergent`` set at every t > 0.  A value beyond the
+    float range, or a Lorentzian bath past q = ``_MAX_OVERDAMPING`` w_c,
+    raises QuadratureFailure.
     """
     t_arr = np.asarray(t, dtype=float)
     bad = t_arr[~(np.isfinite(t_arr) & (t_arr >= 0))]
@@ -848,13 +833,26 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
         raise InvalidTime(f"t must be finite and >= 0, got {bad[0]}")
     if isinstance(j, SingleMode):
         return closed_form_single_mode(j.coupling, j.omega_c, bc.beta, t_arr)
-    if isinstance(j, Lorentzian):
-        return lorentzian_factors(j, bc.beta, t_arr)
-    gamma = np.maximum(ohmic_gamma(j, bc.beta, t_arr), 0.0)
-    delta = np.minimum(ohmic_delta(j, t_arr), 0.0)
+    flat = t_arr.ravel()
+    live = flat > 0.0
+    times = flat[live]
+    gamma, delta = np.zeros(flat.shape), np.zeros(flat.shape)
+    divergent = live & (spectral.ir_exponent(j) <= 0.0)
+    blocks = [times[lo:lo + _BLOCK] for lo in range(0, times.size, _BLOCK)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = [_lorentz_scaled(j, bc.beta, tb) if isinstance(j, Lorentzian)
+               else (ohmic_gamma(j, bc.beta, tb), ohmic_delta(j, tb))
+               for tb in blocks]
+    if out:
+        g, d = zip(*out)
+        delta[live] = np.minimum(_checked(np.concatenate(d), f"Delta of {j}"),
+                                 0.0)
+        gamma[live] = math.inf if g[0] is None else \
+            np.maximum(_checked(np.concatenate(g), f"gamma of {j}"), 0.0)
+    fields = [x.reshape(t_arr.shape) for x in (gamma, delta, divergent)]
     if not t_arr.ndim:
-        gamma, delta = float(gamma), float(delta)
-    return DecoherenceFactors(gamma, delta, False, Method.ANALYTIC_REDUCTION)
+        fields = [x.item() for x in fields]
+    return DecoherenceFactors(*fields, Method.ANALYTIC_REDUCTION)
 
 
 #: names of ``spinbath.quadrature`` still importable from here, loaded on

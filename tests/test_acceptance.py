@@ -305,18 +305,9 @@ def test_criterion_10_physics_invariant_suite():
                     f"{issues[:3]}, {elapsed:.1f}s (<30s)")
 
 
-def _preset_csv_bytes(name, tmp_path, threads, tag):
-    import os
+def _preset_csv_bytes(name, tmp_path, tag):
     path = tmp_path / f"{name}-{tag}.csv"
-    old = os.environ.get("DEPHASE_THREADS")
-    os.environ["DEPHASE_THREADS"] = str(threads)
-    try:
-        code = cli_main(["run", "--preset", name, "--output", str(path)])
-    finally:
-        if old is None:
-            os.environ.pop("DEPHASE_THREADS", None)
-        else:
-            os.environ["DEPHASE_THREADS"] = old
+    code = cli_main(["run", "--preset", name, "--output", str(path)])
     assert code == 0, f"preset {name} failed"
     return path.read_bytes()
 
@@ -324,12 +315,10 @@ def _preset_csv_bytes(name, tmp_path, threads, tag):
 def test_criterion_11_preset_determinism(tmp_path):
     mismatched = []
     for name in sorted(builtin_presets()):
-        first = _preset_csv_bytes(name, tmp_path, 1, "a")
-        second = _preset_csv_bytes(name, tmp_path, 1, "b")
-        third = _preset_csv_bytes(name, tmp_path, 4, "c")
+        first, second, third = (_preset_csv_bytes(name, tmp_path, tag)
+                                for tag in "abc")
         if not (first == second == third):
             mismatched.append(name)
     ok = not mismatched
     _report(11, ok, f"byte-identical CSV for all {len(builtin_presets())} "
-                    f"presets across repeated runs and DEPHASE_THREADS in "
-                    f"{{1, 4}}; mismatches: {mismatched}")
+                    f"presets across three runs; mismatches: {mismatched}")

@@ -18,8 +18,7 @@ import pytest
 import spinbath.decoherence
 from spinbath.decoherence import (
     _ASYMPTOTIC_SWITCH,
-    _COTH_DIRECT,
-    _EM_COEFFS,
+    _COTH_ROWS,
     _MAX_OVERDAMPING,
     BathConditions,
     Method,
@@ -34,7 +33,7 @@ from spinbath.quadrature import (
     _gamma_by_quadrature,
 )
 from spinbath.scenario import builtin_presets
-from spinbath.spectral import Lorentzian
+from spinbath.spectral import Lorentzian, Ohmic
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -262,28 +261,27 @@ def test_large_coupling_is_linear():
     assert big.delta == pytest.approx(1e4 * unit.delta, rel=1e-12, abs=0)
 
 
-def test_time_blocks_leave_values_unchanged():
-    # long grids are evaluated _BLOCK = 4096 times at a time, each block in
-    # one array pass over the coth-series rows
-    times = np.linspace(0.0, 50.0, 4100)
-    j = Lorentzian(1.0, 0.5, OMEGA_C, 1)
-    df = factors(j, BathConditions(1.0), times)
-    for k in (1, 4095, 4096, 4099):
-        one = factors(j, BathConditions(1.0), float(times[k]))
-        assert (df.gamma[k], df.delta[k]) == (one.gamma, one.delta)
-
-
-def _coth_rows(beta):
-    """The rows of one gamma pass: (m beta, 0) for m < _COTH_DIRECT, then
-    the Euler-Maclaurin lifts at _COTH_DIRECT beta."""
-    lifts = [-1, 0] + [2 * k + 1 for k in range(len(_EM_COEFFS))]
-    b = np.concatenate([np.arange(1, _COTH_DIRECT) * beta,
-                        np.full(len(lifts), _COTH_DIRECT * beta)])
-    return b, [0] * (_COTH_DIRECT - 1) + lifts
-
-
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("bath", [
+    Lorentzian(1.0, 0.5, OMEGA_C, 1),
+    Ohmic(0.01, 0.5, 10.0),     # the coth-series integral row for s < 1.5
+    Ohmic(0.01, 3.0, 10.0),     # and for s >= 1.5
+], ids=["lorentz_n1", "ohmic_s0.5", "ohmic_s3"])
+def test_time_blocks_leave_values_unchanged(bath):
+    # factors takes the times t > 0 through blocks of _BLOCK = 4096, and
+    # each block through the coth-series rows as arrays; here the times
+    # t > 0 end 3 into a second block.  Seven times repeat across the grid,
+    # so every index can be checked against its scalar call.
+    values = np.array([0.013, 0.4, 1.1, 2.0, 7.5, 19.0, 50.0])
+    at = np.arange(4096 + 3) % values.size
+    df = factors(bath, BathConditions(1.0), np.append(0.0, values[at]))
+    alone = [factors(bath, BathConditions(1.0), float(t)) for t in values]
+    assert df.gamma[0] == df.delta[0] == 0.0
+    assert _bits(df.gamma[1:]) == _bits([alone[k].gamma for k in at])
+    assert _bits(df.delta[1:]) == _bits([alone[k].delta for k in at])
 
 
 #: (regime, q, beta) in units of omega_c, as the coth rows see them
@@ -298,7 +296,8 @@ ROW_REGIMES = [
 @pytest.mark.parametrize("regime,q,beta", ROW_REGIMES)
 def test_batched_rows_match_rows_alone(regime, q, beta, n):
     parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q))
-    b, lifts = _coth_rows(beta)
+    m, lifts = _COTH_ROWS
+    b = m * beta
     t = np.geomspace(1e-3, 3e3, 41)
     near = b[:, None] * np.abs(parts.p) < _ASYMPTOTIC_SWITCH
     if regime == "near":
@@ -333,7 +332,7 @@ def test_one_laplace_call_per_time_block(monkeypatch, n, per_block):
     monkeypatch.setattr(spinbath.decoherence, "_BLOCK", 5)
     factors(Lorentzian(1.0, 0.5, OMEGA_C, n), BathConditions(1.0),
             np.linspace(0.01, 3.0, 12))
-    rows = _COTH_DIRECT - 1 + 2 + len(_EM_COEFFS)
+    rows = _COTH_ROWS.shape[1]
     assert calls == per_block * [(rows, 5), (rows, 5), (rows, 2)]
 
 

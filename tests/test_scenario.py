@@ -102,15 +102,6 @@ class TestRun:
         for x, y in zip(a.columns(), b.columns()):
             assert np.array_equal(x, y)
 
-    def test_thread_count_invariance(self, monkeypatch):
-        cfg = small_single_mode()
-        monkeypatch.setenv("DEPHASE_THREADS", "1")
-        a = run(cfg)
-        monkeypatch.setenv("DEPHASE_THREADS", "4")
-        b = run(cfg)
-        for x, y in zip(a.columns(), b.columns()):
-            assert np.array_equal(x, y)
-
     def test_divergent_bath_columns(self):
         cfg = ScenarioConfig(bath=Lorentzian(1.0, 0.05, 20.0, 0), beta=1.0,
                              grid=TimeGrid(0.5, 20.0, 10))
