@@ -22,7 +22,6 @@ from .spectral import (  # noqa: E402
 from .decoherence import (  # noqa: E402
     BathConditions,
     DecoherenceFactors,
-    closed_form_single_mode,
     factors,
 )
 from .dynamics import (  # noqa: E402
@@ -66,12 +65,8 @@ __all__ = [
     "__version__",
     # spectral densities
     "SingleMode", "Ohmic", "Lorentzian", "evaluate", "ir_exponent",
-    # quadrature
-    "IntegrationRequest", "IntegrationResult",
-    "integrate_on_interval", "integrate_semi_infinite",
     # decoherence factors
-    "BathConditions", "DecoherenceFactors",
-    "closed_form_single_mode", "factors",
+    "BathConditions", "DecoherenceFactors", "factors",
     # dynamics
     "InitialProductState", "GeneralInitialState", "TwoSpinState",
     "FieldConfig", "X_PROJECTED",
@@ -87,8 +82,9 @@ __all__ = [
     "InvalidState", "EigenNonConvergence", "ConfigError", "ComputeError",
 ]
 
-#: the quadrature engine's public names, loaded on first use so that
-#: ``import spinbath`` does not import ``spinbath.quadrature``
+#: the quadrature engine's public names, loaded on first attribute access so
+#: that neither ``import spinbath`` nor ``from spinbath import *`` imports
+#: ``spinbath.quadrature``; hence they are not in ``__all__``
 _LAZY = ("IntegrationRequest", "IntegrationResult",
          "integrate_on_interval", "integrate_semi_infinite")
 

@@ -37,7 +37,7 @@ from .scenario import (
     builtin_presets,
     run,
 )
-from .spectral import SingleMode, evaluate
+from .spectral import evaluate
 
 #: rows a CSV table formats at a time
 _BLOCK_ROWS = 4096
@@ -251,9 +251,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args)
-    if isinstance(cfg.bath, SingleMode):
-        raise NotPointwise("a single-mode (delta) bath has no pointwise "
-                           "spectral density to tabulate")
     omega_c = cfg.bath.omega_c
     lo = args.omega_min if args.omega_min is not None else omega_c / 1000.0
     hi = args.omega_max if args.omega_max is not None else 2.0 * omega_c

@@ -8,10 +8,11 @@ induced Ising phase
     Delta(t) = 1/4 * int_0^inf J(w) (sin(w t) - w t) / w^2 dw
 
 with gamma >= 0 and Delta <= 0 for all t >= 0.  ``factors`` takes a time or
-a time array for every bath and alone dispatches on the family; each family
-is exact over the whole array in one call: closed form for the single-mode
-bath, Gamma-function forms of both Ohmic factors (any s > 0), and partial
-fractions with the exponential integral for both Lorentzian factors.
+a time array for every bath and runs one body for all of them; a table
+(``_KERNELS``) gives each family's kernel, exact over an array of times:
+closed form for the single-mode bath, Gamma-function forms of both Ohmic
+factors (any s > 0), and partial fractions with the exponential integral
+for both Lorentzian factors.
 A Lorentzian bath with n = 0 makes gamma infrared-divergent (J tends to a
 constant and the thermal weight contributes 1/w); that case is classified up
 front as instantaneous total dephasing.  The quadrature references of
@@ -71,7 +72,8 @@ Once b |p| >= 40 a pole's term is summed from its asymptotic series in
 Both families sum the coth series alike (``_coth_series``): its first 31
 terms directly, the rest by Euler-Maclaurin at m = 32, each term and each
 correction one row (``_COTH_ROWS``) of an array over the times.
-``factors`` takes the times t > 0 of both through blocks of ``_BLOCK``.
+``factors`` takes the times t > 0 of every family through blocks of
+``_BLOCK``.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .errors import InvalidTime, QuadratureFailure
 from .spectral import Lorentzian, Ohmic, SingleMode, SpectralDensity
 
@@ -90,7 +91,6 @@ __all__ = [
     "BathConditions",
     "DecoherenceFactors",
     "Method",
-    "closed_form_single_mode",
     "coth_half",
     "factors",
     "ohmic_delta",
@@ -161,10 +161,10 @@ class DecoherenceFactors:
 
     ``gamma`` is +inf when ``gamma_divergent`` is set; downstream evolution
     then zeroes every coherence between different magnetization sectors.
-    The fields are floats for one time, or arrays of the shape of a time
-    array passed to ``factors``; ``gamma_divergent`` is then a bool array for
-    an Ohmic or Lorentzian bath (an n = 0 bath diverges at every t > 0, not
-    at t = 0) and a single bool for the single-mode bath.
+    ``factors`` fills every field alike for every bath family: floats for
+    one time, or arrays of the shape of a time array, ``gamma_divergent``
+    then a bool array (an n = 0 Lorentzian bath diverges at every t > 0,
+    not at t = 0).
     """
 
     gamma: float
@@ -202,27 +202,12 @@ def _checked(value, what: str):
     return value if np.ndim(value) else float(value)
 
 
-def closed_form_single_mode(coupling: float, omega_c: float, beta: float,
-                            t) -> DecoherenceFactors:
-    """Exact factors for J(w) = coupling * delta(w - omega_c).
-
-    t may be an array of times; gamma and delta are then arrays of the same
-    shape.  They agree with the scalar calls to the last bit or so: numpy
-    squares an array as x * x, a scalar through pow.  A factor beyond the
-    float range (beta omega_c below about 2e-308) raises QuadratureFailure.
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise InvalidTime(f"t must be >= 0, got {t}")
-    wc2 = omega_c * omega_c
-    where = f"at beta={beta}, omega_c={omega_c}"
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gamma = 0.5 * coupling * np.sin(0.5 * omega_c * t) ** 2 / wc2 \
-            * coth_half(beta, omega_c)
-        delta = 0.25 * coupling * sin_minus_wt(omega_c, t) / wc2
-    return DecoherenceFactors(_checked(gamma, f"single-mode gamma {where}"),
-                              _checked(delta, f"single-mode Delta {where}"),
-                              False, Method.CLOSED_FORM)
+def _single_mode(j: SingleMode, beta: float, t):
+    """Exact (gamma, Delta) for J(w) = lam delta(w - w_c) over times t."""
+    wc2 = j.omega_c * j.omega_c
+    gamma = 0.5 * j.coupling * np.sin(0.5 * j.omega_c * t) ** 2 / wc2 \
+        * coth_half(beta, j.omega_c)
+    return gamma, 0.25 * j.coupling * sin_minus_wt(j.omega_c, t) / wc2
 
 
 def _ohmic_series_switch(s: float) -> float:
@@ -456,18 +441,26 @@ class _LorentzParts:
     roots, so each expansion is exact for them.  The lower poles are the
     conjugates of ``p``, so every pole sum is twice the real part of a sum
     over ``p``.
+
+    ``wc2`` is w_c^2 = Omega^2 + q^2/4 as the caller knows it exactly (1 in
+    units of w_c).  ``modulus`` holds |p| from it, not from the rounded
+    roots: sqrt(wc2) for the underdamped pair, the big root and wc2 over it
+    when overdamped.  The near/far switches of ``_lorentz_laplace`` read
+    it, so that rounding cannot move a pole across them.
     """
 
-    def __init__(self, q: float, omega2: float):
+    def __init__(self, q: float, omega2: float, wc2: float):
         if omega2 >= 0.0:
             om = math.sqrt(omega2)
             self.p = np.array([complex(om, 0.5 * q), complex(-om, 0.5 * q)])
+            self.modulus = np.full(2, math.sqrt(wc2))
         else:
             # the roots multiply to w_c^2; q/2 - kappa would cancel
             kappa = math.sqrt(-omega2)
             big = 0.5 * q + kappa
             self.p = np.array([complex(0.0, big),
                                complex(0.0, (omega2 + 0.25 * q * q) / big)])
+            self.modulus = np.array([big, wc2 / big])
         roots = np.concatenate([self.p, self.p.conj()])
         self.c = np.array([1.0 / np.prod(roots[k] - np.delete(roots, k))
                            for k in range(2)])
@@ -605,8 +598,7 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
                 map(abs, terms)) else 0.0
         return moments[poles, m]
 
-    absp = np.abs(parts.p)
-    near_b = bs[:, None] * absp < _ASYMPTOTIC_SWITCH   # (distinct b, pole)
+    near_b = bs[:, None] * parts.modulus < _ASYMPTOTIC_SWITCH  # (b, pole)
     near = near_b[at]                                  # (row, pole)
     lift_set = set(rows_j)
     total = np.zeros((b.size, t.size))
@@ -673,7 +665,7 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
                                             residue)
         # the asymptotic series, over its index m; a row's coefficients
         # depend on its far poles and r only
-        x = bs[at[far]] * np.min(np.where(off, absp, np.inf), axis=1)
+        x = bs[at[far]] * np.min(np.where(off, parts.modulus, np.inf), axis=1)
         keys = [(tuple(o), s + rows_j[k])
                 for o, k in zip(off.tolist(), far.tolist())]
         groups = list(dict.fromkeys(keys))
@@ -734,10 +726,10 @@ def _lorentz_n0_delta(parts: _LorentzParts, t, z, minus_z, bracket):
     return _pole_sum(parts.coeff(-2), bracket) + zero
 
 
-def _lorentz_sums(q: float, omega2: float, n: int, beta: float, t):
+def _lorentz_sums(parts: _LorentzParts, n: int, beta: float, t):
     """(S_gamma, S_Delta) for t > 0, with gamma and Delta = lam q/(4 pi) S.
 
-    With s = n - 2, the upper poles p (``_LorentzParts``) and z = itp,
+    With s = n - 2, the upper poles p of ``parts`` and z = itp,
 
         S_Delta = sum_k c_k p_k^s [(I(-it, p_k) - I(it, p_k)) / 2i
                                    + t p_k log(-p_k)]  + Z,
@@ -760,7 +752,6 @@ def _lorentz_sums(q: float, omega2: float, n: int, beta: float, t):
     -beta^j S(s + j, B).  All of them are rows of one ``_lorentz_laplace``
     call.  n = 0 leaves S_gamma as None.
     """
-    parts = _LorentzParts(q, omega2)
     s = n - 2
     z, minus_z, cross = _rays(0.0, t, parts.p)
     phi_z, phi_minus_z = _phi(z), _phi(minus_z)
@@ -806,53 +797,65 @@ def _lorentz_scaled(j: Lorentzian, beta: float, t):
         raise QuadratureFailure(f"Lorentzian at omega_c={wc}: "
                                 f"omega_c^{j.n - 5} is not finite") from None
     if abs(omega2) >= band:
-        sums = _lorentz_sums(q, omega2, j.n, wc * beta, wc * t)
+        sums = _lorentz_sums(_LorentzParts(q, omega2, 1.0), j.n, wc * beta,
+                             wc * t)
     else:
         w = (omega2 + band) / (2.0 * band)
-        sums = [None if a is None else a + w * (b - a) for a, b in zip(
-            _lorentz_sums(q, -band, j.n, wc * beta, wc * t),
-            _lorentz_sums(q, band, j.n, wc * beta, wc * t))]
+        sums = [None if a is None else a + w * (b - a) for a, b in zip(*(
+            _lorentz_sums(_LorentzParts(q, edge, edge + 0.25 * q * q), j.n,
+                          wc * beta, wc * t) for edge in (-band, band)))]
     return [None if x is None else scale * x for x in sums]
+
+
+def _ohmic(j: Ohmic, beta: float, t):
+    return ohmic_gamma(j, beta, t), ohmic_delta(j, t)
+
+
+#: each family's kernel and the method it reports.  A kernel takes
+#: (bath, beta, 1-d block of times t > 0) and returns (gamma, Delta), gamma
+#: None where it diverges at every t > 0 (the n = 0 Lorentzian)
+_KERNELS = {
+    SingleMode: (_single_mode, Method.CLOSED_FORM),
+    Ohmic: (_ohmic, Method.ANALYTIC_REDUCTION),
+    Lorentzian: (_lorentz_scaled, Method.ANALYTIC_REDUCTION),
+}
 
 
 def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     """Decoherence factors at time t (builtin floats) or over a time array.
 
-    Every family is exact over the whole array in one call: a value does
-    not depend on the other times passed with it.  For the Ohmic and
-    Lorentzian families both factors are zero at t = 0, the times t > 0 go
-    through blocks of ``_BLOCK``, and ``gamma_divergent`` is a bool array
-    for an array of times; for n = 0 (``spectral.ir_exponent``) gamma is
-    +inf and ``gamma_divergent`` set at every t > 0.  A value beyond the
-    float range, or a Lorentzian bath past q = ``_MAX_OVERDAMPING`` w_c,
-    raises QuadratureFailure.
+    One body serves every family: both factors are zero at t = 0, the
+    times t > 0 go through the family's kernel (``_KERNELS``) in blocks of
+    ``_BLOCK``, and ``gamma_divergent`` is a bool array for an array of
+    times, set with gamma = +inf where the kernel reports divergence.  A
+    value does not depend on the other times passed with it, so an array
+    call matches its scalar calls bit for bit.  A value beyond the float
+    range, or a Lorentzian bath past q = ``_MAX_OVERDAMPING`` w_c, raises
+    QuadratureFailure.
     """
+    kernel, method = _KERNELS[type(j)]
     t_arr = np.asarray(t, dtype=float)
     bad = t_arr[~(np.isfinite(t_arr) & (t_arr >= 0))]
     if bad.size:
         raise InvalidTime(f"t must be finite and >= 0, got {bad[0]}")
-    if isinstance(j, SingleMode):
-        return closed_form_single_mode(j.coupling, j.omega_c, bc.beta, t_arr)
     flat = t_arr.ravel()
-    live = flat > 0.0
-    times = flat[live]
+    live = np.flatnonzero(flat > 0.0)
     gamma, delta = np.zeros(flat.shape), np.zeros(flat.shape)
-    divergent = live & (spectral.ir_exponent(j) <= 0.0)
-    blocks = [times[lo:lo + _BLOCK] for lo in range(0, times.size, _BLOCK)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = [_lorentz_scaled(j, bc.beta, tb) if isinstance(j, Lorentzian)
-               else (ohmic_gamma(j, bc.beta, tb), ohmic_delta(j, tb))
-               for tb in blocks]
-    if out:
-        g, d = zip(*out)
-        delta[live] = np.minimum(_checked(np.concatenate(d), f"Delta of {j}"),
-                                 0.0)
-        gamma[live] = math.inf if g[0] is None else \
-            np.maximum(_checked(np.concatenate(g), f"gamma of {j}"), 0.0)
+    divergent = np.zeros(flat.shape, dtype=bool)
+    where = f"of {j} at beta={bc.beta}"
+    for lo in range(0, live.size, _BLOCK):
+        at = live[lo:lo + _BLOCK]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g, d = kernel(j, bc.beta, flat[at])
+        delta[at] = np.minimum(_checked(d, f"Delta {where}"), 0.0)
+        if g is None:
+            gamma[at], divergent[at] = math.inf, True
+        else:
+            gamma[at] = np.maximum(_checked(g, f"gamma {where}"), 0.0)
     fields = [x.reshape(t_arr.shape) for x in (gamma, delta, divergent)]
     if not t_arr.ndim:
         fields = [x.item() for x in fields]
-    return DecoherenceFactors(*fields, Method.ANALYTIC_REDUCTION)
+    return DecoherenceFactors(*fields, method)
 
 
 #: names of ``spinbath.quadrature`` still importable from here, loaded on

@@ -189,16 +189,15 @@ def run(cfg: ScenarioConfig) -> RunRecord:
     init = bloch_product_to_general(cfg.init)
     df = factors(cfg.bath, BathConditions(cfg.beta), times)
     field = FieldConfig(cfg.h)
-    divergent = np.broadcast_to(df.gamma_divergent, times.shape)
 
     numeric = np.empty_like(times)
     purity = np.empty_like(times)
     states = [] if "state_dump" in cfg.outputs else None
     for lo in range(0, times.size, _BLOCK_POINTS):
         part = slice(lo, lo + _BLOCK_POINTS)
-        block = evolve(init, DecoherenceFactors(df.gamma[part], df.delta[part],
-                                                divergent[part], df.method),
-                       field, times[part])
+        block = evolve(init, DecoherenceFactors(
+            df.gamma[part], df.delta[part], df.gamma_divergent[part],
+            df.method), field, times[part])
         numeric[part] = negativity_from_spectrum(pt_spectra(block))
         purity[part] = block.purity()
         if states is not None:
@@ -240,12 +239,12 @@ def compare_ideal(cfg: ScenarioConfig) -> IdealComparison:
     """Full pipeline negativity against the zero-dephasing curve.
 
     Meaningless for a bath with divergent dephasing (Lorentzian n = 0), so
-    that configuration is rejected.
+    a run whose factors report gamma = +inf is rejected.
     """
-    if isinstance(cfg.bath, Lorentzian) and cfg.bath.n == 0:
-        raise ConfigError("idealized comparison is undefined for the "
-                          "infrared-divergent n = 0 Lorentzian bath")
     rec = run(cfg)
+    if np.isinf(rec.gamma).any():
+        raise ConfigError("idealized comparison is undefined for a bath "
+                          "with infrared-divergent dephasing")
     dev = float(np.max(np.abs(rec.negativity - rec.negativity_ideal)))
     return IdealComparison(rec.t, rec.negativity, rec.negativity_ideal, dev)
 

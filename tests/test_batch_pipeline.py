@@ -12,7 +12,6 @@ from spinbath.decoherence import (
     BathConditions,
     DecoherenceFactors,
     Method,
-    closed_form_single_mode,
     factors,
 )
 from spinbath.dynamics import (
@@ -235,13 +234,16 @@ class TestFactorTypes:
         assert type(df.delta) is float
 
     def test_single_mode_array_matches_scalar_calls(self):
+        j = SingleMode(1.0, 20.0)
         times = np.linspace(0.0, 40.0, 2001)
-        batch = closed_form_single_mode(1.0, 20.0, 1.0, times)
+        batch = factors(j, BC, times)
         assert batch.gamma.shape == batch.delta.shape == times.shape
-        for k in range(0, 2001, 50):
-            one = closed_form_single_mode(1.0, 20.0, 1.0, times[k])
-            assert batch.delta[k] == one.delta
-            assert batch.gamma[k] == pytest.approx(one.gamma, rel=5e-16, abs=0)
+        assert batch.method is Method.CLOSED_FORM
+        assert batch.gamma_divergent.dtype == bool
+        assert not batch.gamma_divergent.any()
+        alone = [factors(j, BC, float(t)) for t in times]
+        assert bits(batch.gamma) == bits([d.gamma for d in alone])
+        assert bits(batch.delta) == bits([d.delta for d in alone])
 
     def test_lorentzian_array_matches_scalar_calls(self):
         # the exact forms run the same array code for one time as for many,

@@ -483,6 +483,8 @@ class TestErrorClasses:
         assert proc.returncode == 3
         assert "Warning" not in proc.stderr
         assert "not finite" in proc.stderr
+        # the message names the bath and beta, as for every family
+        assert "SingleMode(" in proc.stderr and "beta=1e-310" in proc.stderr
 
     @pytest.mark.parametrize("overrides", [
         ["bath.omega_c=1e-10"], ["bath.omega_c=1e-300"],

@@ -7,7 +7,6 @@ from spinbath.decoherence import (
     BathConditions,
     DecoherenceFactors,
     Method,
-    closed_form_single_mode,
     coth_half,
     factors,
     ohmic_delta_by_quadrature,
@@ -73,12 +72,12 @@ class TestSingleMode:
         assert df.delta == pytest.approx(-math.pi / 800, rel=1e-14)
 
     def test_half_period_gamma(self):
-        df = closed_form_single_mode(1.0, 20.0, 1.0, math.pi / 20)
+        df = factors(SingleMode(1.0, 20.0), BC, math.pi / 20)
         assert df.gamma == pytest.approx(0.00125000000515288407, rel=1e-14)
 
     def test_low_temperature_limit(self):
         # coth factor -> 1, gamma -> (lam/4)(1-cos wc t)/wc^2
-        df = closed_form_single_mode(2.0, 5.0, 1e3, 0.4)
+        df = factors(SingleMode(2.0, 5.0), BathConditions(1e3), 0.4)
         expect = 0.5 * (1 - math.cos(2.0)) / 25.0
         assert df.gamma == pytest.approx(expect, rel=1e-12)
 

@@ -22,6 +22,7 @@ from spinbath.decoherence import (
     _MAX_OVERDAMPING,
     BathConditions,
     Method,
+    _coth_bracket,
     _LorentzParts,
     _lorentz_laplace,
     _phi,
@@ -33,7 +34,7 @@ from spinbath.quadrature import (
     _gamma_by_quadrature,
 )
 from spinbath.scenario import builtin_presets
-from spinbath.spectral import Lorentzian, Ohmic
+from spinbath.spectral import Lorentzian, Ohmic, SingleMode
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -269,10 +270,12 @@ def _bits(values):
     Lorentzian(1.0, 0.5, OMEGA_C, 1),
     Ohmic(0.01, 0.5, 10.0),     # the coth-series integral row for s < 1.5
     Ohmic(0.01, 3.0, 10.0),     # and for s >= 1.5
-], ids=["lorentz_n1", "ohmic_s0.5", "ohmic_s3"])
+    SingleMode(1.0, 20.0),
+], ids=["lorentz_n1", "ohmic_s0.5", "ohmic_s3", "single_mode"])
 def test_time_blocks_leave_values_unchanged(bath):
-    # factors takes the times t > 0 through blocks of _BLOCK = 4096, and
-    # each block through the coth-series rows as arrays; here the times
+    # factors takes the times t > 0 of every family through blocks of
+    # _BLOCK = 4096, the Ohmic and Lorentzian ones each through the
+    # coth-series rows as arrays; here the times
     # t > 0 end 3 into a second block.  Seven times repeat across the grid,
     # so every index can be checked against its scalar call.
     values = np.array([0.013, 0.4, 1.1, 2.0, 7.5, 19.0, 50.0])
@@ -295,11 +298,11 @@ ROW_REGIMES = [
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("regime,q,beta", ROW_REGIMES)
 def test_batched_rows_match_rows_alone(regime, q, beta, n):
-    parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q))
+    parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q), 1.0)
     m, lifts = _COTH_ROWS
     b = m * beta
     t = np.geomspace(1e-3, 3e3, 41)
-    near = b[:, None] * np.abs(parts.p) < _ASYMPTOTIC_SWITCH
+    near = b[:, None] * parts.modulus < _ASYMPTOTIC_SWITCH
     if regime == "near":
         assert near.all()
     elif regime == "mixed":
@@ -334,6 +337,40 @@ def test_one_laplace_call_per_time_block(monkeypatch, n, per_block):
             np.linspace(0.01, 3.0, 12))
     rows = _COTH_ROWS.shape[1]
     assert calls == per_block * [(rows, 5), (rows, 5), (rows, 2)]
+
+
+def _distinct_lorentzian_gammas():
+    seen = {}
+    for name, cfg in sorted(builtin_presets().items()):
+        if isinstance(cfg.bath, Lorentzian) and cfg.bath.n:
+            seen.setdefault((cfg.bath, cfg.beta), name)
+    return sorted(seen.values())
+
+
+@pytest.mark.parametrize("preset", _distinct_lorentzian_gammas())
+def test_row_forms_do_not_depend_on_rounding(monkeypatch, preset):
+    # In units of omega_c the underdamped poles have |p| = 1, so the m = 2
+    # coth row of every Lorentzian preset (beta omega_c = 20) falls on the
+    # near/far switch b |p| = 40.  Every row must take the form that exact
+    # arithmetic gives it, at the preset's q and at the floats next to it:
+    # the brackets below the switch (only m = 1 here), the series from it.
+    near_b = []
+
+    def spy(b, *args):
+        near_b.extend(b.tolist())
+        return _coth_bracket(b, *args)
+
+    monkeypatch.setattr(spinbath.decoherence, "_coth_bracket", spy)
+    cfg = builtin_presets()[preset]
+    bath, beta = cfg.bath, cfg.beta
+    b = _COTH_ROWS[0] * beta * bath.omega_c
+    assert bath.q < 2.0 * bath.omega_c and _ASYMPTOTIC_SWITCH in b
+    for q in (math.nextafter(bath.q, 0.0), bath.q,
+              math.nextafter(bath.q, math.inf)):
+        near_b.clear()
+        factors(Lorentzian(bath.coupling, q, bath.omega_c, bath.n),
+                BathConditions(beta), 1.0)
+        assert sorted(set(near_b)) == sorted(set(b[b < _ASYMPTOTIC_SWITCH]))
 
 
 def _distinct_lorentzian_grids():

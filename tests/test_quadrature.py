@@ -183,6 +183,17 @@ class TestOutsideTheProductionPath:
         assert proc.stdout == "False\n"
         assert len(list(tmp_path.iterdir())) == 3
 
+    def test_star_import_never_imports_quadrature(self):
+        code = ("import sys\n"
+                "from spinbath import *\n"
+                "print('spinbath.quadrature' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(spinbath.__file__))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     @pytest.mark.parametrize("module,names", [
         (spinbath, ["IntegrationRequest", "IntegrationResult",
                     "integrate_on_interval", "integrate_semi_infinite"]),
