@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -85,14 +86,19 @@ class _IoFailure(SpinBathError):
 
 def _emit(chunks, output: str | None) -> None:
     """Write the strings of ``chunks`` to stdout or ``output`` as they come."""
-    if output in (None, "-"):
-        sys.stdout.writelines(chunks)
-        return
+    where = "stdout" if output in (None, "-") else repr(output)
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        if where == "stdout":
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
-        raise _IoFailure(f"cannot write {output!r}: {exc}")
+        if where == "stdout":
+            # the reader may have gone (| head): no second failure at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _IoFailure(f"cannot write {where}: {exc}")
 
 
 def _json(obj) -> list[str]:

@@ -30,9 +30,18 @@ from .errors import ConfigError
 __all__ = ["parse_value", "parse_text", "format_flat", "flatten", "unflatten",
            "set_path", "as_integer", "reject_unknown"]
 
+
+def _power(base, exponent):
+    # an exact integer power past 2^16384 overflows, not runs on (9**9**9)
+    if (isinstance(base, int) and isinstance(exponent, int) and abs(base) > 1
+            and exponent * math.log2(abs(base)) > 1 << 14):
+        raise OverflowError(f"({base})**({exponent}) is too large")
+    return base ** exponent
+
+
 _BIN_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
             ast.Mult: operator.mul, ast.Div: operator.truediv,
-            ast.Pow: operator.pow}
+            ast.Pow: _power}
 _UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _NAMES = {"pi": math.pi, "e": math.e}
 
@@ -67,8 +76,8 @@ def parse_value(text: str):
     try:
         val = _eval_node(ast.parse(text, mode="eval"))
         return float(val)
-    except (ValueError, SyntaxError, ArithmeticError):
-        return text
+    except (ValueError, SyntaxError, ArithmeticError, TypeError):
+        return text   # TypeError: a complex value, as of (-8)**0.5
 
 
 def parse_text(text: str) -> dict:

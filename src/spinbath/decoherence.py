@@ -126,7 +126,7 @@ _E1_CF_DEPTH = 50
 #: Lorentzian coth-series term at b: a pole's asymptotic series once
 #: b |p| >= this
 _ASYMPTOTIC_SWITCH = 40.0
-#: n = 0 Delta: series terms z^n / n!, n < this, for a pole with |z| < 1
+#: n = 0 Delta: series terms z^n / n!, n < this, for a pole with t |p| < 1
 _N0_SERIES_TERMS = 24
 #: |Omega^2| / w_c^2 below this squared is interpolated across critical damping
 _CRITICAL = 1e-4
@@ -413,8 +413,8 @@ def _crossing_ray(b, t, p):
     happens only for a = b - it with t Re p >= b Im p; a start on the axis
     itself (b = 0, Re p = 0) counts, since E1 takes the value from above
     there and the ray runs below.  Every crossing has Re(-ap) <= -b |p|.
-    ``b`` is a number, giving (pole, time) arrays, or has shape (B, 1, 1),
-    giving (B, pole, time) arrays.
+    ``b`` is a number or a column (one b per pole of ``p``); either way the
+    arrays are (pole, time).
     """
     pr, pi_ = p.real[:, None], p.imag[:, None]
     im = t * pr - b * pi_ + 0.0   # + 0.0: never -0.0, which would flip the cut
@@ -492,11 +492,11 @@ def _pole_sum(coeff, values):
                          + coeff[..., 1, None] * values[..., 1, :])
 
 
-def _coth_bracket(b, t, p, z_minus, z_plus, cross):
+def _coth_bracket(b, t, p):
     """I(b, p) - I(b - it, p)/2 - I(b + it, p)/2 less its p -> 0 limit.
 
-    One row per (b, p) pair of the 1-d arrays ``b`` and ``p``, with the rays
-    of ``_rays`` for those pairs.  That is phi(z0) - phi(z0 + itp)/2 -
+    One row per (b, p) pair of the 1-d arrays ``b`` and ``p`` (``_rays``
+    for each pair).  That is phi(z0) - phi(z0 + itp)/2 -
     phi(z0 - itp)/2 - pi i expm1(z0 + itp) [crossing], z0 = -bp.  Where
     t <= b/4 the step is short against z0 and the difference would cancel
     like (t/b)^2, so it is summed from the Taylor series -sum_k (itp)^(2k) /
@@ -507,6 +507,7 @@ def _coth_bracket(b, t, p, z_minus, z_plus, cross):
     (1/4)^28 < 1e-16.  The series continues phi across the cut, which is
     what the crossing term does, so it takes no such term.
     """
+    z_minus, z_plus, cross = _rays(b[:, None], t, p)
     z0 = (-b * p)[:, None]
     phi0 = _phi(z0)
     out = np.empty(z_minus.shape, dtype=complex)
@@ -544,24 +545,25 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
     nothing cancels as b |p| and t |p| go to zero.  Once b |p_k| >= 40, the
     pole term and its polynomial part cancel instead (catastrophically for
     large r), and that pole's term is summed from its asymptotic series
-    -sum_{m >= max(r, 0)} p_k^(r-m-1) int w^m ..., up to its smallest term,
+    -sum_{i >= max(r, 0)} p_k^(r-1-i) int w^i ..., up to its smallest term,
     plus the residue of the crossing ray.  The weight beta^j of the
     Euler-Maclaurin terms is folded into each term as (beta/b)^j
     b^(j-i-1) in place of b^-(i+1), which stays inside the float range for
     any beta.
 
-    All rows are one array pass: the rays and brackets are taken once per
-    distinct b, which poles are near is a (row, pole) mask, and the
-    asymptotic series runs over its index m, each row summing from its own
-    first term to its own stop through an active mask.  A row adds its
-    terms in the same order whatever the other rows are, so its values do
-    not depend on them.
+    All rows are one array pass in two steps.  Each distinct b has one
+    (pole, time) array of pole parts, a near pole's bracket or a far pole's
+    crossing residue -pi i e^(-ap) (0 where its ray does not cross), and
+    each row is one pole sum of them, with coefficients c_k p_k^s
+    (beta p_k)^j.  Then one loop over the power i of int w^i ..., from -2,
+    adds a row's near poles' moment share below max(r, 0) and its far
+    poles' asymptotic series from there to the row's own stop.  A row's
+    terms come in the same order whatever the other rows are.
     """
     # the row weights are powers of numpy scalars: beyond the float range
     # they are inf, not an error, and they round as libm pow, which an
     # array np.power does not always do
     beta = np.float64(beta)
-    b = np.asarray(b, dtype=float)
     rows_b, rows_j = list(b), [int(j) for j in lifts]
     weight = [(beta / x) ** j for x, j in zip(rows_b, rows_j)]
     bs, at = np.unique(b, return_inverse=True)   # distinct b, and each row's
@@ -576,11 +578,8 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
         scale = [weight[k] * rows_b[k] ** (rows_j[k] - i - 1) for k in rows]
         ids = at[rows].tolist()
         which = list(dict.fromkeys(ids))
-        if i == -2:
-            shape = u[which] * a[which] - l[which]
-        else:
-            shape = math.gamma(i + 2) * _re_p(float(i + 1),
-                                              (l[which], a[which]))
+        shape = (u[which] * a[which] - l[which] if i == -2 else
+                 math.gamma(i + 2) * _re_p(float(i + 1), (l[which], a[which])))
         if len(which) < len(ids):
             shape = shape[[which.index(x) for x in ids]]
         return np.array(scale)[:, None] * shape
@@ -599,94 +598,54 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
         return moments[poles, m]
 
     near_b = bs[:, None] * parts.modulus < _ASYMPTOTIC_SWITCH  # (b, pole)
+    pair_b, pair_p = np.broadcast_arrays(bs[:, None], parts.p)
+    part = np.zeros(near_b.shape + t.shape, dtype=complex)
+    part[near_b] = _coth_bracket(pair_b[near_b], t, pair_p[near_b])
+    z, cross = _crossing_ray(pair_b[~near_b][:, None], t, pair_p[~near_b])
+    part[~near_b] = -1j * np.pi * np.exp(z, out=np.zeros_like(z), where=cross)
+    # a far pole's (beta p)^j may overflow where its residue underflows
+    # (Re(-ap) <= -b |p|): such a pole adds 0
+    coeff = {j: parts.coeff(s) * (beta * parts.p) ** j for j in set(rows_j)}
+    coeff = np.array([coeff[j] for j in rows_j])
+    total = _pole_sum(np.where(np.isfinite(coeff), coeff, 0.0), part[at])
+
+    # the coefficient of int w^i ... in a row with these near and far poles:
+    # below max(r, 0) the near poles' moment share (tau_0 at m = -1) where it
+    # does not cancel: below m = 3 the total is zero, so minus the far
+    # poles' part; above, the exact moment if every pole is near, else the
+    # near poles' own; with no near pole only tau_0 / w^-r.  Then the series.
+    def coefficient(poles, far, r, i):
+        if i >= max(r, 0):
+            return -moment(far, r - 1 - i)
+        m = r if i == -1 else r - 1 - i
+        if i == -2 or not any(poles):
+            return parts.tau0 if m == -1 else 0.0
+        if m < 3:
+            return -moment(far, m)
+        return parts.moment(m) if all(poles) else moment(poles, m)
+
     near = near_b[at]                                  # (row, pole)
-    lift_set = set(rows_j)
-    total = np.zeros((b.size, t.size))
-    rows = np.flatnonzero(near.any(axis=1))
-    if rows.size:
-        # the near poles' brackets, for the b that have a near pole
-        nb = np.flatnonzero(near_b.any(axis=1))
-        pairs = near_b[nb]
-        z_minus, z_plus, cross = (
-            z[pairs] for z in _rays(bs[nb][:, None, None], t, parts.p))
-        bracket = np.zeros(pairs.shape + t.shape, dtype=complex)
-        bracket[pairs] = _coth_bracket(
-            np.broadcast_to(bs[nb][:, None], pairs.shape)[pairs], t,
-            np.broadcast_to(parts.p, pairs.shape)[pairs],
-            z_minus, z_plus, cross)
-        coeff = {j: parts.c * parts.p ** s * (beta * parts.p) ** j
-                 for j in lift_set}
-        cn = np.where(near[rows], [coeff[rows_j[k]] for k in rows], 0.0)
-        total[rows] = _pole_sum(cn, bracket[np.searchsorted(nb, at[rows])])
-
-    # the near poles' share of each moment (with tau_0 at m = -1), taken
-    # where it does not cancel: below m = 3 the total is zero, so minus the
-    # far poles' part; above, the exact moment when every pole is near,
-    # else the near poles' own sum.  With no near pole only tau_0 / w is
-    # left.  A row adds its shares in the order of i, from -2.
-    shares = []
-    for k, j in enumerate(rows_j):
-        r, poles = s + j, tuple(near[k].tolist())
-        row = {-2: parts.tau0} if r == -2 else {}
-        for i in range(-1, max(r, 0) if any(poles) or r == -1 else -1):
-            m = r - 1 - i if i >= 0 else r
-            if not any(poles):
-                row[i] = parts.tau0
-            elif m < 3:
-                row[i] = -moment(tuple(not x for x in poles), m)
-            elif all(poles):
-                row[i] = parts.moment(m)
-            else:
-                row[i] = moment(poles, m)
-        shares.append(row)
-    top = max((i for row in shares for i in row), default=-3)
-    for i in range(-2, top + 1):
-        rows = [k for k, row in enumerate(shares) if row.get(i)]
+    keys = [(tuple(o), tuple(not x for x in o), s + j)
+            for o, j in zip(near.tolist(), rows_j)]
+    group = [keys.index(key) for key in keys]   # first row of equal key
+    first = np.maximum(s + np.array(rows_j), 0)        # a row's first series i
+    # the series terms fall by (i + 1) / (b |p|) for its nearest far pole
+    x = b * np.min(np.where(near, np.inf, parts.modulus), axis=1)
+    size = np.ones(b.size)   # |term i| / |first term|
+    live = ~near.all(axis=1)
+    i, top = -2, int(first.max())
+    while i < top or live.any():
+        series = live & (first <= i)
+        on = np.flatnonzero((i < first) | series).tolist()
+        c = {g: coefficient(*keys[g], i) for g in {group[k] for k in on}}
+        rows = [k for k in on if c[group[k]]]
         if rows:
-            share = np.array([shares[k][i] for k in rows])[:, None]
-            total[rows] = total[rows] + share * term(i, rows)
-
-    far = np.flatnonzero(~near.all(axis=1))
-    if far.size:
-        off = ~near[far]
-        fb = np.flatnonzero(~near_b.all(axis=1))
-        z_minus, cross = _crossing_ray(bs[fb][:, None, None], t, parts.p)
-        slot = np.searchsorted(fb, at[far])
-        hit = cross[slot] & off[:, :, None]
-        # p^s (beta p)^j goes into the exponent: it may overflow where the
-        # residue underflows
-        shift = {j: s * np.log(parts.p) + j * np.log(beta * parts.p)
-                 for j in lift_set}
-        shifts = np.array([shift[rows_j[k]] for k in far])[:, :, None]
-        residue = np.zeros(hit.shape, dtype=complex)
-        residue[hit] = -0.5 * (2j * np.pi * np.exp(
-            z_minus[slot][hit] + np.broadcast_to(shifts, hit.shape)[hit]))
-        total[far] = total[far] + _pole_sum(np.where(off, parts.c, 0.0),
-                                            residue)
-        # the asymptotic series, over its index m; a row's coefficients
-        # depend on its far poles and r only
-        x = bs[at[far]] * np.min(np.where(off, parts.modulus, np.inf), axis=1)
-        keys = [(tuple(o), s + rows_j[k])
-                for o, k in zip(off.tolist(), far.tolist())]
-        groups = list(dict.fromkeys(keys))
-        group = np.array([groups.index(key) for key in keys])
-        first = np.maximum([r for _, r in groups], 0)[group]
-        size = np.ones(far.size)   # |term m| / |first term|
-        live = np.ones(far.size, dtype=bool)
-        m = int(first.min())
-        while live.any():
-            on = np.flatnonzero(live & (first <= m))
-            coeffs = np.array([moment(poles, r - m - 1)
-                               for poles, r in groups])[group[on]]
-            add = coeffs != 0.0
-            rows = far[on[add]]
-            if rows.size:
-                total[rows] = total[rows] \
-                    - coeffs[add][:, None] * term(m, rows)
-            ratio = (m + 1) / x[on]
-            size[on] *= ratio
-            live[on] = ~((ratio >= 1.0) | (size[on] < 1e-17))
-            m += 1
+            total[rows] = total[rows] + np.array(
+                [c[group[k]] for k in rows])[:, None] * term(i, rows)
+        ratio = (i + 1) / x[series]
+        size[series] *= ratio
+        live[series] = ~((ratio >= 1.0) | (size[series] < 1e-17))
+        i += 1
     return total
 
 
@@ -695,9 +654,10 @@ def _lorentz_n0_delta(parts: _LorentzParts, t, z, minus_z, bracket):
     K = 1 - gamma_E - ln t.
 
     Z is -t K sum_k c_k / p_k, so it folds into the brackets as -t p_k K.
-    For a pole with |z| < 1 (short times, or the small overdamped pole)
-    the folded bracket is O(z^2) while each of its terms is O(z log z); it
-    is then summed from its series T / 2i,
+    For a pole with |z| = t |p| < 1 (short times, or the small overdamped
+    pole; |p| from ``parts.modulus``, so that rounding cannot pick the form)
+    the folded bracket is O(z^2), each of its terms O(z log z); it is then
+    summed from its series T / 2i,
 
         T = 2 sum_{n odd >= 3} (H_n - gamma_E - log(-z)) z^n / n!
             + i pi sum_{n >= 2} z^n / n!,
@@ -706,7 +666,7 @@ def _lorentz_n0_delta(parts: _LorentzParts, t, z, minus_z, bracket):
     other poles keep their bracket and their share -t K c_k / p_k of Z,
     which is Z itself where no pole is near.
     """
-    near = np.abs(z) < 1.0
+    near = t * parts.modulus[:, None] < 1.0
     k = 1.0 - _EULER_GAMMA - np.log(t)
     if near.any():
         zs, log_mz = z[near], np.log(minus_z[near])

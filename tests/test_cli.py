@@ -373,13 +373,17 @@ class TestPresetCommands:
         assert code == 2
 
 
-def run_fresh(*argv):
+def fresh_env():
+    src = os.path.dirname(os.path.dirname(spinbath.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def run_fresh(*argv, timeout=120):
     """The CLI in a fresh interpreter, so any numpy warning would reach real
     stderr."""
-    src = os.path.dirname(os.path.dirname(spinbath.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "spinbath.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(),
+                          timeout=timeout)
 
 
 class TestErrorClasses:
@@ -409,6 +413,51 @@ class TestErrorClasses:
         code, out, err = invoke(capsys, "run", "--preset", "fig1_lambda1",
                                 "--set", override)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--set", "beta=(-8)**(1/3)"),
+        ("sweep", "--field", "beta", "--values", "1,(-8)**0.5"),
+        ("run", "--set", "beta=9**9**9"),
+        ("sweep", "--field", "h", "--values", "9**9**9")])
+    def test_arithmetic_without_a_real_value_is_config_error(self, argv):
+        # a power with a complex value, and an integer power with no bound
+        # on its size (9**9**9 ran for more than 10 s), end with one message
+        # and exit 2, within the timeout
+        proc = run_fresh(*argv[:1], "--preset", "fig1_lambda1", *argv[1:],
+                         timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("spinbath: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_arithmetic_values_parse_as_before(self):
+        for text, value in [("pi/8", math.pi / 8), ("2*pi", 2 * math.pi),
+                            ("1e3", 1000.0), ("2**10", 1024.0),
+                            ("2**-1", 0.5), ("(-2)**3", -8.0),
+                            ("4**0.5", 2.0), ("2**2000/2**1990", 1024.0),
+                            ("(-1)**100000001", -1.0)]:
+            parsed = configio.parse_value(text)
+            assert parsed == value and type(parsed) is type(value), text
+        # no real value, or an integer power past 2^16384: kept as a bare
+        # string, which no numeric field takes (9**9**9 is left to the
+        # subprocess test above, where a timeout can stop it)
+        for text in ("(-8)**(1/3)", "(-8)**0.5", "2**20000"):
+            assert configio.parse_value(text) == text
+
+    def test_closed_stdout_is_io_error(self):
+        # the reader leaves after the first line, while the run still has
+        # about 2 MB to write: exit 4 and one line on stderr, no traceback
+        # and no complaint when the interpreter flushes stdout at exit
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spinbath.cli", "run", "--preset",
+             "fig7_single_lambda0p01", "--set", "grid.n_points=20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.communicate(timeout=120)[1].decode()
+        assert proc.returncode == 4
+        assert first.startswith(b"# spinbath")
+        assert err.startswith("spinbath: ") and len(err.splitlines()) == 1
 
     def test_non_numeric_time_is_config_error(self, capsys):
         for t in ("soon", "-1", "nan", "inf", "-inf"):

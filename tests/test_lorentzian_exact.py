@@ -323,6 +323,58 @@ def test_batched_rows_match_rows_alone(regime, q, beta, n):
         assert _bits(rows[k]) == _bits(alone[k]), k
 
 
+def mp_row(q, n, beta, b, j, t, dps=30):
+    """beta^j S(n - 2 + j, b) by mpmath quadrature, in units of omega_c.
+
+    S(r, b) = int_0^inf w^r / D e^(-bw) (1 - cos wt) dw with
+    D = (w^2 - 1)^2 + q^2 w^2.  In x = bw it is b^-(r+1) int x^r e^(-x)
+    2 sin^2(xt / 2b) / D(x/b) dx, split at the resonance and at x = k,
+    that is w = k/b, for k = 1, 2, 4, ..., 64, where x^r e^(-x) lives.
+    Its integrand stays far above the quadrature's absolute error floor
+    even where the row is tiny: taken in w, the j = 11 row at b = 1600
+    (about 1e-16, with an integrand of about 1e-35) came out 6% off.
+    """
+    with mpmath.workdps(dps):
+        q, b, t = (mpmath.mpf(v) for v in (q, b, t))
+        r = n - 2 + j
+
+        def f(x):
+            w = x / b
+            return x ** r * mpmath.exp(-x) * 2 * mpmath.sin(w * t / 2) ** 2 \
+                / ((w * w - 1) ** 2 + q * q * w * w)
+
+        pts = {mpmath.mpf(0), mpmath.inf, *(mpmath.mpf(2) ** k
+                                            for k in range(7))}
+        if q < 2:
+            pts.add(b)
+        else:
+            kappa = mpmath.sqrt(q * q / 4 - 1)
+            pts.update((b * (q / 2 - kappa), b * (q / 2 + kappa)))
+        return mpmath.mpf(beta) ** j * b ** -(r + 1) * mpmath.quad(
+            f, sorted(pts))
+
+
+#: the columns of _COTH_ROWS checked against ``mp_row``: m = 1, 2 and 31,
+#: then at m = 32 the Euler-Maclaurin integral, edge and j = 11 rows
+REFERENCE_ROWS = [0, 1, 30, 31, 32, 38]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("regime,q,beta", ROW_REGIMES)
+def test_rows_match_mpmath(regime, q, beta, n):
+    # each row against a 30-digit quadrature at a short and a long time
+    # (both bracket forms, and residues of crossing rays); the worst row
+    # when this bound was set was 5.6e-14 (mixed, n = 1, m = 2, t = 3)
+    parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q), 1.0)
+    m, lifts = _COTH_ROWS[:, REFERENCE_ROWS]
+    b, t = m * beta, np.array([0.2, 3.0])
+    rows = _lorentz_laplace(parts, b, lifts, t, n - 2, beta)
+    for k, i in np.ndindex(rows.shape):
+        ref = float(mp_row(q, n, beta, b[k], int(lifts[k]), t[i]))
+        assert abs(rows[k, i] - ref) <= 1e-13 * abs(ref), (b[k], lifts[k],
+                                                          t[i])
+
+
 @pytest.mark.parametrize("n,per_block", [(0, 0), (1, 1), (2, 1)])
 def test_one_laplace_call_per_time_block(monkeypatch, n, per_block):
     calls = []
@@ -371,6 +423,26 @@ def test_row_forms_do_not_depend_on_rounding(monkeypatch, preset):
         factors(Lorentzian(bath.coupling, q, bath.omega_c, bath.n),
                 BathConditions(beta), 1.0)
         assert sorted(set(near_b)) == sorted(set(b[b < _ASYMPTOTIC_SWITCH]))
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 5.0])
+def test_n0_delta_forms_do_not_depend_on_rounding(monkeypatch, q):
+    # At omega_c t = 1 the underdamped poles have t |p| = 1 exactly, where
+    # the n = 0 Delta switches from a pole's series (t |p| < 1) to its
+    # bracket.  Cutting the series to its first term moves a value only
+    # where a series was summed: at t the brackets must hold for q and the
+    # floats next to it, just below t the series must.
+    def deltas(t):
+        return [factors(Lorentzian(1.0, x, OMEGA_C, 0), BathConditions(1.0),
+                        t).delta for x in qs]
+
+    qs = [math.nextafter(q, 0.0), q, math.nextafter(q, math.inf)]
+    t = 1.0 / OMEGA_C
+    assert OMEGA_C * t == 1.0
+    at, below = deltas(t), deltas(0.999 * t)
+    monkeypatch.setattr(spinbath.decoherence, "_N0_SERIES_TERMS", 3)
+    assert _bits(deltas(t)) == _bits(at)
+    assert all(x != y for x, y in zip(deltas(0.999 * t), below))
 
 
 def _distinct_lorentzian_grids():
