@@ -47,27 +47,23 @@ w^s / D = sum_k c_k p_k^s / (w - p_k), c_k = 1/D'(p_k), plus tau_0 / w^-s
 
 plus 2 pi i e^(-ap) when the ray -ap + aw crosses the negative real axis,
 with e^z E1(z) summed in numpy (``_phi``; Abramowitz & Stegun 5.1.11 and
-5.1.22, Amos, ACM TOMS 16, 178 (1990)).  The phase is one pole sum,
-
-    Delta = lam q/(4 pi) [sum_k c_k p_k^s ((I(-it, p_k) - I(it, p_k)) / 2i
-                                            + t p_k log(-p_k)) + Z],
-
-Z = 0, tau_0 pi/2, tau_0 t (1 - gamma_E - ln t) for n = 2, 1, 0 (the pole
-at the origin), and the dephasing exponent takes the coth series of the
-Ohmic one, gamma = lam q/(4 pi) [F(0) + 2 sum_{m>=1} F(m beta)] with
+5.1.22, Amos, ACM TOMS 16, 178 (1990)).  The phase is one pole sum per
+time, and the dephasing exponent takes the coth series of the Ohmic one,
+gamma = lam q/(4 pi) [F(0) + 2 sum_{m>=1} F(m beta)] with
 
     F(b) = sum_k c_k p_k^s [I(b, p_k) - I(b - it, p_k)/2 - I(b + it, p_k)/2]
-           + tau_0 log(1 + t^2/b^2) / 2    [n = 1],
+           + tau_0 log(1 + t^2/b^2) / 2    [n = 1];
 
-where F(0) takes -log(-p_k) for I(0, p_k) and tau_0 (gamma_E + ln t) for
-the last term; n = 0 leaves gamma divergent.  The Euler-Maclaurin tail
-needs F^(j)(b) = (-1)^j int w^j e^(-bw) J/w^2 (1 - cos wt) dw, pole sums of
-the same kind (``_lorentz_sums``).  Each pole's bracket is evaluated as its
-limit at p -> 0 plus terms in phi(z) = e^z E1(z) + gamma_E + log z, which
-vanishes at z = 0; the limits are summed over the poles exactly, so nothing
-cancels as t |p| or b |p| goes to zero (short times, strong overdamping).
-Once b |p| >= 40 a pole's term is summed from its asymptotic series in
-1/(bp) instead, where its polynomial part would cancel it.
+n = 0 leaves gamma divergent.  The Euler-Maclaurin tail needs
+F^(j)(b) = (-1)^j int w^j e^(-bw) J/w^2 (1 - cos wt) dw, pole sums of the
+same kind (``_lorentz_sums``).  For b > 0 each pole's bracket is its limit
+at p -> 0 plus terms in phi(z) = e^z E1(z) + gamma_E + log z, which
+vanishes at z = 0, and the limits are summed over the poles exactly; once
+b |p| >= 40 a pole's term comes from its asymptotic series in 1/(bp)
+instead, where its polynomial part would cancel it.  At b = 0 a pole with
+t |p| < 1 takes its power series in z = itp, its terms linear in z summed
+over the poles exactly (``_lorentz_origin``).  So nothing cancels as t |p|
+or b |p| goes to zero (short times, strong overdamping).
 
 Both families sum the coth series alike (``_coth_series``): its first 31
 terms directly, the rest by Euler-Maclaurin at m = 32, each term and each
@@ -126,8 +122,9 @@ _E1_CF_DEPTH = 50
 #: Lorentzian coth-series term at b: a pole's asymptotic series once
 #: b |p| >= this
 _ASYMPTOTIC_SWITCH = 40.0
-#: n = 0 Delta: series terms z^n / n!, n < this, for a pole with t |p| < 1
-_N0_SERIES_TERMS = 24
+#: Lorentzian gamma head and Delta: series terms z^m / m!, m < this, for a
+#: pole with t |p| < 1
+_ORIGIN_SERIES_TERMS = 24
 #: |Omega^2| / w_c^2 below this squared is interpolated across critical damping
 _CRITICAL = 1e-4
 #: largest q / w_c evaluated (``_lorentz_scaled``)
@@ -146,13 +143,14 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class BathConditions:
-    """Thermal state of the bath; beta = 1/T in natural units."""
+    """Thermal state of the bath; beta = 1/T (a float) in natural units."""
 
     beta: float
 
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        object.__setattr__(self, "beta", float(self.beta))
 
 
 @dataclass(frozen=True)
@@ -649,79 +647,77 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
     return total
 
 
-def _lorentz_n0_delta(parts: _LorentzParts, t, z, minus_z, bracket):
-    """S_Delta for n = 0: the pole sum of ``bracket`` plus Z = tau_0 t K,
-    K = 1 - gamma_E - ln t.
+def _lorentz_origin(parts: _LorentzParts, s: int, t):
+    """(S(s, 0), S_Delta) for t > 0: the coth-series head and the phase.
 
-    Z is -t K sum_k c_k / p_k, so it folds into the brackets as -t p_k K.
-    For a pole with |z| = t |p| < 1 (short times, or the small overdamped
-    pole; |p| from ``parts.modulus``, so that rounding cannot pick the form)
-    the folded bracket is O(z^2), each of its terms O(z log z); it is then
-    summed from its series T / 2i,
+    With z = itp for the upper poles p of ``parts`` and K = 1 - gamma_E - ln t,
 
-        T = 2 sum_{n odd >= 3} (H_n - gamma_E - log(-z)) z^n / n!
-            + i pi sum_{n >= 2} z^n / n!,
+        S(s, 0) = sum_k c_k p_k^s [-log(-p_k) - I(-it, p_k)/2 - I(it, p_k)/2]
+                  + tau_0 (gamma_E + ln t) [n = 1],
+        S_Delta = sum_k c_k p_k^s [(I(-it, p_k) - I(it, p_k)) / 2i
+                                   + t p_k log(-p_k)]  + Z,
 
-    from e^z Ein(z) = sum_n H_n z^n / n! (H_n the harmonic numbers).  The
-    other poles keep their bracket and their share -t K c_k / p_k of Z,
-    which is Z itself where no pole is near.
+    Z = 0, tau_0 pi/2, tau_0 t K for n = 2, 1, 0 (the -wt part and the pole
+    at zero).  The brackets are gamma_E + ln t - G/2 and pi/2 + D/2i, whose
+    constants cancel the tau_0 terms but tau_0 t K.  With S_m = (H_m -
+    gamma_E - log(-z)) z^m / m! (e^z Ein(z) = sum_m H_m z^m / m!) and
+    E = i pi sum_{m>=2} z^m / m!,
+
+        G = phi(z) + phi(-z) + 2 pi i expm1(z) [crossing]
+          = i pi z + E + 2 sum_{m even >= 2} S_m,
+        D = phi(z) - phi(-z) + 2 pi i expm1(z) [crossing] + 2 z log(-p)
+          = 2 z K + E + 2 sum_{m odd >= 3} S_m.
+
+    The shares i pi z and 2 z K sum over the poles to multiples of
+    sum_k c_k p_k^(s+1), 0 for n = 1, 2 and -tau_0 for n = 0 (against
+    tau_0 t K).  A pole with t |p| < 1 (|p| from ``parts.modulus``, so that
+    rounding cannot pick the form) drops them and takes the series, where
+    its phi terms would cancel; the others keep phi and give theirs back,
+    -pi t/2 and -t K times their sum of c_k p_k^(s+1), or Z where no pole
+    is near.
     """
+    z, minus_z, cross = _rays(0.0, t, parts.p)
+    phi_z, phi_minus_z = _phi(z), _phi(minus_z)
+    growth = 2j * np.pi * np.expm1(z) * cross
+    head = -0.5 * (phi_z + phi_minus_z + growth)
+    phase = (phi_z - phi_minus_z + growth
+             + 2.0 * z * np.log(-parts.p)[:, None]) / 2j
     near = t * parts.modulus[:, None] < 1.0
     k = 1.0 - _EULER_GAMMA - np.log(t)
     if near.any():
         zs, log_mz = z[near], np.log(minus_z[near])
-        power = 0.5 * zs * zs
-        total = 1j * np.pi * power
-        harmonic = 1.5
-        for m in range(3, _N0_SERIES_TERMS):
+        power, harmonic, sums = zs, 1.0, [0.0, 0.0]   # G, D less the shares
+        for m in range(2, _ORIGIN_SERIES_TERMS):
             power = power * zs / m
             harmonic += 1.0 / m
-            total = total + 1j * np.pi * power
-            if m % 2:
-                total = total + 2.0 * (harmonic - _EULER_GAMMA - log_mz) * power
-        bracket[near] = total / 2j
-    zero = np.where(near.any(axis=0),
-                    -t * k * _pole_sum(parts.coeff(-1), ~near),
-                    parts.tau0 * t * k)
-    return _pole_sum(parts.coeff(-2), bracket) + zero
+            sums = [x + 1j * np.pi * power for x in sums]
+            sums[m % 2] = sums[m % 2] \
+                + 2.0 * (harmonic - _EULER_GAMMA - log_mz) * power
+        head[near], phase[near] = -0.5 * sums[0], sums[1] / 2j
+    some = near.any(axis=0)
+    far = _pole_sum(parts.coeff(s + 1), ~near)
+    origin = parts.tau0 * t * k if s == -2 else 0.0
+    return (_pole_sum(parts.coeff(s), head)
+            + np.where(some, -0.5 * np.pi * t * far, 0.0),
+            _pole_sum(parts.coeff(s), phase)
+            + np.where(some, -t * k * far, origin))
 
 
 def _lorentz_sums(parts: _LorentzParts, n: int, beta: float, t):
     """(S_gamma, S_Delta) for t > 0, with gamma and Delta = lam q/(4 pi) S.
 
-    With s = n - 2, the upper poles p of ``parts`` and z = itp,
-
-        S_Delta = sum_k c_k p_k^s [(I(-it, p_k) - I(it, p_k)) / 2i
-                                   + t p_k log(-p_k)]  + Z,
-
-    Z = 0, tau_0 pi/2, tau_0 t (1 - gamma_E - ln t) for n = 2, 1, 0: the
-    -wt part and the pole at zero, whose divergent logs cancel.  Each
-    bracket is pi/2 plus [phi(z) - phi(-z) + 2 pi i expm1(z) [crossing]
-    + 2 z log(-p)] / 2i, and the pi/2 terms cancel Z for n = 1, 2.  The coth
-    series gives S_gamma = S(s, 0) + 2 sum_{m>=1} S(s, m beta) with S from
-    ``_lorentz_laplace`` and
-
-        S(s, 0) = sum_k c_k p_k^s [-log(-p_k) - I(-it, p_k)/2 - I(it, p_k)/2]
-                  + tau_0 (gamma_E + ln t) [n = 1],
-
-    each bracket gamma_E + ln t - [phi(z) + phi(-z)] / 2 - pi i expm1(z)
-    [crossing], whose first terms cancel the rest.  As for ``ohmic_gamma``,
-    ``_coth_series`` sums the rows (m, j) of ``_COTH_ROWS``, here
-    beta^j S(s + j, m beta): the direct terms, then at B = _COTH_DIRECT beta
-    the integral and odd derivatives in m, S(s - 1, B) / beta and
-    -beta^j S(s + j, B).  All of them are rows of one ``_lorentz_laplace``
-    call.  n = 0 leaves S_gamma as None.
+    With s = n - 2, S_Delta and the head of S_gamma = S(s, 0) +
+    2 sum_{m>=1} S(s, m beta) come from ``_lorentz_origin``, the rest from
+    one ``_lorentz_laplace`` call: as for ``ohmic_gamma``, ``_coth_series``
+    sums the rows (m, j) of ``_COTH_ROWS``, here beta^j S(s + j, m beta), the
+    direct terms, then at B = _COTH_DIRECT beta the integral and odd
+    derivatives in m, S(s - 1, B) / beta and -beta^j S(s + j, B).  n = 0
+    leaves S_gamma as None.
     """
     s = n - 2
-    z, minus_z, cross = _rays(0.0, t, parts.p)
-    phi_z, phi_minus_z = _phi(z), _phi(minus_z)
-    growth = 2j * np.pi * np.expm1(z) * cross
-    bracket = (phi_z - phi_minus_z + growth
-               + 2.0 * z * np.log(-parts.p)[:, None]) / 2j
+    head, delta = _lorentz_origin(parts, s, t)
     if n == 0:
-        return None, _lorentz_n0_delta(parts, t, z, minus_z, bracket)
-    delta = _pole_sum(parts.coeff(s), bracket)
-    head = _pole_sum(parts.coeff(s), -0.5 * (phi_z + phi_minus_z + growth))
+        return None, delta
     m, lift = _COTH_ROWS
     rows = _lorentz_laplace(parts, m * beta, lift, t, s, beta)
     return _coth_series(head, rows), delta

@@ -46,7 +46,7 @@ class SingleMode:
     omega_c: float
 
     def __post_init__(self):
-        _require_positive(coupling=self.coupling, omega_c=self.omega_c)
+        _positive_floats(self, "coupling", "omega_c")
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class Ohmic:
     omega_c: float
 
     def __post_init__(self):
-        _require_positive(coupling=self.coupling, s=self.s, omega_c=self.omega_c)
+        _positive_floats(self, "coupling", "s", "omega_c")
 
 
 @dataclass(frozen=True)
@@ -71,18 +71,22 @@ class Lorentzian:
     n: int
 
     def __post_init__(self):
-        _require_positive(coupling=self.coupling, q=self.q, omega_c=self.omega_c)
+        _positive_floats(self, "coupling", "q", "omega_c")
         if self.n not in (0, 1, 2):
             raise ValueError(f"Lorentzian power n must be 0, 1 or 2, got {self.n}")
+        object.__setattr__(self, "n", int(self.n))
 
 
 SpectralDensity = Union[SingleMode, Ohmic, Lorentzian]
 
 
-def _require_positive(**fields):
-    for name, value in fields.items():
+def _positive_floats(bath, *names):
+    # builtin floats: numpy raises no int (omega_c beta) to a negative power
+    for name in names:
+        value = getattr(bath, name)
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+        object.__setattr__(bath, name, float(value))
 
 
 def evaluate(j: SpectralDensity, omega):

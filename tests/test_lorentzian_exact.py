@@ -440,7 +440,7 @@ def test_n0_delta_forms_do_not_depend_on_rounding(monkeypatch, q):
     t = 1.0 / OMEGA_C
     assert OMEGA_C * t == 1.0
     at, below = deltas(t), deltas(0.999 * t)
-    monkeypatch.setattr(spinbath.decoherence, "_N0_SERIES_TERMS", 3)
+    monkeypatch.setattr(spinbath.decoherence, "_ORIGIN_SERIES_TERMS", 3)
     assert _bits(deltas(t)) == _bits(at)
     assert all(x != y for x, y in zip(deltas(0.999 * t), below))
 

@@ -6,6 +6,11 @@ former quadrature, and ``factors`` now sums its exact partial-fraction
 form there.  The reference below is a 30-digit ``mpmath.quad`` of the
 defining integrals that shares no code with the program.  Both are held to
 the program's stated tolerance, 1e-8 relative with a 1e-12 absolute floor.
+
+A second set of draws runs from omega_c t = 1e-7 to 1e-2, where both
+factors are far below that floor: there they are held to 1e-8 relative
+with no floor, against the same quadrature at 50 digits (``mp_short_time``,
+checked against 70).
 """
 
 import math
@@ -21,15 +26,15 @@ mpmath = pytest.importorskip("mpmath")
 OMEGA_C = 20.0
 
 
-def mp_factors(coupling, q, omega_c, n, beta, t, dps=30):
+def mp_factors(coupling, q, omega_c, n, beta, t, dps=30, a=None):
     """(gamma, Delta) from their defining integrals, with mpmath.quad.
 
     gamma = 1/4 int J(w) (1 - cos(w t)) / w^2 coth(beta w / 2) dw and
     Delta = 1/4 int J(w) (sin(w t) - w t) / w^2 dw, with
     J(w) = coupling/pi q w^n / ((w^2 - omega_c^2)^2 + q^2 w^2).  Up to
-    a = 8 omega_c + 16 q the range is split at the resonance and its
-    widths.  Beyond a, the smooth part of each kernel is integrated on the
-    real axis, and the oscillating part env(w) e^(iwt) along w = a + iy,
+    a (by default 8 omega_c + 16 q) the range is split at the resonance and
+    its widths.  Beyond a, the smooth part of each kernel is integrated on
+    the real axis, and the oscillating part env(w) e^(iwt) along w = a + iy,
     where it decays like e^(-yt): no pole of J or of coth lies in
     Re w > a.
     """
@@ -53,7 +58,7 @@ def mp_factors(coupling, q, omega_c, n, beta, t, dps=30):
                 lambda y: env(a + 1j * y) * mpmath.exp(-y * t),
                 [0, mpmath.inf])
 
-        a = 8 * wc + 16 * q
+        a = 8 * wc + 16 * q if a is None else mpmath.mpf(a)
         pts = {mpmath.mpf(0), wc, a}
         for k in (0.5, 1, 2, 4, 8, 16):
             pts.update(p for p in (wc - k * q, wc + k * q) if p > 0)
@@ -112,3 +117,57 @@ def test_reference_agrees_with_itself():
         for x, y in zip(lo, hi):
             if mpmath.isfinite(y):
                 assert abs(x - y) <= 1e-20 * abs(y)
+
+
+def mp_short_time(q, beta, t, n, dps):
+    """``mp_factors`` at omega_c = 1 for omega_c t << 1.
+
+    The tails start at a = max(8 + 16 q, 200 / beta), where
+    coth(beta w / 2) is 1 to e^-200 along w = a + iy.  From the default a
+    on a hot bath coth oscillates along that line with period 2 pi / beta,
+    and mpmath.quad misses gamma (by 82% at beta = 0.5, t = 1e-6).  Both
+    kernels cancel like (wt)^2 where the bath lives, so the working
+    precision must exceed 30 digits by the digits that costs.
+    """
+    return mp_factors(1.0, q, 1.0, n, beta, t, dps,
+                      a=max(8.0 + 16.0 * q, 200.0 / beta))
+
+
+def _short_draws():
+    # n = 0, 1, 2, under- and overdamped (|q / w_c - 2| >= 0.1), w_c t in
+    # [1e-7, 1e-2], beta w_c in [0.1, 10]; w_c = 1
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for n in (0, 1, 2):
+        for lo, hi in ((0.01, 1.9), (2.1, 100.0), (0.01, 1.9), (2.1, 100.0)):
+            q = float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+            t = float(10.0 ** rng.uniform(-7.0, -2.0))
+            beta = float(10.0 ** rng.uniform(-1.0, 1.0))
+            cases.append((n, q, beta, t))
+    return cases
+
+
+SHORT_DPS = 50
+
+
+@pytest.mark.parametrize("n,q,beta,t", _short_draws())
+def test_short_times_match_mpmath(n, q, beta, t):
+    # the program's tolerance, 1e-8 relative, with no absolute floor
+    df = factors(Lorentzian(1.0, q, 1.0, n), BathConditions(beta), t)
+    ref_g, ref_d = mp_short_time(q, beta, t, n, SHORT_DPS)
+    assert abs(df.delta - float(ref_d)) <= 1e-8 * abs(float(ref_d))
+    if n:
+        assert abs(df.gamma - float(ref_g)) <= 1e-8 * float(ref_g)
+
+
+def test_short_time_reference_agrees_with_itself():
+    # the shortest time of each n at 50 and 70 digits
+    draws = _short_draws()
+    for n in (0, 1, 2):
+        _, q, beta, t = min((x for x in draws if x[0] == n),
+                            key=lambda x: x[3])
+        lo = mp_short_time(q, beta, t, n, SHORT_DPS)
+        hi = mp_short_time(q, beta, t, n, 70)
+        for x, y in zip(lo, hi):
+            if mpmath.isfinite(y):
+                assert abs(x - y) <= 1e-12 * abs(y)
