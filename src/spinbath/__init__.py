@@ -17,7 +17,6 @@ from .spectral import (  # noqa: E402
     Ohmic,
     SingleMode,
     evaluate,
-    ir_exponent,
 )
 from .decoherence import (  # noqa: E402
     BathConditions,
@@ -64,7 +63,7 @@ from .errors import (  # noqa: E402
 __all__ = [
     "__version__",
     # spectral densities
-    "SingleMode", "Ohmic", "Lorentzian", "evaluate", "ir_exponent",
+    "SingleMode", "Ohmic", "Lorentzian", "evaluate",
     # decoherence factors
     "BathConditions", "DecoherenceFactors", "factors",
     # dynamics
@@ -81,16 +80,3 @@ __all__ = [
     "SpinBathError", "NotPointwise", "InvalidTime", "QuadratureFailure",
     "InvalidState", "EigenNonConvergence", "ConfigError", "ComputeError",
 ]
-
-#: the quadrature engine's public names, loaded on first attribute access so
-#: that neither ``import spinbath`` nor ``from spinbath import *`` imports
-#: ``spinbath.quadrature``; hence they are not in ``__all__``
-_LAZY = ("IntegrationRequest", "IntegrationResult",
-         "integrate_on_interval", "integrate_semi_infinite")
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from . import quadrature
-        return getattr(quadrature, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

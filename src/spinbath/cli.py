@@ -12,17 +12,20 @@ state-dump   emit the evolved two-spin state at one time as JSON
 Exit codes: 0 success, 2 configuration or usage error, 3 compute error,
 4 I/O error.  Data goes to stdout (or --output), diagnostics to stderr.  An
 output is computed in full before its file is opened, so an error leaves no
-partial file; CSV rows are then streamed.  Numbers print with 17 significant
-digits and re-parse to identical values; a divergent dephasing exponent is
-``inf`` in CSV and the string ``"inf"`` in JSON, which never holds NaN.
+partial file; CSV rows are then streamed, and a file whose write fails is
+removed.  Numbers print with 17 significant digits and re-parse to identical
+values; a divergent dephasing exponent is ``inf`` in CSV and the string
+``"inf"`` in JSON, which never holds NaN.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -85,19 +88,26 @@ class _IoFailure(SpinBathError):
 
 
 def _emit(chunks, output: str | None) -> None:
-    """Write the strings of ``chunks`` to stdout or ``output`` as they come."""
+    """Write the strings of ``chunks`` to stdout or ``output`` as they come;
+    a regular file that a write fails on is removed."""
     where = "stdout" if output in (None, "-") else repr(output)
+    regular = False
     try:
         if where == "stdout":
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
         else:
             with open(output, "w", encoding="utf-8") as fh:
+                regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
                 fh.writelines(chunks)
     except OSError as exc:
         if where == "stdout":
             # the reader may have gone (| head): no second failure at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        elif regular:
+            # no partial file; a device such as /dev/null is left alone
+            with contextlib.suppress(OSError):
+                os.remove(output)
         raise _IoFailure(f"cannot write {where}: {exc}")
 
 
@@ -217,8 +227,8 @@ def _parse_sweep_values(args) -> list[float]:
             lo, hi, n = float(lo_s), float(hi_s), int(n_s)
         except ValueError as exc:
             raise ConfigError(f"--range expects lo:hi:n, got {args.range!r}") from exc
-        if n < 1:
-            raise ConfigError("--range needs n >= 1")
+        if not 1 <= n <= MAX_POINTS:
+            raise ConfigError(f"--range n must lie in [1, 1e7], got {n}")
         step = (hi - lo) / (n - 1) if n > 1 else 0.0
         values = [lo + k * step for k in range(n)]
     if not values:

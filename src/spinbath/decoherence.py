@@ -16,9 +16,8 @@ for both Lorentzian factors.
 A Lorentzian bath with n = 0 makes gamma infrared-divergent (J tends to a
 constant and the thermal weight contributes 1/w); that case is classified up
 front as instantaneous total dephasing.  The quadrature references of
-both factors, which only the tests use, live in ``spinbath.quadrature``;
-the old names kept importable here (``__getattr__``) load that module on
-first use.
+both factors, which only the tests use, live in ``spinbath.quadrature``,
+which no production module imports.
 
 Both Ohmic factors reduce, with x = w_c t and e = s - 1, to the function
 
@@ -138,7 +137,6 @@ _BLOCK = 4096
 class Method(enum.Enum):
     CLOSED_FORM = "closed_form"
     ANALYTIC_REDUCTION = "analytic_reduction"
-    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -162,13 +160,14 @@ class DecoherenceFactors:
     ``factors`` fills every field alike for every bath family: floats for
     one time, or arrays of the shape of a time array, ``gamma_divergent``
     then a bool array (an n = 0 Lorentzian bath diverges at every t > 0,
-    not at t = 0).
+    not at t = 0).  ``method`` names the kernel that ``factors`` ran; it
+    is None for a record built by hand.
     """
 
     gamma: float
     delta: float
     gamma_divergent: bool = False
-    method: Method = Method.QUADRATURE
+    method: Method | None = None
 
 
 def coth_half(beta: float, omega):
@@ -814,10 +813,10 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     return DecoherenceFactors(*fields, method)
 
 
-#: names of ``spinbath.quadrature`` still importable from here, loaded on
-#: first use so that the production path never imports that module
-_LAZY = ("integrate_on_interval", "integrate_semi_infinite",
-         "ohmic_delta_by_quadrature", "ohmic_delta_s2_closed_form")
+#: names of ``spinbath.quadrature`` still importable from here, for the
+#: benchmark tracer, which patches them; loaded on first use so that the
+#: production path never imports that module
+_LAZY = ("integrate_on_interval", "integrate_semi_infinite")
 
 
 def __getattr__(name):

@@ -162,8 +162,8 @@ def bloch_product_to_general(init: InitialProductState) -> GeneralInitialState:
 X_PROJECTED = GeneralInitialState((0.5, 0.5, 0.5, 0.5))
 
 
-def is_x_projected(init: GeneralInitialState, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(init.amplitudes() - 0.5)) <= tol)
+def is_x_projected(init: GeneralInitialState) -> bool:
+    return bool(np.max(np.abs(init.amplitudes() - 0.5)) <= 1e-12)
 
 
 def evolve(init: GeneralInitialState, df: DecoherenceFactors,

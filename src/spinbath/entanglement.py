@@ -54,7 +54,6 @@ ZERO_EIGENVALUE_TOL = 1e-13
 
 class NegativityMethod(enum.Enum):
     CLOSED_FORM = "closed_form"
-    APPENDIX_B = "appendix_b"
     NUMERIC_PT = "numeric_pt"
 
 

@@ -5,8 +5,9 @@ decoherence factors.
 quadrature; this module holds the references that the tests check it
 against, and no production path imports it.  It imports production code
 (the guarded kernels and the tolerances of ``decoherence``), never the
-reverse.  The old public names stay importable from ``spinbath`` and
-``spinbath.decoherence``, which load this module on first use.
+reverse.  Import its names from here: ``spinbath.decoherence`` keeps
+only ``integrate_on_interval`` and ``integrate_semi_infinite``, which the
+benchmark tracer patches there, and loads this module on first use.
 
 The engine integrates on [a, b] and [0, inf).  It is built for the bath
 integrals of the references: oscillatory integrands (frequency set by the

@@ -32,7 +32,6 @@ __all__ = [
     "Lorentzian",
     "SpectralDensity",
     "evaluate",
-    "ir_exponent",
     "to_config_dict",
     "from_config_dict",
 ]
@@ -112,20 +111,6 @@ def evaluate(j: SpectralDensity, omega):
     else:
         raise TypeError(f"unknown spectral density {type(j).__name__}")
     return out if out.ndim else float(out)
-
-
-def ir_exponent(j: SpectralDensity) -> float:
-    """Power p with J(omega) ~ C * omega**p as omega -> 0.
-
-    Under the thermal weight coth(beta*omega/2) ~ 2/(beta*omega) the
-    dephasing integral gains a 1/omega, so it diverges at the origin
-    exactly when p <= 0 (the n = 0 Lorentzian).
-    """
-    if isinstance(j, SingleMode):
-        raise NotPointwise("single-mode density has no low-frequency power law")
-    if isinstance(j, Ohmic):
-        return j.s
-    return float(j.n)
 
 
 _FAMILIES = {"single_mode": SingleMode, "ohmic": Ohmic, "lorentzian": Lorentzian}

@@ -15,8 +15,6 @@ from spinbath.decoherence import (
     BathConditions,
     DecoherenceFactors,
     factors,
-    ohmic_delta_by_quadrature,
-    ohmic_delta_s2_closed_form,
 )
 from spinbath.dynamics import (
     X_PROJECTED,
@@ -33,6 +31,10 @@ from spinbath.entanglement import (
     negativity_closed_form,
     negativity_from_spectrum,
     pt_spectra,
+)
+from spinbath.quadrature import (
+    ohmic_delta_by_quadrature,
+    ohmic_delta_s2_closed_form,
 )
 from spinbath.scenario import ScenarioConfig, builtin_presets, run
 from spinbath.spectral import Lorentzian, Ohmic, SingleMode

@@ -1,14 +1,18 @@
 import json
 import math
 import os
+import resource
+import signal
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spinbath
 import spinbath.cli
+import spinbath.scenario
 from spinbath import configio
 from spinbath.cli import main
 
@@ -113,6 +117,41 @@ class TestRunCommand:
                                        "negativity_ideal", "purity"}
         assert obj["version"]
 
+    def test_json_states_only_when_asked(self, capsys):
+        argv = ("run", "--preset", "fig1_lambda1", "--set", "grid.n_points=3",
+                "--set", "grid.t_end=1", "--format", "json")
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and "states" not in json.loads(out)
+        code, out, err = invoke(capsys, *argv,
+                                "--set", "outputs=negativity,state_dump")
+        assert code == 0
+        obj = json.loads(out)
+        rec = spinbath.scenario.run(
+            spinbath.scenario.ScenarioConfig.from_dict(obj["config"]))
+        assert len(rec.states) == 3 and obj["states"] == rec.states
+
+    def test_set_without_equals_is_config_error(self, capsys):
+        code, out, err = invoke(capsys, "run", "--preset", "fig1_lambda1",
+                                "--set", "beta")
+        assert code == 2
+        assert out == "" and "--set expects key=value" in err
+
+    def test_config_source_required(self, capsys):
+        code, out, err = invoke(capsys, "run")
+        assert code == 2
+        assert out == "" and "--preset or --config" in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("beta =", "empty value"), ("beta 2", "expected 'key = value'"),
+        ("= 2", "empty key"), ("beta.x = 2", "clashes with a scalar entry")])
+    def test_malformed_config_file_is_config_error(self, capsys, tmp_path,
+                                                   line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + line + "\n")
+        code, out, err = invoke(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert out == "" and message in err
+
     def test_divergent_gamma_prints_inf(self, capsys):
         code, out, err = invoke(capsys, "run", "--preset", "lorentz_n0",
                                 "--set", "grid.n_points=3",
@@ -159,6 +198,33 @@ class TestSweepCommand:
         code, out, err = invoke(capsys, "sweep", "--preset", "fig1_lambda1",
                                 "--field", "bath.lambda", "--values", "")
         assert code == 2
+
+    def test_non_numeric_value_is_config_error(self, capsys):
+        code, out, err = invoke(capsys, "sweep", "--preset", "fig1_lambda1",
+                                "--field", "bath.lambda", "--values", "1,soon")
+        assert code == 2
+        assert out == "" and "'soon' is not numeric" in err
+
+    @pytest.mark.parametrize("spec", ["1:2", "1:2:3:4", "1:2:x", "a:2:3",
+                                      "1:2:0"])
+    def test_malformed_range_is_config_error(self, capsys, spec):
+        code, out, err = invoke(capsys, "sweep", "--preset", "fig1_lambda1",
+                                "--field", "bath.lambda", "--range", spec)
+        assert code == 2
+        assert out == "" and "--range" in err
+
+    @pytest.mark.parametrize("n", ["10000001", str(10 ** 30)])
+    def test_range_beyond_grid_cap_is_config_error(self, capsys, monkeypatch,
+                                                   n):
+        def build(*args):
+            raise AssertionError("--range n must be rejected before any "
+                                 "value is built")
+
+        monkeypatch.setattr(spinbath.cli, "range", build, raising=False)
+        code, out, err = invoke(capsys, "sweep", "--preset", "fig1_lambda1",
+                                "--field", "bath.lambda", "--range", f"1:2:{n}")
+        assert code == 2
+        assert out == "" and "--range n must lie in [1, 1e7]" in err
 
     def test_range_form(self, capsys):
         code, out, err = invoke(capsys, "sweep", "--preset", "fig4_s2",
@@ -517,6 +583,53 @@ class TestErrorClasses:
                                 "--n", "10000001")
         assert code == 2
         assert out == "" and "--n" in err
+
+    def test_cross_check_failure_is_compute_error(self, capsys, monkeypatch):
+        # a closed form 1e-9 off the numeric partial transpose (the
+        # cross-check tolerance is 1e-10)
+        exact = spinbath.scenario.negativity_closed_form
+        monkeypatch.setattr(spinbath.scenario, "negativity_closed_form",
+                            lambda g, d: SimpleNamespace(
+                                value=exact(g, d).value + 1e-9))
+        cfg = spinbath.scenario.builtin_presets()["fig1_lambda1"]
+        with pytest.raises(spinbath.ComputeError, match="disagree"):
+            spinbath.scenario.run(cfg)
+        code, out, err = invoke(capsys, "run", "--preset", "fig1_lambda1",
+                                "--set", "grid.n_points=3")
+        assert code == 3
+        assert out == "" and "disagree" in err
+
+    def test_failed_file_write_leaves_no_file(self, tmp_path):
+        # a 20,000-byte file size limit, with SIGXFSZ ignored, fails the
+        # write partway through a row with EFBIG
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (20_000, 20_000))
+
+        path = tmp_path / "big.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinbath.cli", "run", "--preset",
+             "fig1_lambda1", "-o", str(path)],
+            capture_output=True, text=True, env=fresh_env(), timeout=120,
+            preexec_fn=limit_file_size)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("spinbath: cannot write")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not path.exists()
+
+    def test_failed_write_removes_only_a_regular_file(self, tmp_path,
+                                                      monkeypatch):
+        def chunks():
+            yield "t,gamma\n"
+            raise OSError(28, "No space left on device")
+
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        path = str(tmp_path / "out.csv")
+        for target in (os.devnull, path):
+            with pytest.raises(spinbath.cli._IoFailure, match="cannot write"):
+                spinbath.cli._emit(chunks(), target)
+        assert removed == [path]
 
     def test_compute_error_leaves_no_file(self, capsys, tmp_path):
         path = tmp_path / "j.csv"

@@ -10,12 +10,14 @@ from spinbath.decoherence import (
     Method,
     coth_half,
     factors,
-    ohmic_delta_by_quadrature,
-    ohmic_delta_s2_closed_form,
     sin_minus_wt,
 )
 from spinbath.errors import InvalidTime
-from spinbath.quadrature import _osc_tail
+from spinbath.quadrature import (
+    _osc_tail,
+    ohmic_delta_by_quadrature,
+    ohmic_delta_s2_closed_form,
+)
 from spinbath.spectral import Lorentzian, Ohmic, SingleMode
 
 BC = BathConditions(beta=1.0)

@@ -18,6 +18,7 @@ import pytest
 import spinbath.decoherence
 from spinbath.decoherence import (
     _ASYMPTOTIC_SWITCH,
+    _COTH_DIRECT,
     _COTH_ROWS,
     _MAX_OVERDAMPING,
     BathConditions,
@@ -354,9 +355,11 @@ def mp_row(q, n, beta, b, j, t, dps=30):
             f, sorted(pts))
 
 
-#: the columns of _COTH_ROWS checked against ``mp_row``: m = 1, 2 and 31,
-#: then at m = 32 the Euler-Maclaurin integral, edge and j = 11 rows
-REFERENCE_ROWS = [0, 1, 30, 31, 32, 38]
+#: the rows (m, j) of _COTH_ROWS checked against ``mp_row``: m = 1, 2 and
+#: N - 1, then at m = N = _COTH_DIRECT the Euler-Maclaurin integral, edge
+#: and j = 11 rows
+REFERENCE_ROWS = [(1, 0), (2, 0), (_COTH_DIRECT - 1, 0), (_COTH_DIRECT, -1),
+                  (_COTH_DIRECT, 0), (_COTH_DIRECT, 11)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -366,7 +369,8 @@ def test_rows_match_mpmath(regime, q, beta, n):
     # (both bracket forms, and residues of crossing rays); the worst row
     # when this bound was set was 5.6e-14 (mixed, n = 1, m = 2, t = 3)
     parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q), 1.0)
-    m, lifts = _COTH_ROWS[:, REFERENCE_ROWS]
+    labels = [tuple(row) for row in _COTH_ROWS.T.tolist()]
+    m, lifts = _COTH_ROWS[:, [labels.index(row) for row in REFERENCE_ROWS]]
     b, t = m * beta, np.array([0.2, 3.0])
     rows = _lorentz_laplace(parts, b, lifts, t, n - 2, beta)
     for k, i in np.ndindex(rows.shape):

@@ -195,15 +195,22 @@ class TestOutsideTheProductionPath:
         assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize("module,names", [
-        (spinbath, ["IntegrationRequest", "IntegrationResult",
-                    "integrate_on_interval", "integrate_semi_infinite"]),
         (spinbath.decoherence, ["integrate_on_interval",
-                                "integrate_semi_infinite",
-                                "ohmic_delta_by_quadrature",
-                                "ohmic_delta_s2_closed_form"])])
+                                "integrate_semi_infinite"])])
     def test_old_names_are_the_quadrature_objects(self, module, names):
         for name in names:
             assert getattr(module, name) is getattr(spinbath.quadrature, name)
         with pytest.raises(AttributeError):
             module.no_such_name
+
+    @pytest.mark.parametrize("module,name", [
+        (spinbath, "IntegrationRequest"), (spinbath, "IntegrationResult"),
+        (spinbath, "integrate_on_interval"),
+        (spinbath, "integrate_semi_infinite"), (spinbath, "ir_exponent"),
+        (spinbath.decoherence, "ohmic_delta_by_quadrature"),
+        (spinbath.decoherence, "ohmic_delta_s2_closed_form")])
+    def test_removed_names_raise_attribute_error(self, module, name):
+        # the quadrature names are imported from spinbath.quadrature
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 

@@ -159,6 +159,12 @@ class TestConfigValidation:
             ScenarioConfig(bath=SingleMode(1.0, 20.0), beta=-1.0,
                            grid=TimeGrid(0.0, 1.0, 5))
 
+    @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+    def test_field_finite(self, h):
+        with pytest.raises(ConfigError, match="h must be finite"):
+            ScenarioConfig(bath=SingleMode(1.0, 20.0), beta=1.0,
+                           grid=TimeGrid(0.0, 1.0, 5), h=h)
+
     def test_unknown_output_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(bath=SingleMode(1.0, 20.0), beta=1.0,

@@ -10,7 +10,6 @@ from spinbath.spectral import (
     SingleMode,
     evaluate,
     from_config_dict,
-    ir_exponent,
     to_config_dict,
 )
 
@@ -62,19 +61,6 @@ class TestEvaluate:
         a = Ohmic(coupling=0.37, s=1.3, omega_c=7.0)
         b = Ohmic(coupling=0.74, s=1.3, omega_c=7.0)
         assert np.array_equal(evaluate(b, grid), 2.0 * evaluate(a, grid))
-
-
-class TestIrExponent:
-    def test_ohmic(self):
-        assert ir_exponent(Ohmic(coupling=1, s=0.5, omega_c=1)) == 0.5
-
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_lorentzian(self, n):
-        assert ir_exponent(Lorentzian(coupling=1, q=0.1, omega_c=20, n=n)) == n
-
-    def test_single_mode_raises(self):
-        with pytest.raises(NotPointwise):
-            ir_exponent(SingleMode(coupling=1, omega_c=5))
 
 
 class TestValidation:
