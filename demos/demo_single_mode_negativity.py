@@ -28,8 +28,7 @@ couplings = [0.01, 0.05, 0.5, 1.0, 2.0, 5.0]
 curves = {}
 for lam in couplings:
     df = factors(SingleMode(coupling=lam, omega_c=20.0), bc, times)
-    curves[lam] = [negativity_closed_form(g, d).value
-                   for g, d in zip(df.gamma, df.delta)]
+    curves[lam] = negativity_closed_form(df.gamma, df.delta).tolist()
     print(f"lambda = {lam:5g}: max N = {max(curves[lam]):.4f}")
 
 with open(OUT / "single_mode_negativity.csv", "w", newline="") as fh:

@@ -26,8 +26,7 @@ times = np.linspace(0.0, 40.0, 1601)
 curves = {}
 for beta in (1.0, 0.1, 0.01):
     df = factors(bath, BathConditions(beta), times)
-    curves[beta] = np.array([negativity_closed_form(g, d).value
-                             for g, d in zip(df.gamma, df.delta)])
+    curves[beta] = negativity_closed_form(df.gamma, df.delta)
     gmax = df.gamma.max()
     print(f"beta = {beta:5g}: max gamma = {gmax:.4f}, "
           f"max N = {curves[beta].max():.4f}")

@@ -31,10 +31,8 @@ from .dynamics import (  # noqa: E402
     TwoSpinState,
     bloch_product_to_general,
     evolve,
-    evolve_ideal,
 )
 from .entanglement import (  # noqa: E402
-    NegativityResult,
     appendix_b_eigenvalues,
     ideal_negativity,
     negativity_closed_form,
@@ -69,9 +67,9 @@ __all__ = [
     # dynamics
     "InitialProductState", "GeneralInitialState", "TwoSpinState",
     "FieldConfig", "X_PROJECTED",
-    "bloch_product_to_general", "evolve", "evolve_ideal",
+    "bloch_product_to_general", "evolve",
     # entanglement
-    "NegativityResult", "appendix_b_eigenvalues", "ideal_negativity",
+    "appendix_b_eigenvalues", "ideal_negativity",
     "negativity_closed_form", "negativity_numeric", "partial_transpose",
     # scenarios
     "ScenarioConfig", "TimeGrid", "RunRecord",

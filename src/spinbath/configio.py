@@ -16,7 +16,13 @@ One assignment per line, dotted keys for sections, '#' starts a comment:
 
 Numeric values may be simple arithmetic over numbers, pi and e (useful for
 Bloch angles); everything else is kept as a bare string (the bath family
-tag).  The same parser handles --set overrides and sweep value lists.
+tag).  The same parser handles --set overrides and sweep value lists, and
+every key, from a file line, --set or a sweep, lands through ``set_path``:
+``init.theta`` sets both polar angles, and a value over a section
+(``bath = 7`` beside ``bath.family``) or a section under a value is a
+ConfigError (exit 2).  A key set twice in one file, directly or through
+``init.theta``, is a ConfigError naming both lines; --set and sweep values
+override a file's keys.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ import operator
 
 from .errors import ConfigError
 
-__all__ = ["parse_value", "parse_text", "format_flat", "flatten", "unflatten",
-           "set_path", "as_integer", "reject_unknown"]
+__all__ = ["parse_value", "parse_text", "format_flat", "flatten", "set_path",
+           "as_integer", "reject_unknown"]
 
 
 def _power(base, exponent):
@@ -81,8 +87,9 @@ def parse_value(text: str):
 
 
 def parse_text(text: str) -> dict:
-    """Config text to a nested dict; raises ConfigError on malformed lines."""
-    flat = {}
+    """Config text to a nested dict; raises ConfigError, naming the line, on
+    a malformed line, a clash with a section and a key set twice."""
+    nested, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,8 +100,16 @@ def parse_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        flat[key] = parse_value(value)
-    return unflatten(flat)
+        try:
+            leaves = set_path(nested, key, parse_value(value))
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        for leaf in leaves:
+            if leaf in line_of:
+                raise ConfigError(f"line {lineno}: key {leaf!r} is already "
+                                  f"set on line {line_of[leaf]}")
+            line_of[leaf] = lineno
+    return nested
 
 
 def flatten(nested: dict, prefix: str = "") -> dict:
@@ -106,19 +121,6 @@ def flatten(nested: dict, prefix: str = "") -> dict:
         else:
             flat[path] = value
     return flat
-
-
-def unflatten(flat: dict) -> dict:
-    nested: dict = {}
-    for path, value in flat.items():
-        parts = path.split(".")
-        node = nested
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"key {path!r} clashes with a scalar entry")
-        node[parts[-1]] = value
-    return nested
 
 
 def _format_value(value) -> str:
@@ -137,23 +139,27 @@ def format_flat(nested: dict) -> str:
     return "\n".join(f"{k} = {_format_value(flat[k])}" for k in sorted(flat))
 
 
-def set_path(nested: dict, path: str, value) -> None:
-    """Assign through a dotted path, creating sections as needed.
+def set_path(nested: dict, path: str, value) -> tuple:
+    """Assign through a dotted path, creating sections as needed, and return
+    the dotted paths of the values set.
 
     ``init.theta`` fans out to both spins' polar angles, matching the
-    identical-spin preparation of the angle studies.
+    identical-spin preparation of the angle studies.  A value over a section,
+    or a section under a value, raises ConfigError.
     """
-    if path in ("init.theta", "theta"):
-        set_path(nested, "init.theta1", value)
-        set_path(nested, "init.theta2", value)
-        return
-    parts = path.split(".")
-    node = nested
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"cannot descend into scalar at {part!r} in {path!r}")
-    node[parts[-1]] = value
+    leaves = (("init.theta1", "init.theta2") if path in ("init.theta", "theta")
+              else (path,))
+    for leaf in leaves:
+        *sections, key = leaf.split(".")
+        node = nested
+        for part in sections:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"key {leaf!r} clashes with a scalar entry")
+        if isinstance(node.get(key), dict):
+            raise ConfigError(f"key {leaf!r} clashes with a section")
+        node[key] = value
+    return leaves
 
 
 def as_integer(value, name: str) -> int:

@@ -32,7 +32,6 @@ __all__ = [
     "X_PROJECTED",
     "bloch_product_to_general",
     "evolve",
-    "evolve_ideal",
 ]
 
 # m-labels per basis index, basis |1,1>, |1,-1>, |-1,1>, |-1,-1>
@@ -172,7 +171,9 @@ def evolve(init: GeneralInitialState, df: DecoherenceFactors,
 
     t, df.gamma, df.delta and df.gamma_divergent may be scalars or arrays
     over one leading time axis of length B; the result then holds a
-    (B, 4, 4) stack, validated in one pass (``TwoSpinState``).
+    (B, 4, 4) stack, validated in one pass (``TwoSpinState``).  gamma = 0
+    and h = 0 give the ideal unitary evolution U rho0 U^+ with
+    U = exp(-i Delta (Sz1 + Sz2)^2) = diag(e^{-4i Delta}, 1, 1, e^{-4i Delta}).
     """
     t, gamma, delta = (np.asarray(a, dtype=float)[..., None, None]
                        for a in (t, df.gamma, df.delta))
@@ -189,16 +190,3 @@ def evolve(init: GeneralInitialState, df: DecoherenceFactors,
     damp = np.exp(-(dM ** 2) * np.where(divergent, 0.0, gamma))
     damp = np.where(divergent & (dM != 0.0), 0.0, damp)
     return TwoSpinState(rho0 * phase * damp)
-
-
-def evolve_ideal(init: GeneralInitialState, delta: float) -> TwoSpinState:
-    """Zero-dephasing limit: the diagonal unitary U = exp(-i Delta (Sz1+Sz2)^2).
-
-    (sigma_z^(1) + sigma_z^(2))^2 = diag(4, 0, 0, 4) in this basis, so
-    U = diag(e^{-4i Delta}, 1, 1, e^{-4i Delta}); the result is pure and
-    equals evolve() with gamma = 0 and h = 0 exactly.
-    """
-    c = init.amplitudes()
-    u = np.exp(-1j * delta * _M_SUM.astype(float) ** 2)
-    uc = u * c
-    return TwoSpinState(np.outer(uc, uc.conj()))

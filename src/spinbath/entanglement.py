@@ -4,7 +4,8 @@ Negativity is the absolute sum of the negative eigenvalues of the partially
 transposed density matrix (Peres-Horodecki, necessary and sufficient for a
 pair of qubits); with this convention the two-qubit maximum is 1/2.
 
-Three routes are provided and cross-check each other:
+Two routes return N itself (a builtin float for one point, an array for
+arrays of gamma and Delta or a stack of states) and cross-check each other:
 
 * ``negativity_closed_form``: for the x-projected initial state the partial
   transpose diagonalizes analytically and only one eigenvalue can dip below
@@ -13,14 +14,13 @@ Three routes are provided and cross-check each other:
       N = | (1 - e^{-16 gamma})/8
           - sqrt((1 - e^{-16 gamma})^2 + 16 e^{-8 gamma} sin^2(4 Delta)) / 8 |.
 
-* ``appendix_b_eigenvalues``: all four analytic eigenvalues of that partial
-  transpose.  Both closed forms take arrays of gamma and Delta elementwise
-  in one numpy pass, and one code path serves a scalar call and an array
-  call alike, so the two give the same bits.
+  ``appendix_b_eigenvalues`` gives all four eigenvalues of that partial
+  transpose.  Both take arrays of gamma and Delta elementwise in one numpy
+  pass, and a scalar call and an array call give the same bits.
 * ``negativity_numeric``: the general route for any state, needed for tilted
   initial Bloch angles.  The 4x4 Hermitian partial transpose is diagonalized
-  by LAPACK (``np.linalg.eigvalsh``); ``pt_spectra`` takes a whole (B, 4, 4)
-  stack in one call.
+  by LAPACK (``np.linalg.eigvalsh``); ``pt_spectra`` returns the spectra of
+  a whole (B, 4, 4) stack from one call.
 
 Eigenvalues within 1e-13 of zero are treated as zero so that separable
 states report exactly N = 0.
@@ -28,18 +28,12 @@ states report exactly N = 0.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .dynamics import TwoSpinState
 from .errors import EigenNonConvergence, InvalidState
 
 __all__ = [
-    "NegativityMethod",
-    "NegativityResult",
     "appendix_b_eigenvalues",
     "ideal_negativity",
     "negativity_closed_form",
@@ -50,34 +44,6 @@ __all__ = [
 
 #: eigenvalues closer to zero than this count as zero, not negative
 ZERO_EIGENVALUE_TOL = 1e-13
-
-
-class NegativityMethod(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    NUMERIC_PT = "numeric_pt"
-
-
-@dataclass(frozen=True)
-class NegativityResult:
-    """Negativity plus the full partial-transpose spectrum.
-
-    ``lambdas`` holds the four eigenvalues in any order, and
-    ``eigenvalues`` sorts them ascending when first read, so a caller that
-    needs only ``value`` never builds the spectrum.  For arrays of gamma
-    and Delta, ``value`` and each of ``lambdas`` are arrays, and
-    ``eigenvalues`` is an array with one ascending spectrum along its last
-    axis; for scalars ``eigenvalues`` is a tuple of floats.
-    """
-
-    value: float
-    lambdas: tuple
-    method: NegativityMethod
-
-    @cached_property
-    def eigenvalues(self):
-        if np.ndim(self.lambdas[0]):
-            return np.sort(np.stack(self.lambdas, axis=-1), axis=-1)
-        return tuple(sorted(self.lambdas))
 
 
 def appendix_b_eigenvalues(gamma, delta) -> tuple:
@@ -112,13 +78,14 @@ def appendix_b_eigenvalues(gamma, delta) -> tuple:
     return tuple(float(x) for x in lams)
 
 
-def negativity_closed_form(gamma, delta) -> NegativityResult:
-    """Closed-form negativity for the x-projected state; gamma may be +inf.
+def negativity_closed_form(gamma, delta):
+    """Closed-form negativity |Lambda_2| of the x-projected state; gamma may
+    be +inf.
 
-    Elementwise for arrays of gamma and Delta, one numpy pass for all.
+    Elementwise for arrays of gamma and Delta, one numpy pass for all; a
+    builtin float for scalars.
     """
-    lams = appendix_b_eigenvalues(gamma, delta)
-    return NegativityResult(abs(lams[1]), lams, NegativityMethod.CLOSED_FORM)
+    return abs(appendix_b_eigenvalues(gamma, delta)[1])
 
 
 def ideal_negativity(delta):
@@ -144,23 +111,15 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
 def pt_spectra(rhos) -> np.ndarray:
     """Partial-transpose spectra for a batch of 4x4 density matrices.
 
-    Input (B, 4, 4) or (4, 4) complex Hermitian, as an array or a
-    ``TwoSpinState``; output (B, 4) or (4,) real ascending, from one
-    batched LAPACK eigvalsh.  A raw array is checked finite and Hermitian
-    here.  A ``TwoSpinState`` is not: it has checked both already, and the
-    partial transpose only permutes the entries it checked.
+    Input (B, 4, 4) or (4, 4), as a ``TwoSpinState`` or as an array, which
+    is checked as one (``InvalidState`` unless every matrix is a finite,
+    Hermitian, unit-trace, positive density matrix); output (B, 4) or (4,)
+    real ascending, from one batched LAPACK eigvalsh.  The partial transpose
+    only permutes the entries that check covered.
     """
-    if isinstance(rhos, TwoSpinState):
-        pt = partial_transpose(rhos.rho)
-    else:
-        pt = partial_transpose(rhos)
-        if not np.all(np.isfinite(pt)):
-            raise InvalidState("partial transpose has non-finite entries")
-        herm_defect = np.max(np.abs(pt - pt.conj().swapaxes(-1, -2)),
-                             initial=0.0)
-        if herm_defect > 1e-10:
-            raise InvalidState(f"partial transpose not Hermitian "
-                               f"(defect {herm_defect:.3e})")
+    if not isinstance(rhos, TwoSpinState):
+        rhos = TwoSpinState(rhos)
+    pt = partial_transpose(rhos.rho)
     try:
         return np.linalg.eigvalsh(pt)
     except np.linalg.LinAlgError as exc:
@@ -178,9 +137,7 @@ def negativity_from_spectrum(eigs):
     return out if out.ndim else float(out)
 
 
-def negativity_numeric(state: TwoSpinState) -> NegativityResult:
-    """Negativity of an arbitrary two-spin state via its partial transpose."""
-    eigs = pt_spectra(state)
-    return NegativityResult(negativity_from_spectrum(eigs),
-                            tuple(float(x) for x in eigs),
-                            NegativityMethod.NUMERIC_PT)
+def negativity_numeric(state: TwoSpinState):
+    """Negativity of an arbitrary two-spin state via its partial transpose:
+    a builtin float for one state, an array for a (B, 4, 4) stack."""
+    return negativity_from_spectrum(pt_spectra(state))

@@ -204,7 +204,7 @@ def run(cfg: ScenarioConfig) -> RunRecord:
             states += block.to_json_obj()
 
     if is_x_projected(init):
-        closed = negativity_closed_form(df.gamma, df.delta).value
+        closed = negativity_closed_form(df.gamma, df.delta)
         mismatch = np.abs(closed - numeric)
         worst = int(np.argmax(mismatch))
         if mismatch[worst] > CROSS_CHECK_TOL:

@@ -23,7 +23,6 @@ from spinbath.dynamics import (
     InitialProductState,
     bloch_product_to_general,
     evolve,
-    evolve_ideal,
 )
 from spinbath.entanglement import (
     appendix_b_eigenvalues,
@@ -79,7 +78,7 @@ def test_criterion_01_oracle_equivalence(random_grid):
     deltas = -rng.uniform(0.0, 2.0, 10_000)
     spectra = pt_spectra(_x_state_batch(gammas, deltas))
     numeric = np.array([negativity_from_spectrum(e) for e in spectra])
-    closed = np.array([negativity_closed_form(g, d).value
+    closed = np.array([negativity_closed_form(g, d)
                        for g, d in zip(gammas, deltas)])
     elapsed = time.perf_counter() - t0
     worst = float(np.max(np.abs(numeric - closed)))
@@ -106,10 +105,11 @@ def test_criterion_02_appendix_b_spectrum(random_grid):
 def test_criterion_03_idealized_limit():
     rng = np.random.default_rng(7)
     deltas = -rng.uniform(0.0, 3.0, 1000)
-    states = np.stack([evolve_ideal(X_PROJECTED, d).rho for d in deltas])
+    states = np.stack([evolve(X_PROJECTED, DecoherenceFactors(0.0, d),
+                              FieldConfig(0.0), 0.0).rho for d in deltas])
     numeric = np.array([negativity_from_spectrum(e)
                         for e in pt_spectra(states)])
-    closed = np.array([negativity_closed_form(0.0, d).value for d in deltas])
+    closed = np.array([negativity_closed_form(0.0, d) for d in deltas])
     expect = 0.5 * np.abs(np.sin(4.0 * deltas))
     worst = max(float(np.max(np.abs(numeric - expect))),
                 float(np.max(np.abs(closed - expect))))
@@ -145,7 +145,7 @@ def test_criterion_04_single_mode_peak_timing():
         window = 1.3 * math.pi * 20.0 / (2.0 * lam)
         ts = np.linspace(0.0, window, 1501)
         df = factors(SingleMode(lam, 20.0), bc, ts)
-        ns = np.array([negativity_closed_form(g, d).value
+        ns = np.array([negativity_closed_form(g, d)
                        for g, d in zip(df.gamma.tolist(), df.delta.tolist())])
         peak_times.append(float(ts[_first_main_peak(ts, ns)]))
     decreasing = all(b < a for a, b in zip(peak_times, peak_times[1:]))

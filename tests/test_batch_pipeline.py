@@ -120,7 +120,7 @@ class TestPtSpectraGuards:
             pt_spectra(np.stack([np.eye(4, dtype=complex) / 4, rho]))
 
     def test_checked_state_gives_the_array_spectra(self):
-        # a TwoSpinState skips the re-check, not a bit of the result
+        # an array is checked as a TwoSpinState; the spectra are the same bits
         rng = np.random.default_rng(17)
         states = evolve(random_init(rng),
                         DecoherenceFactors(rng.uniform(0.0, 2.0, 300),
@@ -152,31 +152,27 @@ class TestClosedFormArrays:
         batch = negativity_closed_form(gammas, deltas)
         alone = [negativity_closed_form(g, d)
                  for g, d in zip(gammas.tolist(), deltas.tolist())]
-        assert bits(batch.value) == bits([r.value for r in alone])
-        assert bits(batch.eigenvalues) == bits([r.eigenvalues for r in alone])
+        assert bits(batch) == bits(alone)
         lams = appendix_b_eigenvalues(gammas, deltas)
         one = [appendix_b_eigenvalues(g, d)
                for g, d in zip(gammas.tolist(), deltas.tolist())]
         assert bits(np.stack(lams, axis=-1)) == bits(one)
-
-    def test_array_spectrum_is_sorted_when_read(self):
-        gammas, deltas = _closed_form_points()
-        r = negativity_closed_form(gammas, deltas)
-        assert "eigenvalues" not in vars(r)   # not built for .value alone
-        eigs = r.eigenvalues
-        assert eigs is r.eigenvalues
-        assert eigs.shape == (gammas.size, 4)
-        assert np.all(np.diff(eigs, axis=-1) >= 0.0)
-        lams = appendix_b_eigenvalues(gammas, deltas)
-        assert bits(eigs) == bits(np.sort(np.stack(lams, axis=-1), axis=-1))
-        assert bits(r.value) == bits(np.abs(lams[1]))
+        assert bits(batch) == bits(np.abs(lams[1]))
 
     def test_scalar_call_returns_builtins(self):
-        r = negativity_closed_form(0.2, -0.3)
-        assert type(r.value) is float
-        assert type(r.eigenvalues) is tuple
-        assert all(type(x) is float for x in r.eigenvalues)
+        # N itself: a builtin float for one point, an array for arrays of
+        # gamma and Delta or for a stack of states
+        assert type(negativity_closed_form(0.2, -0.3)) is float
         assert all(type(x) is float for x in appendix_b_eigenvalues(0.2, -0.3))
+        gammas, deltas = np.array([0.2, 0.0, 1.5]), np.array([-0.3, -0.1, 0.0])
+        batch = negativity_closed_form(gammas, deltas)
+        assert isinstance(batch, np.ndarray) and batch.shape == (3,)
+        states = evolve(X_PROJECTED, DecoherenceFactors(gammas, deltas),
+                        FieldConfig(), 1.0)
+        assert type(negativity_numeric(TwoSpinState(states.rho[0]))) is float
+        stack = negativity_numeric(states)
+        assert isinstance(stack, np.ndarray) and stack.shape == (3,)
+        assert np.max(np.abs(stack - batch)) <= 1e-12
 
     @pytest.mark.parametrize("where", [0, 3, -1])
     def test_negative_gamma_anywhere_rejected(self, where):
@@ -331,7 +327,7 @@ class TestTiltedRun:
         for k, t in enumerate(rec.t):
             df = factors(cfg.bath, BathConditions(cfg.beta), float(t))
             state = evolve(init, df, FieldConfig(h), float(t))
-            assert abs(rec.negativity[k] - negativity_numeric(state).value) <= 1e-12
+            assert abs(rec.negativity[k] - negativity_numeric(state)) <= 1e-12
             assert abs(rec.purity[k] - state.purity()) <= 1e-12
             assert abs(rec.gamma[k] - df.gamma) <= 1e-12
             assert abs(rec.delta[k] - df.delta) <= 1e-12
@@ -368,7 +364,7 @@ class TestBlocks:
         cfg = ScenarioConfig(bath=Lorentzian(1.0, 0.5, 20.0, n), beta=1.0,
                              grid=TimeGrid(0.0, 40.0, self.N_POINTS))
         rec = run(cfg)
-        closed = negativity_closed_form(rec.gamma, rec.delta).value
+        closed = negativity_closed_form(rec.gamma, rec.delta)
         assert bits(rec.negativity) == bits(closed)
         whole = evolve(bloch_product_to_general(cfg.init),
                        factors(cfg.bath, BC, rec.t), FieldConfig(), rec.t)

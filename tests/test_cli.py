@@ -5,7 +5,6 @@ import resource
 import signal
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ import spinbath.cli
 import spinbath.scenario
 from spinbath import configio
 from spinbath.cli import main
+from spinbath.errors import ConfigError
 
 SMALL_CONFIG = """\
 # single-mode bath, short grid
@@ -151,6 +151,53 @@ class TestRunCommand:
         code, out, err = invoke(capsys, "run", "--config", str(path))
         assert code == 2
         assert out == "" and message in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("beta = 2", "line 12: key 'beta' is already set on line 5"),
+        ("init.theta = pi/4",
+         "line 12: key 'init.theta1' is already set on line 7")])
+    def test_key_set_twice_in_a_file_is_config_error(self, capsys, tmp_path,
+                                                     line, message):
+        path = tmp_path / "twice.cfg"
+        path.write_text(SMALL_CONFIG + line + "\n")
+        code, out, err = invoke(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert out == "" and err == f"spinbath: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("bath = 7\n" + SMALL_CONFIG,
+         "line 3: key 'bath.family' clashes with a scalar entry"),
+        (SMALL_CONFIG + "bath = 7\n", "line 12: key 'bath' clashes with a section")])
+    def test_value_over_a_section_in_either_order_is_config_error(
+            self, capsys, tmp_path, text, message):
+        path = tmp_path / "clash.cfg"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert out == "" and err == f"spinbath: {message}\n"
+
+    def test_set_overrides_a_file_key(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_CONFIG.replace("init.theta1 = pi/2\n"
+                                             "init.theta2 = pi/2\n",
+                                             "init.theta = pi/4\n"))
+        code, out, err = invoke(capsys, "run", "--config", str(path),
+                                "--set", "beta=2", "--format", "json")
+        assert code == 0 and err == ""
+        config = json.loads(out)["config"]
+        assert config["beta"] == 2
+        assert config["init"]["theta1"] == config["init"]["theta2"] == math.pi / 4
+
+    def test_set_path_rejects_a_clash_in_either_order(self):
+        nested = {"bath": {"family": "ohmic"}, "beta": 1.0}
+        with pytest.raises(ConfigError, match="clashes with a section"):
+            configio.set_path(nested, "bath", 7)
+        with pytest.raises(ConfigError, match="clashes with a scalar entry"):
+            configio.set_path(nested, "beta.x", 7)
+        assert nested == {"bath": {"family": "ohmic"}, "beta": 1.0}
+        assert configio.set_path(nested, "theta", 0.5) == ("init.theta1",
+                                                           "init.theta2")
+        assert nested["init"] == {"theta1": 0.5, "theta2": 0.5}
 
     def test_divergent_gamma_prints_inf(self, capsys):
         code, out, err = invoke(capsys, "run", "--preset", "lorentz_n0",
@@ -589,8 +636,7 @@ class TestErrorClasses:
         # cross-check tolerance is 1e-10)
         exact = spinbath.scenario.negativity_closed_form
         monkeypatch.setattr(spinbath.scenario, "negativity_closed_form",
-                            lambda g, d: SimpleNamespace(
-                                value=exact(g, d).value + 1e-9))
+                            lambda g, d: exact(g, d) + 1e-9)
         cfg = spinbath.scenario.builtin_presets()["fig1_lambda1"]
         with pytest.raises(spinbath.ComputeError, match="disagree"):
             spinbath.scenario.run(cfg)

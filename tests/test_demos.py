@@ -1,15 +1,22 @@
-"""Every name a demo imports from spinbath exists.
+"""Every name a demo imports from spinbath exists, and README's library
+block runs.
 
 The demos are parsed, not run: they write files and take seconds each.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+import spinbath
+
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def spinbath_imports(path):
@@ -36,3 +43,17 @@ def test_imported_names_exist(path):
         mod = importlib.import_module(module)
         if name is not None:
             assert hasattr(mod, name), f"{path.name}: {module}.{name} is gone"
+
+
+def test_readme_library_block_runs():
+    # the first python block of README: one point through factors and
+    # evolve, then the closed-form and the numeric N, printed last
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    src = os.path.dirname(os.path.dirname(spinbath.__file__))
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    closed, numeric = (float(x) for x in proc.stdout.splitlines()[-2:])
+    assert closed > 0.0 and abs(closed - numeric) <= 1e-12

@@ -12,7 +12,6 @@ from spinbath.dynamics import (
     TwoSpinState,
     bloch_product_to_general,
     evolve,
-    evolve_ideal,
 )
 from spinbath.errors import InvalidState
 
@@ -135,40 +134,47 @@ class TestEvolve:
         assert all(b <= a + 1e-14 for a, b in zip(purities, purities[1:]))
 
 
+def ideal_state(init, delta):
+    """evolve at gamma = 0 and h = 0: the ideal unitary evolution."""
+    return evolve(init, df(0.0, delta), FieldConfig(0.0), 0.0)
+
+
 class TestEvolveIdeal:
     def test_zero_phase_is_projector(self):
         rng = np.random.default_rng(6)
         init = random_state(rng)
-        state = evolve_ideal(init, 0.0)
+        state = ideal_state(init, 0.0)
         c = init.amplitudes()
         assert np.allclose(state.rho, np.outer(c, c.conj()), atol=1e-15)
 
     def test_x_projected_structure(self):
         delta = -0.9
-        state = evolve_ideal(X_PROJECTED, delta)
+        state = ideal_state(X_PROJECTED, delta)
         expect = x_projected_matrix(0.0, delta)
         assert np.allclose(state.rho, expect, atol=1e-15)
 
     def test_phase_periodicity(self):
         rng = np.random.default_rng(8)
         init = random_state(rng)
-        state = evolve_ideal(init, -math.pi / 2)
+        state = ideal_state(init, -math.pi / 2)
         c = init.amplitudes()
         assert np.allclose(state.rho, np.outer(c, c.conj()), atol=1e-13)
 
     def test_matches_evolve_at_zero_gamma(self):
+        # U = exp(-i Delta (Sz1 + Sz2)^2) = diag(e^{-4i Delta}, 1, 1,
+        # e^{-4i Delta}), applied to the pure initial state
         rng = np.random.default_rng(13)
         for _ in range(20):
             init = random_state(rng)
             delta = -rng.uniform(0, 3)
-            a = evolve_ideal(init, delta)
+            uc = np.exp(-4j * delta * np.array([1, 0, 0, 1])) * init.amplitudes()
             b = evolve(init, df(0.0, delta), FieldConfig(0.0), rng.uniform(0, 5))
-            assert np.max(np.abs(a.rho - b.rho)) <= 1e-14
+            assert np.max(np.abs(np.outer(uc, uc.conj()) - b.rho)) <= 1e-14
 
     def test_purity_one(self):
         rng = np.random.default_rng(17)
         init = random_state(rng)
-        assert evolve_ideal(init, -1.3).purity() == pytest.approx(1.0, abs=1e-13)
+        assert ideal_state(init, -1.3).purity() == pytest.approx(1.0, abs=1e-13)
 
 
 class TestStateValidation:

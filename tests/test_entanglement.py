@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import spinbath
 from spinbath.decoherence import DecoherenceFactors
 from spinbath.dynamics import (
     X_PROJECTED,
@@ -11,10 +12,8 @@ from spinbath.dynamics import (
     InitialProductState,
     bloch_product_to_general,
     evolve,
-    evolve_ideal,
 )
 from spinbath.entanglement import (
-    NegativityMethod,
     appendix_b_eigenvalues,
     ideal_negativity,
     negativity_closed_form,
@@ -29,27 +28,31 @@ def x_state_at(gamma, delta, h=0.0, t=1.0):
                   FieldConfig(h), t)
 
 
+def ideal_state(init, delta):
+    """The zero-dephasing, zero-field evolution U rho0 U^+."""
+    return evolve(init, DecoherenceFactors(0.0, delta), FieldConfig(0.0), 0.0)
+
+
 class TestClosedForm:
     def test_maximal_entanglement(self):
         # gamma = 0, Delta = -pi/8 gives a Bell-like state, N = 1/2
-        assert negativity_closed_form(0.0, -math.pi / 8).value == 0.5
+        assert negativity_closed_form(0.0, -math.pi / 8) == 0.5
 
     def test_infinite_dephasing(self):
-        assert negativity_closed_form(math.inf, -0.3).value == 0.0
+        assert negativity_closed_form(math.inf, -0.3) == 0.0
 
     def test_frozen_value(self):
-        r = negativity_closed_form(0.01, -0.1)
-        assert r.value == pytest.approx(0.16950323791816861488, rel=1e-14)
+        n = negativity_closed_form(0.01, -0.1)
+        assert n == pytest.approx(0.16950323791816861488, rel=1e-14)
 
     def test_zero_point(self):
-        r = negativity_closed_form(0.0, 0.0)
-        assert r.value == 0.0
+        assert negativity_closed_form(0.0, 0.0) == 0.0
 
     def test_underflow_clamp(self):
         # 16*gamma > 750 must not raise or produce junk
-        r = negativity_closed_form(100.0, -0.4)
-        assert r.value == 0.0
-        assert sum(r.eigenvalues) == pytest.approx(1.0, abs=1e-12)
+        assert negativity_closed_form(100.0, -0.4) == 0.0
+        assert sum(appendix_b_eigenvalues(100.0, -0.4)) \
+            == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
@@ -94,27 +97,29 @@ class TestNumericPartialTranspose:
             init = bloch_product_to_general(InitialProductState(
                 rng.uniform(0, math.pi), rng.uniform(0, math.pi),
                 rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
-            state = evolve_ideal(init, 0.0)
-            assert negativity_numeric(state).value == 0.0
+            state = ideal_state(init, 0.0)
+            assert negativity_numeric(state) == 0.0
 
     def test_bell_like_state(self):
-        state = evolve_ideal(X_PROJECTED, -math.pi / 8)
-        assert negativity_numeric(state).value == pytest.approx(0.5, abs=1e-13)
+        state = ideal_state(X_PROJECTED, -math.pi / 8)
+        assert negativity_numeric(state) == pytest.approx(0.5, abs=1e-13)
 
     def test_matches_closed_form(self):
         state = x_state_at(0.01, -0.1)
         n = negativity_numeric(state)
         c = negativity_closed_form(0.01, -0.1)
-        assert abs(n.value - c.value) <= 1e-10
+        assert abs(n - c) <= 1e-10
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
             g, d = rng.uniform(0, 2), -rng.uniform(0, 2)
-            n = negativity_numeric(x_state_at(g, d))
+            state = x_state_at(g, d)
+            n = negativity_numeric(state)
             c = negativity_closed_form(g, d)
-            assert abs(n.value - c.value) <= 1e-10
-            assert np.allclose(n.eigenvalues, c.eigenvalues, atol=1e-10)
+            assert abs(n - c) <= 1e-10
+            assert np.allclose(pt_spectra(state),
+                               sorted(appendix_b_eigenvalues(g, d)), atol=1e-10)
 
     def test_spectrum_matches_lapack(self):
         rng = np.random.default_rng(5)
@@ -132,18 +137,18 @@ class TestNumericPartialTranspose:
         rng = np.random.default_rng(6)
         for _ in range(200):
             g, d = rng.uniform(0, 2), -rng.uniform(0, 2)
-            r = negativity_numeric(x_state_at(g, d))
-            if r.value == 0.0:
-                assert min(r.eigenvalues) >= -1e-10
+            state = x_state_at(g, d)
+            if negativity_numeric(state) == 0.0:
+                assert pt_spectra(state)[0] >= -1e-10
             else:
-                assert min(r.eigenvalues) < -1e-13
+                assert pt_spectra(state)[0] < -1e-13
 
     def test_field_invariance(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             g, d, t = rng.uniform(0, 1), -rng.uniform(0, 1), rng.uniform(0, 5)
-            n0 = negativity_numeric(x_state_at(g, d, h=0.0, t=t)).value
-            n1 = negativity_numeric(x_state_at(g, d, h=rng.normal() * 5, t=t)).value
+            n0 = negativity_numeric(x_state_at(g, d, h=0.0, t=t))
+            n1 = negativity_numeric(x_state_at(g, d, h=rng.normal() * 5, t=t))
             assert abs(n0 - n1) <= 1e-10
 
     def test_range_bound(self):
@@ -151,13 +156,10 @@ class TestNumericPartialTranspose:
         for _ in range(100):
             c = rng.normal(size=4) + 1j * rng.normal(size=4)
             c /= np.linalg.norm(c)
-            state = evolve_ideal(GeneralInitialState(tuple(c)), -rng.uniform(0, 3))
-            v = negativity_numeric(state).value
+            state = ideal_state(GeneralInitialState(tuple(c)), -rng.uniform(0, 3))
+            v = negativity_numeric(state)
             assert 0.0 <= v <= 0.5 + 1e-12
 
-    def test_method_tag(self):
-        assert negativity_numeric(x_state_at(0.1, -0.1)).method \
-            is NegativityMethod.NUMERIC_PT
 
 
 class TestIdealNegativity:
@@ -165,9 +167,8 @@ class TestIdealNegativity:
         rng = np.random.default_rng(9)
         for _ in range(100):
             d = -rng.uniform(0, 3)
-            state = evolve_ideal(X_PROJECTED, d)
-            assert abs(negativity_numeric(state).value
-                       - ideal_negativity(d)) <= 1e-12
+            state = ideal_state(X_PROJECTED, d)
+            assert abs(negativity_numeric(state) - ideal_negativity(d)) <= 1e-12
 
     def test_quarter_phase(self):
         assert ideal_negativity(-math.pi / 8) == pytest.approx(0.5, abs=1e-15)
@@ -189,3 +190,16 @@ class TestPartialTranspose:
         m[0, 3] = 1.0  # ((+1,+1),(-1,-1)) -> ((+1,-1),(-1,+1)) = (1,2)
         pt = partial_transpose(m)
         assert pt[1, 2] == 1.0 and pt[0, 3] == 0.0
+
+
+@pytest.mark.parametrize("module,name", [
+    (spinbath, "NegativityResult"), (spinbath, "NegativityMethod"),
+    (spinbath, "evolve_ideal"),
+    (spinbath.entanglement, "NegativityResult"),
+    (spinbath.entanglement, "NegativityMethod"),
+    (spinbath.dynamics, "evolve_ideal")])
+def test_removed_names_raise_attribute_error(module, name):
+    # the negativity functions return N itself, and evolve with gamma = 0
+    # and h = 0 is the ideal evolution
+    with pytest.raises(AttributeError):
+        getattr(module, name)

@@ -26,17 +26,22 @@ mpmath = pytest.importorskip("mpmath")
 OMEGA_C = 20.0
 
 
-def mp_factors(coupling, q, omega_c, n, beta, t, dps=30, a=None):
+def mp_factors(coupling, q, omega_c, n, beta, t, dps=30):
     """(gamma, Delta) from their defining integrals, with mpmath.quad.
 
     gamma = 1/4 int J(w) (1 - cos(w t)) / w^2 coth(beta w / 2) dw and
     Delta = 1/4 int J(w) (sin(w t) - w t) / w^2 dw, with
     J(w) = coupling/pi q w^n / ((w^2 - omega_c^2)^2 + q^2 w^2).  Up to
-    a (by default 8 omega_c + 16 q) the range is split at the resonance and
-    its widths.  Beyond a, the smooth part of each kernel is integrated on
-    the real axis, and the oscillating part env(w) e^(iwt) along w = a + iy,
-    where it decays like e^(-yt): no pole of J or of coth lies in
-    Re w > a.
+    a = max(8 omega_c + 16 q, log(2 10^dps) / beta) the range is split at
+    the resonance and its widths.  Beyond a, the smooth part of each kernel
+    is integrated on the real axis, and the oscillating part env(w) e^(iwt)
+    along w = a + iy, where it decays like e^(-yt): no pole of J or of coth
+    lies in Re w > a.  Along that line coth(beta w / 2) departs from 1 by
+    about 2 e^(-beta a), which the second bound of a keeps below the working
+    precision; from 8 omega_c + 16 q alone, on a hot bath, that departure
+    oscillates with period 2 pi / beta, and mpmath.quad missed gamma by a
+    factor 6 at beta omega_c = 0.5, omega_c t = 1e-6 (n = 2, q = 0.05
+    omega_c).
     """
     with mpmath.workdps(dps):
         lam, q, wc, b, t = (mpmath.mpf(v) for v in (coupling, q, omega_c,
@@ -58,7 +63,7 @@ def mp_factors(coupling, q, omega_c, n, beta, t, dps=30, a=None):
                 lambda y: env(a + 1j * y) * mpmath.exp(-y * t),
                 [0, mpmath.inf])
 
-        a = 8 * wc + 16 * q if a is None else mpmath.mpf(a)
+        a = max(8 * wc + 16 * q, mpmath.log(2 * mpmath.mpf(10) ** dps) / b)
         pts = {mpmath.mpf(0), wc, a}
         for k in (0.5, 1, 2, 4, 8, 16):
             pts.update(p for p in (wc - k * q, wc + k * q) if p > 0)
@@ -109,6 +114,34 @@ def test_direct_pass_matches_mpmath(n, q, beta, t):
         assert within_tolerance(df.gamma, ref_g)
 
 
+def mp_real_axis_gamma(q, n, beta, t, dps=30):
+    """gamma at omega_c = 1 with every w on the real axis, to check
+    ``mp_factors`` with nothing moved off the axis: mpmath.quad up to
+    2 pi / t, split at omega_c, q/2, 2q and the powers of 2, and
+    mpmath.quadosc beyond."""
+    with mpmath.workdps(dps):
+        q, b, t = (mpmath.mpf(v) for v in (q, beta, t))
+
+        def f(w):
+            return q * w ** n / mpmath.pi / ((w * w - 1) ** 2 + q * q * w * w) \
+                * mpmath.coth(b * w / 2) / (4 * w * w) \
+                * 2 * mpmath.sin(w * t / 2) ** 2
+
+        top = 2 * mpmath.pi / t
+        pts = {mpmath.mpf(0), mpmath.mpf(1), q / 2, 2 * q, top}
+        pts.update(mpmath.mpf(2) ** k
+                   for k in range(-12, int(mpmath.log(top, 2))))
+        return mpmath.quad(f, sorted(pts)) \
+            + mpmath.quadosc(f, [top, mpmath.inf], omega=t / 2)
+
+
+@pytest.mark.parametrize("beta,t", [(0.5, 1e-6), (2.1, 1.5e-4)])
+def test_hot_short_time_reference_matches_real_axis(beta, t):
+    # from a = 8 omega_c + 16 q alone these were a factor 6 and 1.3e-8 off
+    ref = mp_factors(1.0, 0.05, 1.0, 2, beta, t)[0]
+    assert abs(ref - mp_real_axis_gamma(0.05, 2, beta, t)) <= 1e-20 * ref
+
+
 def test_reference_agrees_with_itself():
     # 30 and 40 digits agree far below the tested tolerance
     for n, q, beta, t in _draws()[4::6]:
@@ -122,15 +155,10 @@ def test_reference_agrees_with_itself():
 def mp_short_time(q, beta, t, n, dps):
     """``mp_factors`` at omega_c = 1 for omega_c t << 1.
 
-    The tails start at a = max(8 + 16 q, 200 / beta), where
-    coth(beta w / 2) is 1 to e^-200 along w = a + iy.  From the default a
-    on a hot bath coth oscillates along that line with period 2 pi / beta,
-    and mpmath.quad misses gamma (by 82% at beta = 0.5, t = 1e-6).  Both
-    kernels cancel like (wt)^2 where the bath lives, so the working
+    Both kernels cancel like (wt)^2 where the bath lives, so the working
     precision must exceed 30 digits by the digits that costs.
     """
-    return mp_factors(1.0, q, 1.0, n, beta, t, dps,
-                      a=max(8.0 + 16.0 * q, 200.0 / beta))
+    return mp_factors(1.0, q, 1.0, n, beta, t, dps)
 
 
 def _short_draws():

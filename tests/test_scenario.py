@@ -116,7 +116,7 @@ class TestRun:
         from spinbath.entanglement import negativity_closed_form
         rec = run(small_single_mode())
         for g, d, n in zip(rec.gamma, rec.delta, rec.negativity):
-            assert n == negativity_closed_form(g, d).value
+            assert n == negativity_closed_form(g, d)
 
     def test_general_angle_uses_numeric_path(self):
         from spinbath.dynamics import InitialProductState
