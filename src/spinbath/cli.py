@@ -192,15 +192,12 @@ def _json_rows(names, columns) -> list[dict]:
 
 
 def _record_json_obj(rec: RunRecord) -> dict:
-    obj = {
+    return {
         "version": rec.version,
         "config": rec.config.to_dict(),
         "tolerances": rec.tolerances,
         "rows": _json_rows(RunRecord.COLUMNS, rec.columns()),
     }
-    if rec.states is not None:
-        obj["states"] = rec.states
-    return obj
 
 
 def _cmd_run(args) -> int:
@@ -307,7 +304,7 @@ def _cmd_state_dump(args) -> int:
         "t": t,
         "gamma": _json_num(df.gamma),
         "delta": _json_num(df.delta),
-        "gamma_divergent": df.gamma_divergent,
+        "gamma_divergent": math.isinf(df.gamma),
         "rho": state.to_json_obj(),
     }), args.output)
     return 0

@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+import sys
 
 from .errors import ConfigError
 
@@ -72,9 +73,14 @@ def parse_value(text: str):
     if not text:
         raise ConfigError("empty value")
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         pass
+    else:
+        if abs(value) > sys.float_info.max:   # float(value) would raise
+            raise ConfigError(f"integer {text[:20]}... is beyond the float "
+                              f"range")
+        return value
     try:
         return float(text)
     except ValueError:

@@ -14,10 +14,11 @@ closed form for the single-mode bath, Gamma-function forms of both Ohmic
 factors (any s > 0), and partial fractions with the exponential integral
 for both Lorentzian factors.
 A Lorentzian bath with n = 0 makes gamma infrared-divergent (J tends to a
-constant and the thermal weight contributes 1/w); that case is classified up
-front as instantaneous total dephasing.  The quadrature references of
-both factors, which only the tests use, live in ``spinbath.quadrature``,
-which no production module imports.
+constant and the thermal weight contributes 1/w): ``factors`` returns
+gamma = +inf there, instantaneous total dephasing, and ``evolve`` reads the
+divergence from that value alone.  The quadrature references of both
+factors, which only the tests use, live in ``spinbath.quadrature``, which
+no production module imports.
 
 Both Ohmic factors reduce, with x = w_c t and e = s - 1, to the function
 
@@ -73,7 +74,6 @@ correction one row (``_COTH_ROWS``) of an array over the times.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -85,7 +85,6 @@ from .spectral import Lorentzian, Ohmic, SingleMode, SpectralDensity
 __all__ = [
     "BathConditions",
     "DecoherenceFactors",
-    "Method",
     "coth_half",
     "factors",
     "ohmic_delta",
@@ -134,11 +133,6 @@ _MAX_OVERDAMPING = 1e7
 _BLOCK = 4096
 
 
-class Method(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    ANALYTIC_REDUCTION = "analytic_reduction"
-
-
 @dataclass(frozen=True)
 class BathConditions:
     """Thermal state of the bath; beta = 1/T (a float) in natural units."""
@@ -155,19 +149,15 @@ class BathConditions:
 class DecoherenceFactors:
     """gamma >= 0 dephases coherences, delta <= 0 is the Ising phase.
 
-    ``gamma`` is +inf when ``gamma_divergent`` is set; downstream evolution
-    then zeroes every coherence between different magnetization sectors.
-    ``factors`` fills every field alike for every bath family: floats for
-    one time, or arrays of the shape of a time array, ``gamma_divergent``
-    then a bool array (an n = 0 Lorentzian bath diverges at every t > 0,
-    not at t = 0).  ``method`` names the kernel that ``factors`` ran; it
-    is None for a record built by hand.
+    ``gamma`` is +inf where the dephasing diverges (an n = 0 Lorentzian bath
+    at every t > 0, not at t = 0); downstream evolution then zeroes every
+    coherence between different magnetization sectors.  ``factors`` fills
+    both fields alike for every bath family: floats for one time, or arrays
+    of the shape of a time array.
     """
 
     gamma: float
     delta: float
-    gamma_divergent: bool = False
-    method: Method | None = None
 
 
 def coth_half(beta: float, omega):
@@ -766,13 +756,13 @@ def _ohmic(j: Ohmic, beta: float, t):
     return ohmic_gamma(j, beta, t), ohmic_delta(j, t)
 
 
-#: each family's kernel and the method it reports.  A kernel takes
-#: (bath, beta, 1-d block of times t > 0) and returns (gamma, Delta), gamma
-#: None where it diverges at every t > 0 (the n = 0 Lorentzian)
+#: each family's kernel.  A kernel takes (bath, beta, 1-d block of times
+#: t > 0) and returns (gamma, Delta), gamma None where it diverges at every
+#: t > 0 (the n = 0 Lorentzian)
 _KERNELS = {
-    SingleMode: (_single_mode, Method.CLOSED_FORM),
-    Ohmic: (_ohmic, Method.ANALYTIC_REDUCTION),
-    Lorentzian: (_lorentz_scaled, Method.ANALYTIC_REDUCTION),
+    SingleMode: _single_mode,
+    Ohmic: _ohmic,
+    Lorentzian: _lorentz_scaled,
 }
 
 
@@ -781,14 +771,13 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
 
     One body serves every family: both factors are zero at t = 0, the
     times t > 0 go through the family's kernel (``_KERNELS``) in blocks of
-    ``_BLOCK``, and ``gamma_divergent`` is a bool array for an array of
-    times, set with gamma = +inf where the kernel reports divergence.  A
+    ``_BLOCK``, and gamma is +inf where the kernel reports divergence.  A
     value does not depend on the other times passed with it, so an array
     call matches its scalar calls bit for bit.  A value beyond the float
     range, or a Lorentzian bath past q = ``_MAX_OVERDAMPING`` w_c, raises
     QuadratureFailure.
     """
-    kernel, method = _KERNELS[type(j)]
+    kernel = _KERNELS[type(j)]
     t_arr = np.asarray(t, dtype=float)
     bad = t_arr[~(np.isfinite(t_arr) & (t_arr >= 0))]
     if bad.size:
@@ -796,21 +785,18 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     flat = t_arr.ravel()
     live = np.flatnonzero(flat > 0.0)
     gamma, delta = np.zeros(flat.shape), np.zeros(flat.shape)
-    divergent = np.zeros(flat.shape, dtype=bool)
     where = f"of {j} at beta={bc.beta}"
     for lo in range(0, live.size, _BLOCK):
         at = live[lo:lo + _BLOCK]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g, d = kernel(j, bc.beta, flat[at])
         delta[at] = np.minimum(_checked(d, f"Delta {where}"), 0.0)
-        if g is None:
-            gamma[at], divergent[at] = math.inf, True
-        else:
-            gamma[at] = np.maximum(_checked(g, f"gamma {where}"), 0.0)
-    fields = [x.reshape(t_arr.shape) for x in (gamma, delta, divergent)]
+        gamma[at] = (math.inf if g is None
+                     else np.maximum(_checked(g, f"gamma {where}"), 0.0))
+    fields = [x.reshape(t_arr.shape) for x in (gamma, delta)]
     if not t_arr.ndim:
         fields = [x.item() for x in fields]
-    return DecoherenceFactors(*fields, method)
+    return DecoherenceFactors(*fields)
 
 
 #: names of ``spinbath.quadrature`` still importable from here, for the

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoherence import DecoherenceFactors
-from .errors import InvalidState
+from .errors import ComputeError, InvalidState
 
 __all__ = [
     "InitialProductState",
@@ -169,24 +169,38 @@ def evolve(init: GeneralInitialState, df: DecoherenceFactors,
            field: FieldConfig, t) -> TwoSpinState:
     """Reduced state at time t from the initial amplitudes and bath factors.
 
-    t, df.gamma, df.delta and df.gamma_divergent may be scalars or arrays
-    over one leading time axis of length B; the result then holds a
-    (B, 4, 4) stack, validated in one pass (``TwoSpinState``).  gamma = 0
-    and h = 0 give the ideal unitary evolution U rho0 U^+ with
+    t, df.gamma and df.delta may be scalars or arrays over one leading time
+    axis of length B; the result then holds a (B, 4, 4) stack, validated in
+    one pass (``TwoSpinState``).  gamma = +inf is the divergent limit.
+    gamma = 0 and h = 0 give the ideal unitary evolution U rho0 U^+ with
     U = exp(-i Delta (Sz1 + Sz2)^2) = diag(e^{-4i Delta}, 1, 1, e^{-4i Delta}).
+    The field phase is a factor of its own, so a large h t leaves Delta's
+    digits intact; an h t past the float range raises ComputeError.
     """
     t, gamma, delta = (np.asarray(a, dtype=float)[..., None, None]
                        for a in (t, df.gamma, df.delta))
-    divergent = np.asarray(df.gamma_divergent, dtype=bool)[..., None, None]
+    divergent = np.isposinf(gamma)
     c = init.amplitudes()
     rho0 = np.outer(c, c.conj())
     M = _M_SUM.astype(float)
     dM = M[:, None] - M[None, :]
     dM2 = M[:, None] ** 2 - M[None, :] ** 2
 
-    phase = np.exp(-1j * (0.5 * field.h * t * dM + delta * dM2))
+    phase = np.exp(-1j * (delta * dM2))
     # a divergent gamma zeroes the M != N elements exactly; its +inf never
     # enters the exponent (inf * 0 would be nan on the diagonal)
     damp = np.exp(-(dM ** 2) * np.where(divergent, 0.0, gamma))
     damp = np.where(divergent & (dM != 0.0), 0.0, damp)
-    return TwoSpinState(rho0 * phase * damp)
+    rho = rho0 * phase * damp
+    if field.h != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0
+            angle = 0.5 * field.h * t * dM
+        if not np.all(np.isfinite(angle)):
+            raise ComputeError(f"field phase h t / 2 at h={field.h} is not "
+                               f"finite")
+        # np.multiply, not *: for a large stack numpy reuses the
+        # temporary's buffer and computes temporary * rho, and a complex
+        # product rounds by operand order, so a stack would differ from its
+        # single matrices in the last bit
+        rho = np.multiply(rho, np.exp(-1j * angle))
+    return TwoSpinState(rho)

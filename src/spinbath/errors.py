@@ -43,4 +43,4 @@ class ConfigError(SpinBathError):
 
 class ComputeError(SpinBathError):
     """A scenario run failed at a grid point (a cross-check disagreed), or a
-    tabulated J(omega) left the float range."""
+    field phase h t or a tabulated J(omega) left the float range."""

@@ -1,9 +1,13 @@
 """Scenario assembly: one bath + initial state + time grid = one run.
 
-A run evaluates, on every grid point, the decoherence factors, the evolved
-two-spin state, its negativity (closed form cross-checked against the
-numeric partial transpose whenever the initial state is the x-projected
+A configuration holds exactly what fixes a run: the bath, beta, the initial
+product state, the field h and the linear time grid; every key changes an
+answer.  A run evaluates, on every grid point, the decoherence factors, the
+evolved two-spin state, its negativity (closed form cross-checked against
+the numeric partial transpose whenever the initial state is the x-projected
 one), the zero-dephasing reference curve |sin(4 Delta)|/2, and the purity.
+The record keeps these six columns, not the states: ``evolve`` (or the
+``state-dump`` command) gives the density matrix at any time.
 
 The factors come from one ``decoherence.factors`` call over the whole grid,
 whatever the bath; every family is exact over an array there, and so are
@@ -72,33 +76,33 @@ _BLOCK_POINTS = 2048
 #: most points a time grid (or a tabulated spectrum) may have
 MAX_POINTS = 10_000_000
 
-_OUTPUT_CHOICES = frozenset(
-    {"gamma", "delta", "negativity", "negativity_ideal", "purity", "state_dump"})
-_DEFAULT_OUTPUTS = frozenset(
-    {"gamma", "delta", "negativity", "negativity_ideal", "purity"})
-
 #: the top-level and grid keys that ``ScenarioConfig.to_dict`` writes
-_KEYS = ("bath", "beta", "h", "init", "grid", "outputs")
-_GRID_KEYS = ("t_start", "t_end", "n_points", "spacing")
+_KEYS = ("bath", "beta", "h", "init", "grid")
+_GRID_KEYS = ("t_start", "t_end", "n_points")
 
 X_ANGLES = InitialProductState(math.pi / 2, math.pi / 2, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """n_points evenly spaced times from t_start to t_end; the ends are
+    stored as builtin floats and n_points as an int."""
+
     t_start: float
     t_end: float
     n_points: int
-    spacing: str = "linear"
 
     def __post_init__(self):
-        if not (0.0 <= self.t_start < self.t_end < math.inf):
+        t_start, t_end = float(self.t_start), float(self.t_end)
+        n_points = as_integer(self.n_points, "grid.n_points")
+        if not (0.0 <= t_start < t_end < math.inf):
             raise ConfigError(f"need 0 <= t_start < t_end < inf, got "
-                              f"[{self.t_start}, {self.t_end}]")
-        if not (2 <= self.n_points <= MAX_POINTS):
-            raise ConfigError(f"n_points must lie in [2, 1e7], got {self.n_points}")
-        if self.spacing != "linear":
-            raise ConfigError(f"only linear spacing is supported, got {self.spacing!r}")
+                              f"[{t_start}, {t_end}]")
+        if not (2 <= n_points <= MAX_POINTS):
+            raise ConfigError(f"n_points must lie in [2, 1e7], got {n_points}")
+        object.__setattr__(self, "t_start", t_start)
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "n_points", n_points)
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_points)
@@ -111,17 +115,12 @@ class ScenarioConfig:
     grid: TimeGrid
     init: InitialProductState = X_ANGLES
     h: float = 0.0
-    outputs: frozenset = _DEFAULT_OUTPUTS
 
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
         if not np.isfinite(self.h):
             raise ConfigError(f"h must be finite, got {self.h}")
-        bad = set(self.outputs) - _OUTPUT_CHOICES
-        if bad:
-            raise ConfigError(f"unknown outputs {sorted(bad)}")
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
 
     def to_dict(self) -> dict:
         """Nested plain-data echo of the configuration."""
@@ -131,7 +130,6 @@ class ScenarioConfig:
             "h": self.h,
             "init": asdict(self.init),
             "grid": asdict(self.grid),
-            "outputs": ",".join(sorted(self.outputs)),
         }
 
     @staticmethod
@@ -142,18 +140,13 @@ class ScenarioConfig:
             bath = bath_from_dict(d["bath"])
             grid_d = d["grid"]
             reject_unknown(grid_d, _GRID_KEYS, "grid.")
-            grid = TimeGrid(float(grid_d["t_start"]), float(grid_d["t_end"]),
-                            as_integer(grid_d["n_points"], "grid.n_points"),
-                            str(grid_d.get("spacing", "linear")))
+            grid = TimeGrid(grid_d["t_start"], grid_d["t_end"],
+                            grid_d["n_points"])
             init_d = {**asdict(X_ANGLES), **d.get("init", {})}
             reject_unknown(init_d, asdict(X_ANGLES), "init.")
             init = InitialProductState(**{k: float(v) for k, v in init_d.items()})
-            outputs = d.get("outputs", _DEFAULT_OUTPUTS)
-            if isinstance(outputs, str):
-                outputs = frozenset(x for x in outputs.split(",") if x)
             return ScenarioConfig(bath=bath, beta=float(d["beta"]), grid=grid,
-                                  init=init, h=float(d.get("h", 0.0)),
-                                  outputs=frozenset(outputs))
+                                  init=init, h=float(d.get("h", 0.0)))
         except ConfigError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -175,7 +168,6 @@ class RunRecord:
     tolerances: dict = field(default_factory=lambda: {
         "quadrature_rel_tol": _REL_TOL, "quadrature_abs_tol": _ABS_TOL,
         "cross_check_tol": CROSS_CHECK_TOL})
-    states: list | None = None
 
     COLUMNS = ("t", "gamma", "delta", "negativity", "negativity_ideal", "purity")
 
@@ -192,16 +184,12 @@ def run(cfg: ScenarioConfig) -> RunRecord:
 
     numeric = np.empty_like(times)
     purity = np.empty_like(times)
-    states = [] if "state_dump" in cfg.outputs else None
     for lo in range(0, times.size, _BLOCK_POINTS):
         part = slice(lo, lo + _BLOCK_POINTS)
-        block = evolve(init, DecoherenceFactors(
-            df.gamma[part], df.delta[part], df.gamma_divergent[part],
-            df.method), field, times[part])
+        block = evolve(init, DecoherenceFactors(df.gamma[part], df.delta[part]),
+                       field, times[part])
         numeric[part] = negativity_from_spectrum(pt_spectra(block))
         purity[part] = block.purity()
-        if states is not None:
-            states += block.to_json_obj()
 
     if is_x_projected(init):
         closed = negativity_closed_form(df.gamma, df.delta)
@@ -223,7 +211,6 @@ def run(cfg: ScenarioConfig) -> RunRecord:
         negativity=negativity,
         negativity_ideal=ideal_negativity(df.delta),
         purity=purity,
-        states=states,
     )
 
 

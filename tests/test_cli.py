@@ -117,19 +117,6 @@ class TestRunCommand:
                                        "negativity_ideal", "purity"}
         assert obj["version"]
 
-    def test_json_states_only_when_asked(self, capsys):
-        argv = ("run", "--preset", "fig1_lambda1", "--set", "grid.n_points=3",
-                "--set", "grid.t_end=1", "--format", "json")
-        code, out, err = invoke(capsys, *argv)
-        assert code == 0 and "states" not in json.loads(out)
-        code, out, err = invoke(capsys, *argv,
-                                "--set", "outputs=negativity,state_dump")
-        assert code == 0
-        obj = json.loads(out)
-        rec = spinbath.scenario.run(
-            spinbath.scenario.ScenarioConfig.from_dict(obj["config"]))
-        assert len(rec.states) == 3 and obj["states"] == rec.states
-
     def test_set_without_equals_is_config_error(self, capsys):
         code, out, err = invoke(capsys, "run", "--preset", "fig1_lambda1",
                                 "--set", "beta")
@@ -694,6 +681,13 @@ class TestErrorClasses:
         # the message names the bath and beta, as for every family
         assert "SingleMode(" in proc.stderr and "beta=1e-310" in proc.stderr
 
+    def test_field_phase_beyond_range_is_compute_error(self):
+        proc = run_fresh("run", "--preset", "fig1_lambda1", "--set", "h=1e308")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("spinbath: field phase h t / 2 at h=1e+308 "
+                               "is not finite\n")
+
     @pytest.mark.parametrize("overrides", [
         ["bath.omega_c=1e-10"], ["bath.omega_c=1e-300"],
         ["bath.q=1e-300", "bath.omega_c=1e-300"]])
@@ -716,6 +710,18 @@ class TestErrorClasses:
         assert code == 2
         assert out == "" and override.split("=")[0] in err
 
+    @pytest.mark.parametrize("key,value", [("outputs", "gamma"),
+                                           ("grid.spacing", "linear")])
+    def test_removed_keys_are_unknown(self, capsys, tmp_path, key, value):
+        # a config saved by an older ``spinbath preset`` has these lines
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{SMALL_CONFIG}{key} = {value}\n")
+        for argv in (("--config", str(path)),
+                     ("--preset", "fig1_lambda1", "--set", f"{key}={value}")):
+            code, out, err = invoke(capsys, "run", *argv)
+            assert code == 2 and out == ""
+            assert err == f"spinbath: unknown config keys ['{key}']\n"
+
     def test_sweep_of_unknown_key_is_config_error(self, capsys):
         code, out, err = invoke(capsys, "sweep", "--preset", "fig1_lambda1",
                                 "--field", "bath.lamda", "--values", "1,2")
@@ -730,6 +736,18 @@ class TestErrorClasses:
                                 "--set", override)
         assert code == 2
         assert out == "" and "must be an integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--preset", "fig1_lambda1", "--set", "grid.n_points=1{z}"),
+        ("run", "--preset", "fig5b", "--set", "bath.n=-1{z}"),
+        ("sweep", "--preset", "fig1_lambda1", "--field", "beta",
+         "--values", "1,1{z}")])
+    def test_integer_beyond_float_range_is_config_error(self, capsys, argv):
+        # a 401-digit integer converts to no float: exit 2, no traceback
+        argv = [a.format(z="0" * 400) for a in argv]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == "" and "is beyond the float range" in err
 
     def test_integral_float_integers_accepted(self, capsys):
         code, out, err = invoke(capsys, "run", "--preset", "fig5b",

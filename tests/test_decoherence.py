@@ -7,7 +7,6 @@ from spinbath.decoherence import (
     _KERNELS,
     BathConditions,
     DecoherenceFactors,
-    Method,
     coth_half,
     factors,
     sin_minus_wt,
@@ -66,7 +65,6 @@ class TestSingleMode:
     def test_zero_time(self):
         df = factors(SingleMode(1.0, 20.0), BC, 0.0)
         assert df.gamma == 0.0 and df.delta == 0.0
-        assert df.method is Method.CLOSED_FORM
 
     def test_full_period_phase(self):
         # gamma vanishes, Delta = -lambda*pi/(2*omega_c^2) = -pi/800
@@ -100,8 +98,7 @@ class TestQuadratureFactors:
 
     def test_zero_time(self):
         df = factors(Ohmic(0.01, 1.5, 10.0), BC, 0.0)
-        assert df == DecoherenceFactors(0.0, 0.0, False,
-                                        Method.ANALYTIC_REDUCTION)
+        assert df == DecoherenceFactors(0.0, 0.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidTime):
@@ -142,7 +139,6 @@ class TestQuadratureFactors:
 
     def test_ohmic_s2_dispatch_uses_analytic_reduction(self):
         df = factors(Ohmic(0.01, 2.0, 10.0), BC, 5.0)
-        assert df.method is Method.ANALYTIC_REDUCTION
         assert df.delta == pytest.approx(-0.1249500199920032, rel=1e-14)
 
     def test_s2_quadrature_vs_analytic(self):
@@ -174,18 +170,17 @@ class TestDivergenceClassification:
         j = Lorentzian(1.0, 0.05, 20.0, 0)
         for t in (0.1, 1.0, 10.0):
             df = factors(j, BC, t)
-            assert df.gamma_divergent
             assert math.isinf(df.gamma)
             assert np.isfinite(df.delta) and df.delta <= 0.0
 
     def test_lorentzian_n0_at_zero_time(self):
         df = factors(Lorentzian(1.0, 0.05, 20.0, 0), BC, 0.0)
-        assert df.gamma == 0.0 and not df.gamma_divergent
+        assert df.gamma == 0.0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_lorentzian_n12_finite(self, n):
         df = factors(Lorentzian(1.0, 0.5, 20.0, n), BC, 4.0)
-        assert not df.gamma_divergent and np.isfinite(df.gamma)
+        assert np.isfinite(df.gamma)
 
 
 class TestSeries:
@@ -204,7 +199,6 @@ class TestSeries:
             for t, g, d in zip(times, batch.gamma, batch.delta):
                 alone = factors(j, BC, float(t))
                 assert type(alone.gamma) is float and type(alone.delta) is float
-                assert batch.method is alone.method
                 assert abs(g - alone.gamma) <= 1e-15 * abs(alone.gamma)
                 assert abs(d - alone.delta) <= 1e-15 * abs(alone.delta)
 
@@ -248,7 +242,7 @@ def test_kernel_signs_before_the_clamps(family):
     # gamma >= 0 and Delta <= 0 from each kernel itself, before the clamps
     # of ``factors``, on 15,000 points: 250 baths, 60 times each with
     # w_c t from 1e-10 to 1e3
-    kernel, _ = _KERNELS[family]
+    kernel = _KERNELS[family]
     rng = np.random.default_rng(16)
     for bath, beta in _validated_baths(family, rng, 250):
         t = np.sort(_log_uniform(rng, 1e-10, 1e3, 60)) / bath.omega_c
@@ -270,7 +264,6 @@ def test_integer_parameters_give_the_float_factors(floats, ints):
     for t in (5.0, 5, np.array([0.0, 1e-3, 5.0, 60.0]), np.array([0, 5])):
         want = factors(floats, BathConditions(1.0), t)
         got = factors(ints, BathConditions(1), t)
-        for x, y in zip((want.gamma, want.delta, want.gamma_divergent),
-                        (got.gamma, got.delta, got.gamma_divergent)):
+        for x, y in zip((want.gamma, want.delta), (got.gamma, got.delta)):
             assert type(x) is type(y)
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()

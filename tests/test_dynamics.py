@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from spinbath.dynamics import (
     bloch_product_to_general,
     evolve,
 )
-from spinbath.errors import InvalidState
+from spinbath.entanglement import negativity_closed_form, negativity_numeric
+from spinbath.errors import ComputeError, InvalidState
 
 
-def df(gamma=0.0, delta=0.0, divergent=False):
-    return DecoherenceFactors(gamma, delta, divergent)
+def df(gamma=0.0, delta=0.0):
+    return DecoherenceFactors(gamma, delta)
 
 
 def random_state(rng):
@@ -88,7 +90,7 @@ class TestEvolve:
         assert np.allclose(state.rho, x_projected_matrix(gamma, delta), atol=1e-15)
 
     def test_divergent_gamma_limit(self):
-        state = evolve(X_PROJECTED, df(divergent=True, gamma=math.inf),
+        state = evolve(X_PROJECTED, df(gamma=math.inf),
                        FieldConfig(0.0), 1.0)
         # brute-force limit: finite evolution with a huge exponent
         limit = evolve(X_PROJECTED, df(gamma=50.0), FieldConfig(0.0), 1.0)
@@ -96,6 +98,34 @@ class TestEvolve:
         # the M = 0 central coherences survive exactly
         assert state.rho[1, 2] == 0.25
         assert state.rho[0, 1] == 0.0 and state.rho[0, 3] == 0.0
+
+    def test_infinite_gamma_alone_is_the_divergent_limit(self):
+        # gamma = +inf is the whole signal: no flag, no warning, no nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = evolve(X_PROJECTED, DecoherenceFactors(math.inf, -0.1),
+                           FieldConfig(0.0), 1.0)
+        want = x_projected_matrix(0.0, -0.1)
+        M = np.array([2, 0, 0, -2])
+        want[M[:, None] != M[None, :]] = 0.0
+        assert np.array_equal(state.rho, want)
+
+    @pytest.mark.parametrize("h", [1e4, 1e6, 1e10, -1e10])
+    def test_strong_field_keeps_the_ising_phase(self, h):
+        # the field is a local unitary: N is the closed form at any h
+        d = df(0.01, -0.3)
+        state = evolve(X_PROJECTED, d, FieldConfig(h), 40.0)
+        assert abs(negativity_numeric(state)
+                   - negativity_closed_form(d.gamma, d.delta)) <= 1e-12
+
+    def test_field_phase_past_the_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComputeError, match=r"h=1e\+308"):
+                evolve(X_PROJECTED, df(0.1, -0.2), FieldConfig(1e308),
+                       np.array([0.0, 3.0]))
+            # at t = 0 the phase is 0 whatever h
+            evolve(X_PROJECTED, df(), FieldConfig(1e308), 0.0)
 
     def test_diagonal_preserved(self):
         rng = np.random.default_rng(9)

@@ -197,9 +197,10 @@ class TestPartialTranspose:
     (spinbath, "evolve_ideal"),
     (spinbath.entanglement, "NegativityResult"),
     (spinbath.entanglement, "NegativityMethod"),
-    (spinbath.dynamics, "evolve_ideal")])
+    (spinbath.dynamics, "evolve_ideal"),
+    (spinbath.decoherence, "Method")])
 def test_removed_names_raise_attribute_error(module, name):
-    # the negativity functions return N itself, and evolve with gamma = 0
-    # and h = 0 is the ideal evolution
+    # the negativity functions return N itself, evolve with gamma = 0 and
+    # h = 0 is the ideal evolution, and no factor record names its kernel
     with pytest.raises(AttributeError):
         getattr(module, name)

@@ -22,7 +22,6 @@ from spinbath.decoherence import (
     _COTH_ROWS,
     _MAX_OVERDAMPING,
     BathConditions,
-    Method,
     _coth_bracket,
     _LorentzParts,
     _lorentz_laplace,
@@ -168,12 +167,11 @@ CORNERS = [
 def test_factors_match_mpmath(n, q, beta, t):
     df = factors(Lorentzian(1.0, q, OMEGA_C, n), BathConditions(beta), t)
     ref_g, ref_d = mp_factors(1.0, q, OMEGA_C, n, beta, t)
-    assert df.method is Method.ANALYTIC_REDUCTION
     assert within_tolerance(df.delta, ref_d)
     if n == 0:
-        assert df.gamma_divergent and math.isinf(df.gamma)
+        assert math.isinf(df.gamma)
     else:
-        assert not df.gamma_divergent
+        assert math.isfinite(df.gamma)
         assert within_tolerance(df.gamma, ref_g)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from spinbath.decoherence import (
     BathConditions,
-    Method,
     factors,
     ohmic_gamma,
 )
@@ -128,7 +127,6 @@ def test_array_matches_scalar_factors():
         j, bc = Ohmic(0.01, s, omega_c), BathConditions(beta)
         times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 50.0, 15))])
         batch = factors(j, bc, times)
-        assert batch.method is Method.ANALYTIC_REDUCTION
         for k, t in enumerate(times):
             one = factors(j, bc, float(t))
             assert type(one.gamma) is float and type(one.delta) is float

@@ -7,7 +7,6 @@ import pytest
 
 from spinbath.decoherence import (
     BathConditions,
-    Method,
     _ohmic_series_switch,
     factors,
     ohmic_delta,
@@ -46,7 +45,6 @@ def test_former_quadrature_faults(s, t):
     df = factors(Ohmic(0.01, s, 10.0), BathConditions(1.0), t)
     assert math.isfinite(df.gamma) and df.gamma >= 0.0
     assert math.isfinite(df.delta) and df.delta <= 0.0
-    assert df.method is Method.ANALYTIC_REDUCTION
     assert rel_err(df.delta, mp_delta(0.01, s, 10.0, t, dps=30)) <= 1e-11
 
 

@@ -87,6 +87,17 @@ class TestPresets:
 
 
 class TestRun:
+    @pytest.mark.parametrize("h", [1e4, 1e6, 1e100])
+    def test_strong_field_changes_only_purity_rounding(self, h):
+        # the field is a local unitary: the cross-check holds at any h
+        cfg = builtin_presets()["fig7_single_lambda0p01"]
+        d = cfg.to_dict()
+        d["h"] = h
+        strong, still = run(ScenarioConfig.from_dict(d)), run(cfg)
+        for name in ("t", "gamma", "delta", "negativity", "negativity_ideal"):
+            assert np.array_equal(getattr(strong, name), getattr(still, name))
+        assert np.max(np.abs(strong.purity - still.purity)) <= 1e-15
+
     def test_columns_and_lengths(self):
         rec = run(small_single_mode())
         for col in rec.columns():
@@ -125,14 +136,6 @@ class TestRun:
         assert np.all(rec.negativity >= 0.0)
         assert rec.negativity.max() > 0.0
 
-    def test_state_dump_output(self):
-        cfg = ScenarioConfig(bath=SingleMode(1.0, 20.0), beta=1.0,
-                             grid=TimeGrid(0.0, 1.0, 3),
-                             outputs=frozenset({"negativity", "state_dump"}))
-        rec = run(cfg)
-        assert rec.states is not None and len(rec.states) == 3
-        assert np.isclose(rec.states[0][0][0][0], 0.25)
-
     def test_ideal_column_formula(self):
         rec = run(small_single_mode())
         assert np.allclose(rec.negativity_ideal,
@@ -150,9 +153,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TimeGrid(0.0, 1.0, 20_000_001)
 
-    def test_linear_spacing_only(self):
-        with pytest.raises(ConfigError):
-            TimeGrid(0.0, 1.0, 5, spacing="log")
+    def test_grid_types(self):
+        # an integral float count is stored as an int, the ends as floats
+        grid = TimeGrid(0, 1, 2.0)
+        assert (grid.t_start, grid.t_end, grid.n_points) == (0.0, 1.0, 2)
+        assert [type(x) for x in (grid.t_start, grid.t_end, grid.n_points)] \
+            == [float, float, int]
+        cfg = ScenarioConfig(bath=SingleMode(1.0, 20.0), beta=1.0, grid=grid)
+        assert run(cfg).t.tolist() == [0.0, 1.0]
+        with pytest.raises(ConfigError, match="must be an integer"):
+            TimeGrid(0, 1, 2.5)
 
     def test_beta_positive(self):
         with pytest.raises(ConfigError):
@@ -165,19 +175,13 @@ class TestConfigValidation:
             ScenarioConfig(bath=SingleMode(1.0, 20.0), beta=1.0,
                            grid=TimeGrid(0.0, 1.0, 5), h=h)
 
-    def test_unknown_output_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig(bath=SingleMode(1.0, 20.0), beta=1.0,
-                           grid=TimeGrid(0.0, 1.0, 5),
-                           outputs=frozenset({"entropy"}))
-
     def test_dict_round_trip(self):
         cfg = builtin_presets()["fig5b"]
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("section,key", [
         (None, "betta"), ("grid", "t_stop"), ("init", "theta3"),
-        ("init", "theta"),
+        ("init", "theta"), (None, "outputs"), ("grid", "spacing"),
     ])
     def test_unknown_key_rejected(self, section, key):
         d = builtin_presets()["fig1_lambda1"].to_dict()
@@ -189,7 +193,9 @@ class TestConfigValidation:
     def test_missing_init_and_outputs_take_defaults(self):
         cfg = builtin_presets()["fig1_lambda1"]
         d = cfg.to_dict()
-        del d["init"], d["outputs"], d["h"]
+        # no key left for outputs or grid spacing: none changed an answer
+        assert "outputs" not in d and "spacing" not in d["grid"]
+        del d["init"], d["h"]
         assert ScenarioConfig.from_dict(d) == cfg
 
     def test_integral_point_count(self):
