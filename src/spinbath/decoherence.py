@@ -60,22 +60,30 @@ same kind (``_lorentz_sums``).  For b > 0 each pole's bracket is its limit
 at p -> 0 plus terms in phi(z) = e^z E1(z) + gamma_E + log z, which
 vanishes at z = 0, and the limits are summed over the poles exactly; once
 b |p| >= 40 a pole's term comes from its asymptotic series in 1/(bp)
-instead, where its polynomial part would cancel it.  At b = 0 a pole with
-t |p| < 1 takes its power series in z = itp, its terms linear in z summed
-over the poles exactly (``_lorentz_origin``).  So nothing cancels as t |p|
-or b |p| goes to zero (short times, strong overdamping).
+instead, where its polynomial part would cancel it.  A pole with
+|p| sqrt(b^2 + t^2) < 1 takes the power series of the three phi at 0, whose
+log z0 parts cancel there exactly (``_coth_bracket``).  At b = 0 a pole
+with t |p| < 1 takes its power series in z = itp, its terms linear in z
+summed over the poles exactly (``_lorentz_origin``).  So nothing cancels as
+t |p| or b |p| goes to zero (short times, strong overdamping).
 
-Both families sum the coth series alike (``_coth_series``): its first 31
-terms directly, the rest by Euler-Maclaurin at m = 32, each term and each
-correction one row (``_COTH_ROWS``) of an array over the times.
-``factors`` takes the times t > 0 of every family through blocks of
-``_BLOCK``.
+Both families sum the coth series alike (``_coth_series``): its first N - 1
+terms directly, the rest by Euler-Maclaurin at m = N, each term and each
+correction one row (``_COTH_ROWS``) of an array over the times.  Each term
+is completely monotone in m, so the first dropped Euler-Maclaurin term
+bounds the remainder for every bath, and N = 12 keeps it below 2^-53 of
+gamma (``_coth_cut``).  ``factors`` makes a family's kernel once per call,
+which does there what does not depend on t (for the Lorentzian bath, a
+plan of the coth rows' power loop), and takes the times t > 0 through it in
+blocks of ``_BLOCK``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -97,19 +105,51 @@ _REL_TOL = 1e-8
 _ABS_TOL = 1e-12
 _COTH_SWITCH = 1e-4
 _SIN_SWITCH = 1e-3
-#: Ohmic and Lorentzian gamma: coth-series terms below this index are
-#: summed directly, the rest by Euler-Maclaurin
-_COTH_DIRECT = 32
 #: B_2k / (2k)!, k = 1..6: the Euler-Maclaurin weights of the tail
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
               1.0 / 47900160.0, -691.0 / 1307674368000.0)
-#: the rows (m, j) of every coth series (``_coth_series``): the direct
-#: terms m = 1..31 (j = 0), then at m = 32 the Euler-Maclaurin integral
-#: (j = -1), edge (j = 0) and odd derivatives (j = 1, 3, ..., 11)
-_COTH_ROWS = np.array(
-    [(m, 0) for m in range(1, _COTH_DIRECT)]
-    + [(_COTH_DIRECT, j)
-       for j in (-1, 0, *range(1, 2 * len(_EM_COEFFS), 2))]).T
+#: B_14 / 14!, the weight of the first term the tail drops
+_EM_DROPPED = 7.0 / 6.0 / math.factorial(14)
+#: the relative remainder of the coth series that ``_coth_cut`` allows
+_EM_TOL = 2.0 ** -53
+
+
+def _coth_cut(tol: float = _EM_TOL) -> int:
+    """The least N whose Euler-Maclaurin remainder is at most tol of gamma.
+
+    For both families each coth term is f(m) = int_0^inf g(w) e^(-m beta w)
+    dw with g >= 0 (J(w) (1 - cos wt) / w^2, for the Ohmic bath with its
+    cutoff e^(-w/w_c)), so f is completely monotone in m: (-1)^j f^(j) >= 0.
+    Then the tail's remainder after its six corrections lies between 0 and
+    the first dropped term, B_14/14! f^(13)(N) (Graham, Knuth & Patashnik,
+    Concrete Mathematics, sec. 9.5).  Since (beta w)^14 e^(-N beta w) <=
+    (14 / (e N))^14, |f^(13)(N)| <= (14 / (e N))^14 int_0^inf f dm, and the
+    convex f has int_0^inf f <= f(0)/2 + sum_{m>=1} f(m) = T/2 (the
+    trapezoid rule), where T = f(0) + 2 sum_{m>=1} f(m).  So the series T
+    is off by at most |B_14/14!| (14 / (e N))^14 T for every bath, beta and
+    t, and one N serves every bath of both families: 12 for tol = 2^-53.
+    """
+    n = 1
+    while _EM_DROPPED * (14.0 / (math.e * n)) ** 14 > tol:
+        n += 1
+    return n
+
+
+def _coth_rows(n: int):
+    """The rows (m, j) of a coth series cut at N = n (``_coth_series``):
+    the direct terms m = 1..N-1 (j = 0), then at m = N the Euler-Maclaurin
+    integral (j = -1), edge (j = 0) and odd derivatives (j = 1, 3, ...,
+    11)."""
+    return np.array([(m, 0) for m in range(1, n)]
+                    + [(n, j) for j in (-1, 0, *range(1, 2 * len(_EM_COEFFS),
+                                                     2))]).T
+
+
+#: Ohmic and Lorentzian gamma: coth-series terms below this index are
+#: summed directly, the rest by Euler-Maclaurin, in the rows
+#: ``_COTH_ROWS``
+_COTH_DIRECT = _coth_cut()
+_COTH_ROWS = _coth_rows(_COTH_DIRECT)
 _EULER_GAMMA = 0.5772156649015329
 #: e^z E1(z): power series below |z| + Re z = 4, asymptotic series (30
 #: terms) from |z| = 40, continued fraction (depth 50) in between
@@ -120,16 +160,20 @@ _E1_CF_DEPTH = 50
 #: Lorentzian coth-series term at b: a pole's asymptotic series once
 #: b |p| >= this
 _ASYMPTOTIC_SWITCH = 40.0
+#: Lorentzian coth-series bracket of a pole with |p| sqrt(b^2 + t^2) < 1
+#: and t > b/4: terms of its power series at 0 (``_coth_bracket``)
+_BRACKET_TERMS = 19
 #: Lorentzian gamma head and Delta: series terms z^m / m!, m < this, for a
 #: pole with t |p| < 1
 _ORIGIN_SERIES_TERMS = 24
 #: |Omega^2| / w_c^2 below this squared is interpolated across critical damping
 _CRITICAL = 1e-4
-#: largest q / w_c evaluated (``_lorentz_scaled``)
+#: largest q / w_c evaluated (``_lorentzian``)
 _MAX_OVERDAMPING = 1e7
 #: times per block of ``factors``, which bounds the (row, time) work arrays
-#: of the coth-series passes (Lorentzian: (row, pole, time), 39 rows, about
-#: 27 MB at 4096 times)
+#: of the coth-series passes (Lorentzian: the (row, pole, time) pole parts
+#: and the (term, time) products of the power loop, about 13 MB in all at
+#: 4096 times for the Lorentzian presets)
 _BLOCK = 4096
 
 
@@ -230,7 +274,12 @@ def _re_p(e, log1iu):
     if not np.ndim(e) and e == 0.0:
         return l
     X, Y = -e * l, -e * a
-    p = (2.0 * np.sin(0.5 * Y) ** 2 - np.expm1(X) * np.cos(Y)) / e
+    # (2 sin^2(Y/2) - expm1(X) cos Y) / e, in place
+    p = np.multiply(0.5, Y)
+    np.square(np.sin(p, out=p), out=p)
+    np.multiply(2.0, p, out=p)
+    np.multiply(np.expm1(X, out=X), np.cos(Y, out=Y), out=X)
+    np.divide(np.subtract(p, X, out=p), e, out=p)
     return np.where(e == 0.0, l, p) if np.ndim(e) else p
 
 
@@ -278,21 +327,52 @@ def ohmic_delta(j: Ohmic, t):
 
 
 def _coth_series(head, rows):
-    """head + 2 sum_{m>=1} f(m) from the rows of ``_COTH_ROWS``.
+    """head + 2 sum_{m>=1} f(m) from the rows of a coth series
+    (``_coth_rows``).
 
-    The rows are the direct terms f(m), m < N = ``_COTH_DIRECT``, added one
-    by one in the order of m, then the Euler-Maclaurin tail at N: the
-    integral int_N^inf f, the edge f(N) and -f^(j)(N) for odd j, with
-    sum_{m>=N} f(m) = int_N^inf f + f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N).
+    The rows are the direct terms f(m), m < N, added one by one in the
+    order of m, then the Euler-Maclaurin tail at N: the integral
+    int_N^inf f, the edge f(N) and -f^(j)(N) for odd j, with
+    sum_{m>=N} f(m) = int_N^inf f + f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)
+    up to the remainder that ``_coth_cut`` bounds.  N is read from the
+    number of rows.
     """
+    direct = len(rows) - 2 - len(_EM_COEFFS)
     total = head
-    for row in rows[:_COTH_DIRECT - 1]:
+    for row in rows[:direct]:
         total = total + 2.0 * row
-    integral, edge, *odd = rows[_COTH_DIRECT - 1:]
+    integral, edge, *odd = rows[direct:]
     tail = integral + 0.5 * edge
     for coeff, deriv in zip(_EM_COEFFS, odd):
         tail = tail + coeff * deriv
     return total + 2.0 * tail
+
+
+def _ohmic_rows(s: float, kappa: float, x, rows):
+    """(f(0), the rows ``rows`` = (m, j) of the Ohmic coth series) at the
+    1-d array x = w_c t, with kappa = beta w_c (see ``ohmic_gamma``)."""
+    e = s - 1.0
+    m, lift = rows
+    at_n = np.flatnonzero(lift)            # the rows j != 0, all at m = N
+    i = lift[at_n]
+    integral = i == -1
+    b = 1.0 + np.arange(m.max() + 1) * kappa
+    l, a = _log1iu(x / b[:, None])
+    f = (b ** -e)[:, None] * _re_p(e, (l, a))      # f(m), m = 0..N
+    bn, ratio = b[-1], kappa / b[-1]
+    order = e + np.where(integral & (s < 1.5), 0, i)
+    lifted = _re_p(order[:, None], (l[-1], a[-1]))
+    if s < 1.5:
+        lifted[integral] -= x / bn * _im_p(e, (l[-1], a[-1]))
+    rising = [math.prod(e + k for k in range(1, q + 1)) for q in i]
+    weight = bn ** -e * ratio ** np.maximum(i, 0) * rising
+    weight[integral] /= (s - 2.0) if s < 1.5 else e
+    lifted *= weight[:, None]
+    # (kappa/b)^-1 as a division: it may overflow where the row is tiny
+    lifted[integral] /= ratio
+    out = f[m]
+    out[at_n] = lifted
+    return f[0], out
 
 
 def ohmic_gamma(j: Ohmic, beta: float, t):
@@ -311,36 +391,16 @@ def ohmic_gamma(j: Ohmic, beta: float, t):
         int_b^inf F = b^(1-e) Re P(e - 1, u) / e    (used for s >= 1.5)
                     = b^(1-e) Re[(1 + iu) P(e, u)] / (s - 2).
 
-    Since kappa / b_N < 1 / N, successive correction terms fall by a factor
-    of about ((e + 2k) / (2 pi N))^2, so the work per time is fixed for
-    every s, beta and t.  f(m), m = 0..N, are one array pass, and the rows
-    j != 0, all at b_N, a second; log(1 + iu) is taken once per b_m.
+    The series is cut at N = ``_COTH_DIRECT``, whose remainder bound
+    (``_coth_cut``) holds for every s, beta and t, so the work per time is
+    fixed.  f(m), m = 0..N, are one array pass, and the rows j != 0, all at
+    b_N, a second (``_ohmic_rows``); log(1 + iu) is taken once per b_m.
     """
-    s, e, kappa = j.s, j.s - 1.0, beta * j.omega_c
     scale = _ohmic_scale(j, "gamma")
     x = j.omega_c * np.ravel(np.asarray(t, dtype=float))
-    m, lift = _COTH_ROWS
-    at_n = np.flatnonzero(lift)            # the rows j != 0, all at m = N
-    i = lift[at_n]
-    integral = i == -1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        b = 1.0 + np.arange(_COTH_DIRECT + 1) * kappa
-        l, a = _log1iu(x / b[:, None])
-        f = (b ** -e)[:, None] * _re_p(e, (l, a))      # f(m), m = 0..N
-        bn, ratio = b[-1], kappa / b[-1]
-        order = e + np.where(integral & (s < 1.5), 0, i)
-        lifted = _re_p(order[:, None], (l[-1], a[-1]))
-        if s < 1.5:
-            lifted[integral] -= x / bn * _im_p(e, (l[-1], a[-1]))
-        rising = [math.prod(e + k for k in range(1, q + 1)) for q in i]
-        weight = bn ** -e * ratio ** np.maximum(i, 0) * rising
-        weight[integral] /= (s - 2.0) if s < 1.5 else e
-        lifted *= weight[:, None]
-        # (kappa/b)^-1 as a division: it may overflow where the row is tiny
-        lifted[integral] /= ratio
-        rows = f[m]
-        rows[at_n] = lifted
-        return scale * _coth_series(f[0], rows).reshape(np.shape(t))
+        head, rows = _ohmic_rows(j.s, beta * j.omega_c, x, _COTH_ROWS)
+        return scale * _coth_series(head, rows).reshape(np.shape(t))
 
 
 def _phi(z):
@@ -372,14 +432,19 @@ def _phi(z):
         out[far] = w * h + _EULER_GAMMA + np.log(z[far])
     if near.any():
         zs = z[near]
-        term = total = zs
-        active = np.ones(zs.shape, dtype=bool)
+        total = np.empty_like(zs)
+        # the elements still summing: their places, terms, sums and z
+        live, term, sums, z_live = np.arange(zs.size), zs, zs, zs
         k = 1
-        while active.any():
+        while live.size:
             k += 1
-            term = np.where(active, term * zs * ((1.0 - k) / (k * k)), 0.0)
-            total = total + term
-            active &= np.abs(term) > 1e-17 * np.abs(total)
+            term = term * z_live * ((1.0 - k) / (k * k))
+            sums = sums + term
+            going = np.abs(term) > 1e-17 * np.abs(sums)
+            if not going.all():
+                total[live[~going]] = sums[~going]
+                live, term, sums, z_live = (x[going] for x in
+                                            (live, term, sums, z_live))
         out[near] = np.exp(zs) * total \
             - np.expm1(zs) * (_EULER_GAMMA + np.log(zs))
     if mid.any():
@@ -479,33 +544,53 @@ def _pole_sum(coeff, values):
                          + coeff[..., 1, None] * values[..., 1, :])
 
 
-def _coth_bracket(b, t, p):
+def _coth_bracket(b, t, p, modulus):
     """I(b, p) - I(b - it, p)/2 - I(b + it, p)/2 less its p -> 0 limit.
 
     One row per (b, p) pair of the 1-d arrays ``b`` and ``p`` (``_rays``
-    for each pair).  That is phi(z0) - phi(z0 + itp)/2 -
-    phi(z0 - itp)/2 - pi i expm1(z0 + itp) [crossing], z0 = -bp.  Where
-    t <= b/4 the step is short against z0 and the difference would cancel
-    like (t/b)^2, so it is summed from the Taylor series -sum_k (itp)^(2k) /
-    (2k)! phi^(2k)(z0) instead.  With phi' = g = e^z E1(z), g' = g - 1/z
-    and (itp / z0)^2 = -u^2, u = t/b, that is -z0 sum_k (-u^2)^k
-    d_(2k-1) / (2k)! with d_m = z0^m g^(m)(z0) = z0 d_(m-1) + (-1)^m
-    (m-1)!, which stays in range however small z0 is; 14 terms reach
-    (1/4)^28 < 1e-16.  The series continues phi across the cut, which is
-    what the crossing term does, so it takes no such term.
+    for each pair), |p| = ``modulus``: phi(z0) - phi(z+)/2 - phi(z-)/2 -
+    pi i expm1(z-) [crossing], z0 = -bp, u = t/b, z-+ = z0 (1 -+ iu).  Where
+    that difference cancels it is summed from a series, which continues phi
+    across the cut and so takes no crossing term.
+
+    Where t <= b/4 it would cancel like u^2: the Taylor series -z0 sum_k
+    (-u^2)^k d_(2k-1) / (2k)! of phi(z0 -+ itp), with d_m = z0^m g^(m)(z0)
+    = z0 d_(m-1) + (-1)^m (m-1)! (g = phi' = e^z E1(z), g' = g - 1/z);
+    14 terms reach (1/4)^28 < 1e-16.
+
+    Elsewhere, where r = |z-+| = |p| sqrt(b^2 + t^2) < 1, the real part
+    would lose about 1/|z0| to the log z0 of the three phi when z0 is small
+    and imaginary (a strongly overdamped pole: up to 8.4e-13 of the rows at
+    q = 1000 w_c).  There phi(z) = sum_{k>=1} z^k / k! (H_k - gamma_E -
+    log z) cancels those logs exactly.  With zeta = -p sqrt(b^2 + t^2),
+    rho = sqrt(1 + u^2) = 1/c and s = u c, that gives
+
+        sum_{k>=1} zeta^k / k! [-Re e_k (H_k - gamma_E - log zeta)
+                                 + c^k log rho - Im e_k atan u],
+
+    e_k = (1 + iu)^k / rho^k - c^k = e_(k-1) (c + i s) + i s c^(k-1), so
+    that -Re e_k does not cancel.  Term 1 has no log zeta and term k is
+    at most about r^(k-2) / k! times term 2, so ``_BRACKET_TERMS`` = 19
+    terms reach 2/19! < 2^-53 of it.  All pairs' phi arguments go to
+    ``_phi`` in one call.
     """
     z_minus, z_plus, cross = _rays(b[:, None], t, p)
-    z0 = (-b * p)[:, None]
-    phi0 = _phi(z0)
+    z0 = -b * p
+    u = t / b[:, None]
+    short = t <= 0.25 * b[:, None]
+    origin = ~short & (modulus[:, None] * np.hypot(b[:, None], t) < 1.0)
+    wide = ~(short | origin)
+    phi0, phi_minus, phi_plus = np.split(
+        _phi(np.concatenate([z0, z_minus[wide], z_plus[wide]])),
+        [b.size, b.size + np.count_nonzero(wide)])
     out = np.empty(z_minus.shape, dtype=complex)
-    small = t <= 0.25 * b[:, None]
-    wide = ~small
     if wide.any():
-        out[wide] = np.broadcast_to(phi0, out.shape)[wide] \
-            - 0.5 * (_phi(z_minus[wide]) + _phi(z_plus[wide])) \
+        out[wide] = np.broadcast_to(phi0[:, None], out.shape)[wide] \
+            - 0.5 * (phi_minus + phi_plus) \
             - 1j * np.pi * np.expm1(z_minus[wide]) * cross[wide]
-    if small.any():
-        u2 = (t / b[:, None])[small] ** 2
+    if short.any():
+        pair = np.nonzero(short)[0]
+        u2 = u[short] ** 2
         d = z0 * (phi0 - _EULER_GAMMA - np.log(z0)) - 1.0   # d_1
         power = np.ones_like(u2)
         total = np.zeros(u2.shape, dtype=complex)
@@ -514,15 +599,32 @@ def _coth_bracket(b, t, p):
                 for m in (2 * k - 2, 2 * k - 1):
                     d = z0 * d + (-1) ** m * math.factorial(m - 1)
             power = power * -u2 / ((2 * k - 1) * (2 * k))
-            total = total + power * np.broadcast_to(d, out.shape)[small]
-        out[small] = -np.broadcast_to(z0, out.shape)[small] * total
+            total = total + power * d[pair]
+        out[short] = -z0[pair] * total
+    if origin.any():
+        pair, time = np.nonzero(origin)
+        h = np.hypot(b[pair], t[time])
+        c, sn = b[pair] / h, t[time] / h
+        l, a = _log1iu(u[origin])
+        zeta = -p[pair] * h
+        log_zeta = _EULER_GAMMA + np.log(zeta)
+        power, e, ck, harmonic = zeta, 1j * sn, c, 1.0
+        total = power * (c * l - sn * a)                    # k = 1
+        for k in range(2, _BRACKET_TERMS + 1):
+            power = power * zeta / k
+            e = e * (c + 1j * sn) + 1j * sn * ck
+            ck = ck * c
+            harmonic += 1.0 / k
+            total = total + power * (-e.real * (harmonic - log_zeta)
+                                     + ck * l - e.imag * a)
+        out[origin] = total
     return out
 
 
-def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
-    """Rows beta^j S(s + j, b), one per pair (b, j) of the 1-d arrays ``b``
-    (all > 0) and ``lifts``, where
-    S(r, b) = int_0^inf w^r / D e^(-bw) (1 - cos wt) dw.
+def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
+    """Rows beta^j S(s + j, b) as a function of a 1-d array of times t > 0,
+    one row per pair (b, j) of the 1-d arrays ``b`` (all > 0) and
+    ``lifts``, where S(r, b) = int_0^inf w^r / D e^(-bw) (1 - cos wt) dw.
 
     Per pole, c_k int e^(-bw) (1 - cos wt) w^r / (w - p_k) dw is
     p_k^r [I(b, p_k) - I(b - it, p_k)/2 - I(b + it, p_k)/2] plus, for
@@ -544,33 +646,19 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
     each row is one pole sum of them, with coefficients c_k p_k^s
     (beta p_k)^j.  Then one loop over the power i of int w^i ..., from -2,
     adds a row's near poles' moment share below max(r, 0) and its far
-    poles' asymptotic series from there to the row's own stop.  A row's
-    terms come in the same order whatever the other rows are.
+    poles' asymptotic series from there to the row's own stop.  None of
+    that loop depends on t, so it is planned here, once: for each i the
+    rows that take a term, their coefficients and moment shares, and their
+    scales (beta/b)^j b^(j-i-1), as powers of numpy scalars (inf beyond the
+    float range, not an error, and rounded as libm pow, which an array
+    np.power does not always do).  The returned function runs the plan on a
+    block of times.  A row's terms come in the same order whatever the other
+    rows are.
     """
-    # the row weights are powers of numpy scalars: beyond the float range
-    # they are inf, not an error, and they round as libm pow, which an
-    # array np.power does not always do
     beta = np.float64(beta)
     rows_b, rows_j = list(b), [int(j) for j in lifts]
     weight = [(beta / x) ** j for x, j in zip(rows_b, rows_j)]
     bs, at = np.unique(b, return_inverse=True)   # distinct b, and each row's
-    u = t / bs[:, None]
-    l, a = _log1iu(u)
-
-    def term(i, rows):
-        # beta^j int_0^inf w^i e^(-bw) (1 - cos wt) dw for the given rows,
-        # i >= -2: the shape b^(i+1) int ... is (i+1)! Re P(i+1, u) for
-        # i >= -1 (Re P(0, u) = log(1 + u^2) / 2), and u atan u -
-        # log(1 + u^2) / 2 for i = -2; each distinct b takes it once
-        scale = [weight[k] * rows_b[k] ** (rows_j[k] - i - 1) for k in rows]
-        ids = at[rows].tolist()
-        which = list(dict.fromkeys(ids))
-        shape = (u[which] * a[which] - l[which] if i == -2 else
-                 math.gamma(i + 2) * _re_p(float(i + 1), (l[which], a[which])))
-        if len(which) < len(ids):
-            shape = shape[[which.index(x) for x in ids]]
-        return np.array(scale)[:, None] * shape
-
     moments = {}
 
     def moment(poles, m):
@@ -585,16 +673,13 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
         return moments[poles, m]
 
     near_b = bs[:, None] * parts.modulus < _ASYMPTOTIC_SWITCH  # (b, pole)
-    pair_b, pair_p = np.broadcast_arrays(bs[:, None], parts.p)
-    part = np.zeros(near_b.shape + t.shape, dtype=complex)
-    part[near_b] = _coth_bracket(pair_b[near_b], t, pair_p[near_b])
-    z, cross = _crossing_ray(pair_b[~near_b][:, None], t, pair_p[~near_b])
-    part[~near_b] = -1j * np.pi * np.exp(z, out=np.zeros_like(z), where=cross)
+    pair_b, pair_p, pair_m = np.broadcast_arrays(bs[:, None], parts.p,
+                                                 parts.modulus)
     # a far pole's (beta p)^j may overflow where its residue underflows
     # (Re(-ap) <= -b |p|): such a pole adds 0
     coeff = {j: parts.coeff(s) * (beta * parts.p) ** j for j in set(rows_j)}
     coeff = np.array([coeff[j] for j in rows_j])
-    total = _pole_sum(np.where(np.isfinite(coeff), coeff, 0.0), part[at])
+    coeff = np.where(np.isfinite(coeff), coeff, 0.0)
 
     # the coefficient of int w^i ... in a row with these near and far poles:
     # below max(r, 0) the near poles' moment share (tau_0 at m = -1) where it
@@ -614,26 +699,84 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, t, s: int, beta: float):
     near = near_b[at]                                  # (row, pole)
     keys = [(tuple(o), tuple(not x for x in o), s + j)
             for o, j in zip(near.tolist(), rows_j)]
-    group = [keys.index(key) for key in keys]   # first row of equal key
-    first = np.maximum(s + np.array(rows_j), 0)        # a row's first series i
+    first = [max(s + j, 0) for j in rows_j]            # a row's first series i
     # the series terms fall by (i + 1) / (b |p|) for its nearest far pole
-    x = b * np.min(np.where(near, np.inf, parts.modulus), axis=1)
-    size = np.ones(b.size)   # |term i| / |first term|
-    live = ~near.all(axis=1)
-    i, top = -2, int(first.max())
-    while i < top or live.any():
-        series = live & (first <= i)
-        on = np.flatnonzero((i < first) | series).tolist()
-        c = {g: coefficient(*keys[g], i) for g in {group[k] for k in on}}
-        rows = [k for k in on if c[group[k]]]
-        if rows:
-            total[rows] = total[rows] + np.array(
-                [c[group[k]] for k in rows])[:, None] * term(i, rows)
-        ratio = (i + 1) / x[series]
-        size[series] *= ratio
-        live[series] = ~((ratio >= 1.0) | (size[series] < 1e-17))
-        i += 1
-    return total
+    x = (b * np.min(np.where(near, np.inf, parts.modulus), axis=1)).tolist()
+    coefficients, terms, row_b = {}, [], at.tolist()   # (i, row, c, scale)
+    for k, key in enumerate(keys):
+        # a row takes its moment shares below ``first``, then, with a far
+        # pole, its series up to its smallest term: the term at ``last``,
+        # where |term| / |first term| falls below 1e-17 or stops falling
+        last, i, size = first[k] - 1, first[k], 1.0
+        while not all(key[0]):
+            ratio = (i + 1) / x[k]
+            size *= ratio
+            last = i
+            if ratio >= 1.0 or size < 1e-17:
+                break
+            i += 1
+        group = coefficients.setdefault(key, {})
+        bk, jk, wk = rows_b[k], rows_j[k], weight[k]
+        for i in range(-2, last + 1):
+            if i not in group:
+                group[i] = coefficient(*key, i)
+            if group[i]:
+                terms.append((i, k, group[i], wk * bk ** (jk - i - 1)))
+    # the terms in the order they are added, by i and then by row; the
+    # shape of int w^i ... at each distinct (i, b) they need; and per i the
+    # rows and the slice of the terms
+    terms.sort(key=lambda x: x[:2])
+    shapes = {key: n for n, key in enumerate(dict.fromkeys(
+        (i, row_b[k]) for i, k, _, _ in terms))}
+    # (shape, b) indices of the shapes with i = -2, i = -1 and i >= 0
+    kind = np.sign([i + 1 for i, _ in shapes])
+    shape_b = np.array([x for _, x in shapes], dtype=int)
+    kinds = [(n, shape_b[n])
+             for n in (np.flatnonzero(kind == v) for v in (-1, 0, 1))]
+    powers = [i for i, _ in shapes if i >= 0]
+    factorial = np.array([math.gamma(i + 2) for i in powers])[:, None]
+    powers = np.array(powers, dtype=float)[:, None] + 1.0
+    where = np.array([shapes[i, row_b[k]] for i, k, _, _ in terms], dtype=int)
+    c = np.array([x[2] for x in terms])[:, None]
+    scale = np.array([x[3] for x in terms])[:, None]
+    plan, start = [], 0
+    for _, step in groupby(terms, key=lambda x: x[0]):
+        rows = np.array([k for _, k, _, _ in step])
+        plan.append((rows, slice(start, start + rows.size)))
+        start += rows.size
+
+    def rows_at(t):
+        u = t / bs[:, None]
+        l, a = _log1iu(u)
+        part = np.zeros(near_b.shape + t.shape, dtype=complex)
+        part[near_b] = _coth_bracket(pair_b[near_b], t, pair_p[near_b],
+                                     pair_m[near_b])
+        z, cross = _crossing_ray(pair_b[~near_b][:, None], t,
+                                 pair_p[~near_b])
+        part[~near_b] = -1j * np.pi * np.exp(z, out=np.zeros_like(z),
+                                             where=cross)
+        total = _pole_sum(coeff, part[at])
+        # beta^j int_0^inf w^i e^(-bw) (1 - cos wt) dw, i >= -2: the shape
+        # b^(i+1) int ... is (i+1)! Re P(i+1, u) for i >= -1 (Re P(0, u) =
+        # log(1 + u^2) / 2), and u atan u - log(1 + u^2) / 2 for i = -2
+        shape = np.empty((len(shapes),) + t.shape)
+        (n2, b2), (n1, b1), (n0, b0) = kinds
+        shape[n2] = u[b2] * a[b2] - l[b2]
+        shape[n1] = l[b1]
+        # Re P in chunks of about 2^16 values, which bounds its work arrays
+        per = max(1, 2 ** 16 // t.size)
+        for lo in range(0, n0.size, per):
+            k = slice(lo, lo + per)
+            shape[n0[k]] = factorial[k] * _re_p(powers[k],
+                                                (l[b0[k]], a[b0[k]]))
+        added = shape[where]                    # c * (scale * shape), in place
+        added *= scale
+        added *= c
+        for rows, term in plan:
+            total[rows] = total[rows] + added[term]
+        return total
+
+    return rows_at
 
 
 def _lorentz_origin(parts: _LorentzParts, s: int, t):
@@ -663,10 +806,10 @@ def _lorentz_origin(parts: _LorentzParts, s: int, t):
     rounding cannot pick the form) drops them and takes the series, where
     its phi terms would cancel; the others keep phi and give theirs back,
     -pi t/2 and -t K times their sum of c_k p_k^(s+1), or Z where no pole
-    is near.
+    is near.  The phi arguments of both rays go to ``_phi`` in one call.
     """
     z, minus_z, cross = _rays(0.0, t, parts.p)
-    phi_z, phi_minus_z = _phi(z), _phi(minus_z)
+    phi_z, phi_minus_z = _phi(np.stack([z, minus_z]))
     growth = 2j * np.pi * np.expm1(z) * cross
     head = -0.5 * (phi_z + phi_minus_z + growth)
     phase = (phi_z - phi_minus_z + growth
@@ -692,28 +835,34 @@ def _lorentz_origin(parts: _LorentzParts, s: int, t):
             + np.where(some, -t * k * far, origin))
 
 
-def _lorentz_sums(parts: _LorentzParts, n: int, beta: float, t):
-    """(S_gamma, S_Delta) for t > 0, with gamma and Delta = lam q/(4 pi) S.
+def _lorentz_sums(parts: _LorentzParts, n: int, beta: float):
+    """(S_gamma, S_Delta) as a function of a 1-d array of times t > 0, with
+    gamma and Delta = lam q/(4 pi) S.
 
     With s = n - 2, S_Delta and the head of S_gamma = S(s, 0) +
     2 sum_{m>=1} S(s, m beta) come from ``_lorentz_origin``, the rest from
-    one ``_lorentz_laplace`` call: as for ``ohmic_gamma``, ``_coth_series``
-    sums the rows (m, j) of ``_COTH_ROWS``, here beta^j S(s + j, m beta), the
-    direct terms, then at B = _COTH_DIRECT beta the integral and odd
-    derivatives in m, S(s - 1, B) / beta and -beta^j S(s + j, B).  n = 0
-    leaves S_gamma as None.
+    one ``_lorentz_laplace`` plan, made here once: as for ``ohmic_gamma``,
+    ``_coth_series`` sums the rows (m, j) of ``_COTH_ROWS``, here
+    beta^j S(s + j, m beta), the direct terms, then at B = N beta the
+    integral and odd derivatives in m, S(s - 1, B) / beta and
+    -beta^j S(s + j, B).  n = 0 leaves S_gamma as None.
     """
     s = n - 2
-    head, delta = _lorentz_origin(parts, s, t)
-    if n == 0:
-        return None, delta
     m, lift = _COTH_ROWS
-    rows = _lorentz_laplace(parts, m * beta, lift, t, s, beta)
-    return _coth_series(head, rows), delta
+    rows = None if n == 0 else _lorentz_laplace(parts, m * beta, lift, s,
+                                                beta)
+
+    def sums(t):
+        head, delta = _lorentz_origin(parts, s, t)
+        return (None if rows is None else _coth_series(head, rows(t)),
+                delta)
+
+    return sums
 
 
-def _lorentz_scaled(j: Lorentzian, beta: float, t):
-    """(gamma, Delta) over a 1-d array of times t > 0; gamma None for n = 0.
+def _lorentzian(j: Lorentzian, beta: float):
+    """(gamma, Delta) as a function of a 1-d array of times t > 0; gamma
+    None for n = 0.
 
     Frequencies are measured in units of w_c, so the poles have modulus 1
     (underdamped) or straddle it (overdamped).  Near critical damping the
@@ -742,27 +891,35 @@ def _lorentz_scaled(j: Lorentzian, beta: float, t):
         raise QuadratureFailure(f"Lorentzian at omega_c={wc}: "
                                 f"omega_c^{j.n - 5} is not finite") from None
     if abs(omega2) >= band:
-        sums = _lorentz_sums(_LorentzParts(q, omega2, 1.0), j.n, wc * beta,
-                             wc * t)
+        edges = [_lorentz_sums(_LorentzParts(q, omega2, 1.0), j.n, wc * beta)]
     else:
         w = (omega2 + band) / (2.0 * band)
-        sums = [None if a is None else a + w * (b - a) for a, b in zip(*(
-            _lorentz_sums(_LorentzParts(q, edge, edge + 0.25 * q * q), j.n,
-                          wc * beta, wc * t) for edge in (-band, band)))]
-    return [None if x is None else scale * x for x in sums]
+        edges = [_lorentz_sums(_LorentzParts(q, edge, edge + 0.25 * q * q),
+                               j.n, wc * beta) for edge in (-band, band)]
+
+    def kernel(t):
+        if len(edges) == 1:
+            sums = edges[0](wc * t)
+        else:
+            sums = [None if a is None else a + w * (b - a)
+                    for a, b in zip(*(edge(wc * t) for edge in edges))]
+        return [None if x is None else scale * x for x in sums]
+
+    return kernel
 
 
 def _ohmic(j: Ohmic, beta: float, t):
     return ohmic_gamma(j, beta, t), ohmic_delta(j, t)
 
 
-#: each family's kernel.  A kernel takes (bath, beta, 1-d block of times
-#: t > 0) and returns (gamma, Delta), gamma None where it diverges at every
-#: t > 0 (the n = 0 Lorentzian)
+#: each family's kernel.  A kernel takes (bath, beta) and returns the
+#: function of a 1-d block of times t > 0 that gives (gamma, Delta), gamma
+#: None where it diverges at every t > 0 (the n = 0 Lorentzian); what does
+#: not depend on t it does once
 _KERNELS = {
-    SingleMode: _single_mode,
-    Ohmic: _ohmic,
-    Lorentzian: _lorentz_scaled,
+    SingleMode: lambda j, beta: partial(_single_mode, j, beta),
+    Ohmic: lambda j, beta: partial(_ohmic, j, beta),
+    Lorentzian: _lorentzian,
 }
 
 
@@ -770,14 +927,14 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     """Decoherence factors at time t (builtin floats) or over a time array.
 
     One body serves every family: both factors are zero at t = 0, the
-    times t > 0 go through the family's kernel (``_KERNELS``) in blocks of
-    ``_BLOCK``, and gamma is +inf where the kernel reports divergence.  A
-    value does not depend on the other times passed with it, so an array
-    call matches its scalar calls bit for bit.  A value beyond the float
-    range, or a Lorentzian bath past q = ``_MAX_OVERDAMPING`` w_c, raises
-    QuadratureFailure.
+    times t > 0 go through the family's kernel (``_KERNELS``), made once per
+    call, in blocks of ``_BLOCK``, and gamma is +inf where the kernel
+    reports divergence.  A value does not depend on the other times passed
+    with it, so an array call matches its scalar calls bit for bit.  A
+    value beyond the float range, or a Lorentzian bath past q =
+    ``_MAX_OVERDAMPING`` w_c, raises QuadratureFailure.
     """
-    kernel = _KERNELS[type(j)]
+    make = _KERNELS[type(j)]
     t_arr = np.asarray(t, dtype=float)
     bad = t_arr[~(np.isfinite(t_arr) & (t_arr >= 0))]
     if bad.size:
@@ -789,7 +946,9 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     for lo in range(0, live.size, _BLOCK):
         at = live[lo:lo + _BLOCK]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            g, d = kernel(j, bc.beta, flat[at])
+            if not lo:
+                kernel = make(j, bc.beta)
+            g, d = kernel(flat[at])
         delta[at] = np.minimum(_checked(d, f"Delta {where}"), 0.0)
         gamma[at] = (math.inf if g is None
                      else np.maximum(_checked(g, f"gamma {where}"), 0.0))

@@ -247,7 +247,7 @@ def test_kernel_signs_before_the_clamps(family):
     for bath, beta in _validated_baths(family, rng, 250):
         t = np.sort(_log_uniform(rng, 1e-10, 1e3, 60)) / bath.omega_c
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            gamma, delta = kernel(bath, beta, t)
+            gamma, delta = kernel(bath, beta)(t)
         assert np.all(np.isfinite(delta) & (delta <= 0.0)), (bath, beta)
         if gamma is not None:
             assert np.all(np.isfinite(gamma) & (gamma >= 0.0)), (bath, beta)

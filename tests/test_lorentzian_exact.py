@@ -291,6 +291,9 @@ ROW_REGIMES = [
     ("near", 0.5, 0.05),      # every pole of every row near: brackets
     ("mixed", 1e3, 1.0),      # widely split overdamped poles: one of each
     ("far", 0.5, 50.0),       # every pole of every row far: series only
+    ("hot", 1e3, 0.05),       # one of each, every b |p| of the small pole
+                              # below 1: its bracket's series up to t/b =
+                              # _BRACKET_REACH
 ]
 
 
@@ -304,7 +307,7 @@ def test_batched_rows_match_rows_alone(regime, q, beta, n):
     near = b[:, None] * parts.modulus < _ASYMPTOTIC_SWITCH
     if regime == "near":
         assert near.all()
-    elif regime == "mixed":
+    elif regime in ("mixed", "hot"):
         assert (near.any(axis=1) & ~near.all(axis=1)).all()
     else:
         assert not near.any()
@@ -314,9 +317,9 @@ def test_batched_rows_match_rows_alone(regime, q, beta, n):
         short = t <= 0.25 * b[near.any(axis=1), None]
         assert short.any() and not short.all()
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _lorentz_laplace(parts, b, lifts, t, n - 2, beta)
-        alone = [_lorentz_laplace(parts, b[k:k + 1], lifts[k:k + 1], t,
-                                  n - 2, beta)[0] for k in range(b.size)]
+        rows = _lorentz_laplace(parts, b, lifts, n - 2, beta)(t)
+        alone = [_lorentz_laplace(parts, b[k:k + 1], lifts[k:k + 1], n - 2,
+                                  beta)(t)[0] for k in range(b.size)]
     assert rows.shape == (b.size, t.size) and np.all(np.isfinite(rows))
     for k in range(b.size):
         assert _bits(rows[k]) == _bits(alone[k]), k
@@ -353,6 +356,18 @@ def mp_row(q, n, beta, b, j, t, dps=30):
             f, sorted(pts))
 
 
+def test_row_reference_agrees_with_itself():
+    # in the hot regime (q = 1000, beta = 0.05: the small pole has
+    # b |p| = 5e-5 to 6e-4) mp_row at 30 and at 50 digits, far below the
+    # tested 1e-13
+    q, beta = 1e3, 0.05
+    for m, j in [(1, 0), (_COTH_DIRECT, -1), (_COTH_DIRECT, 11)]:
+        for t in (0.2, 3.0):
+            lo = mp_row(q, 1, beta, m * beta, j, t)
+            hi = mp_row(q, 1, beta, m * beta, j, t, dps=50)
+            assert abs(lo - hi) <= 1e-20 * abs(hi), (m, j, t)
+
+
 #: the rows (m, j) of _COTH_ROWS checked against ``mp_row``: m = 1, 2 and
 #: N - 1, then at m = N = _COTH_DIRECT the Euler-Maclaurin integral, edge
 #: and j = 11 rows
@@ -370,44 +385,50 @@ def test_rows_match_mpmath(regime, q, beta, n):
     labels = [tuple(row) for row in _COTH_ROWS.T.tolist()]
     m, lifts = _COTH_ROWS[:, [labels.index(row) for row in REFERENCE_ROWS]]
     b, t = m * beta, np.array([0.2, 3.0])
-    rows = _lorentz_laplace(parts, b, lifts, t, n - 2, beta)
+    rows = _lorentz_laplace(parts, b, lifts, n - 2, beta)(t)
     for k, i in np.ndindex(rows.shape):
         ref = float(mp_row(q, n, beta, b[k], int(lifts[k]), t[i]))
         assert abs(rows[k, i] - ref) <= 1e-13 * abs(ref), (b[k], lifts[k],
                                                           t[i])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "1.3-1.7e-13 off: the row is the real part of the small overdamped "
-    "pole's wide-form bracket phi(z0) - (phi(z0 - itp) + phi(z0 + itp))/2, "
-    "and |phi(z0)| is 2000-3200 times that real part"))
-@pytest.mark.parametrize("m", [7, 9, 11])
+@pytest.mark.parametrize("m", range(1, _COTH_DIRECT))
 def test_mixed_regime_rows_match_mpmath(m):
-    # direct rows (m, 0) of the mixed regime (q = 1000, beta = 1, n = 1) at
-    # t = 3 that REFERENCE_ROWS does not select; mp_row at 30 and 50 digits
-    # and with a finer split agrees on them to 1e-31
+    # every direct row (m, 0) of the mixed regime (q = 1000, beta = 1,
+    # n = 1) at t = 3; mp_row at 30 and 50 digits and with a finer split
+    # agrees on them to 1e-31.  In the phi form of the small pole's
+    # bracket, where |phi(z0)| is 2000-3200 times the row, rows m = 5..11
+    # (t/b from 0.6 to 0.27) lose 1.3-1.7e-13 to rounding
     q, beta, t = 1e3, 1.0, 3.0
     parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q), 1.0)
-    row = _lorentz_laplace(parts, np.array([m * beta]), np.array([0]),
-                           np.array([t]), -1, beta)[0, 0]
+    row = _lorentz_laplace(parts, np.array([m * beta]), np.array([0]), -1,
+                           beta)(np.array([t]))[0, 0]
     ref = float(mp_row(q, 1, beta, m * beta, 0, t))
     assert abs(row - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("n,per_block", [(0, 0), (1, 1), (2, 1)])
 def test_one_laplace_call_per_time_block(monkeypatch, n, per_block):
-    calls = []
+    # the coth rows are planned once per factors call and the plan runs
+    # once per time block
+    plans, runs = [], []
 
-    def counted(parts, b, lifts, t, s, beta):
-        calls.append((len(b), t.size))
-        return _lorentz_laplace(parts, b, lifts, t, s, beta)
+    def counted(parts, b, lifts, s, beta):
+        plans.append(len(b))
+        rows = _lorentz_laplace(parts, b, lifts, s, beta)
+
+        def run(t):
+            runs.append(t.size)
+            return rows(t)
+
+        return run
 
     monkeypatch.setattr(spinbath.decoherence, "_lorentz_laplace", counted)
     monkeypatch.setattr(spinbath.decoherence, "_BLOCK", 5)
     factors(Lorentzian(1.0, 0.5, OMEGA_C, n), BathConditions(1.0),
             np.linspace(0.01, 3.0, 12))
-    rows = _COTH_ROWS.shape[1]
-    assert calls == per_block * [(rows, 5), (rows, 5), (rows, 2)]
+    assert plans == per_block * [_COTH_ROWS.shape[1]]
+    assert runs == per_block * [5, 5, 2]
 
 
 def _distinct_lorentzian_gammas():
