@@ -60,7 +60,9 @@ same kind (``_lorentz_sums``).  For b > 0 each pole's bracket is its limit
 at p -> 0 plus terms in phi(z) = e^z E1(z) + gamma_E + log z, which
 vanishes at z = 0, and the limits are summed over the poles exactly; once
 b |p| >= 40 a pole's term comes from its asymptotic series in 1/(bp)
-instead, where its polynomial part would cancel it.  A pole with
+instead, where its polynomial part would cancel it; that series' shapes,
+Re P at integer orders, come from a complex recurrence over the orders
+(``_integer_shapes``).  A pole with
 |p| sqrt(b^2 + t^2) < 1 takes the power series of the three phi at 0, whose
 log z0 parts cancel there exactly (``_coth_bracket``).  At b = 0 a pole
 with t |p| < 1 takes its power series in z = itp, its terms linear in z
@@ -74,12 +76,14 @@ is completely monotone in m, so the first dropped Euler-Maclaurin term
 bounds the remainder for every bath, and N = 12 keeps it below 2^-53 of
 gamma (``_coth_cut``).  ``factors`` makes a family's kernel once per call,
 which does there what does not depend on t (for the Lorentzian bath, a
-plan of the coth rows' power loop), and takes the times t > 0 through it in
+plan of the coth rows' terms), and takes the times t > 0 through it in
 blocks of ``_BLOCK``.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -152,7 +156,8 @@ _COTH_DIRECT = _coth_cut()
 _COTH_ROWS = _coth_rows(_COTH_DIRECT)
 _EULER_GAMMA = 0.5772156649015329
 #: e^z E1(z): power series below |z| + Re z = 4, asymptotic series (30
-#: terms) from |z| = 40, continued fraction (depth 50) in between
+#: terms, 12 from |z| = 200) from |z| = 40, continued fraction (depth 50)
+#: in between
 _E1_SERIES = 4.0
 _E1_ASYMPTOTIC = 40.0
 _E1_ASYMPTOTIC_TERMS = 30
@@ -163,18 +168,27 @@ _ASYMPTOTIC_SWITCH = 40.0
 #: Lorentzian coth-series bracket of a pole with |p| sqrt(b^2 + t^2) < 1
 #: and t > b/4: terms of its power series at 0 (``_coth_bracket``)
 _BRACKET_TERMS = 19
+#: (2k - 1) 2k, k = 1..14: the divisors of the short-time bracket's
+#: Taylor terms (-u^2)^k / (2k)! (``_coth_bracket``)
+_TAYLOR_DIVISORS = np.arange(1.0, 28.0, 2.0) * np.arange(2.0, 29.0, 2.0)
 #: Lorentzian gamma head and Delta: series terms z^m / m!, m < this, for a
 #: pole with t |p| < 1
 _ORIGIN_SERIES_TERMS = 24
+#: the harmonic numbers H_m, m = 2.._ORIGIN_SERIES_TERMS - 1
+_HARMONIC = np.cumsum(1.0 / np.arange(1, _ORIGIN_SERIES_TERMS))[1:]
 #: |Omega^2| / w_c^2 below this squared is interpolated across critical damping
 _CRITICAL = 1e-4
 #: largest q / w_c evaluated (``_lorentzian``)
 _MAX_OVERDAMPING = 1e7
 #: times per block of ``factors``, which bounds the (row, time) work arrays
-#: of the coth-series passes (Lorentzian: the (row, pole, time) pole parts
-#: and the (term, time) products of the power loop, about 13 MB in all at
-#: 4096 times for the Lorentzian presets)
+#: of the coth-series passes (Lorentzian: the (row, pole, time) pole parts,
+#: about 12 MB in all at 4096 times for the Lorentzian presets)
 _BLOCK = 4096
+#: times per pass of the Lorentzian shapes and terms within a block, which
+#: keeps their work arrays near the cache; orders per pass of
+#: ``_integer_shapes``
+_SHAPE_CHUNK = 512
+_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -268,7 +282,9 @@ def _re_p(e, log1iu):
     With z = -e log(1 + iu) = X + iY, 1 - exp(z) is minus the complex expm1
     expm1(X) cos Y - 2 sin^2(Y/2) + i e^X sin Y, which is free of
     cancellation at small u; P tends to log(1 + iu) as e -> 0.  ``e`` is a
-    number or an array of orders that broadcasts against u.
+    number or an array of orders that broadcasts against u.  The Ohmic
+    factors take it; the Lorentzian shapes, all at integer orders, come
+    from a recurrence without transcendental calls (``_integer_shapes``).
     """
     l, a = log1iu
     if not np.ndim(e) and e == 0.0:
@@ -403,6 +419,16 @@ def ohmic_gamma(j: Ohmic, beta: float, t):
         return scale * _coth_series(head, rows).reshape(np.shape(t))
 
 
+def _scaled(c, z):
+    """The (c, z) array c_k z_i of real c and complex z, each part scaled
+    alone: a complex product of broadcast operands may round differently
+    with the array's size."""
+    out = np.empty((c.size, z.size), dtype=complex)
+    np.multiply(c[:, None], z.real, out=out.real)
+    np.multiply(c[:, None], z.imag, out=out.imag)
+    return out
+
+
 def _phi(z):
     """phi(z) = e^z E1(z) + gamma_E + log z for complex z, principal branch.
 
@@ -414,9 +440,11 @@ def _phi(z):
     z^k / (k k!); from |z| = 40 e^z E1(z) comes from its asymptotic series
     sum_k (-1)^k k! / z^(k+1), and in between from the even continued
     fraction 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))) (Abramowitz &
-    Stegun 5.1.11 and 5.1.22; Amos, ACM TOMS 16, 178 (1990)).  Each element
-    stops its series on its own terms, so a value does not depend on the
-    rest of the array.
+    Stegun 5.1.11 and 5.1.22; Amos, ACM TOMS 16, 178 (1990)).  The power
+    series takes 2.5 |z| + 32 terms at once (enough below |z| = 40), as a
+    cumulative product, and its partial sums as a cumulative sum; each
+    element stops on its own terms, so a value does not depend on the rest
+    of the array.
     """
     z = np.asarray(z, dtype=complex)
     out = np.empty_like(z)
@@ -425,34 +453,45 @@ def _phi(z):
     near = ~far & (r + z.real < _E1_SERIES)
     mid = ~far & ~near
     if far.any():
+        # e^z E1(z) = w h(w), h = sum_k (-1)^k k! w^k, w = 1/z: 30 terms
+        # below |z| = 200, summed from the smallest as one array pass;
+        # from there 12 terms do (12!/200^12 = 1.2e-19), in Horner's form
         w = 1.0 / z[far]
         h = np.ones_like(w)
-        for k in range(_E1_ASYMPTOTIC_TERMS - 1, 0, -1):
-            h = 1.0 - k * w * h
+        close = r[far] < 200.0
+        if close.any():
+            terms = _scaled(-np.arange(float(_E1_ASYMPTOTIC_TERMS)), w[close])
+            terms[0] = 1.0
+            np.cumprod(terms, axis=0, out=terms)
+            h[close] = np.cumsum(terms[::-1], axis=0)[-1]
+        wide, rest = w[~close], 1.0
+        for k in range(11, 0, -1):
+            rest = 1.0 - k * wide * rest
+        h[~close] = rest
         out[far] = w * h + _EULER_GAMMA + np.log(z[far])
     if near.any():
         zs = z[near]
-        total = np.empty_like(zs)
-        # the elements still summing: their places, terms, sums and z
-        live, term, sums, z_live = np.arange(zs.size), zs, zs, zs
-        k = 1
-        while live.size:
-            k += 1
-            term = term * z_live * ((1.0 - k) / (k * k))
-            sums = sums + term
-            going = np.abs(term) > 1e-17 * np.abs(sums)
-            if not going.all():
-                total[live[~going]] = sums[~going]
-                live, term, sums, z_live = (x[going] for x in
-                                            (live, term, sums, z_live))
+        total, todo, count = np.empty_like(zs), np.arange(zs.size), \
+            int(2.5 * np.abs(zs).max()) + 32
+        while todo.size:                    # once, unless the count is short
+            ks = np.arange(1.0, count)
+            terms = _scaled((1.0 - ks) / (ks * ks), zs[todo])
+            terms[0] = zs[todo]
+            partial = np.cumsum(np.cumprod(terms, axis=0, out=terms), axis=0)
+            going = np.abs(terms[1:]) > 1e-17 * np.abs(partial[1:])
+            done = ~going.all(axis=0)
+            total[todo[done]] = partial[going[:, done].argmin(axis=0) + 1,
+                                        done]
+            todo, count = todo[~done], 2 * count
         out[near] = np.exp(zs) * total \
             - np.expm1(zs) * (_EULER_GAMMA + np.log(zs))
     if mid.any():
         zc = z[mid]
-        tail = np.zeros_like(zc)
+        shifts = zc + np.arange(1.0, 2 * _E1_CF_DEPTH + 2, 2.0)[:, None]
+        tail = 0.0
         for k in range(_E1_CF_DEPTH, 0, -1):
-            tail = k * k / (zc + (2 * k + 1) - tail)
-        out[mid] = 1.0 / (zc + 1.0 - tail) + _EULER_GAMMA + np.log(zc)
+            tail = k * k / (shifts[k] - tail)
+        out[mid] = 1.0 / (shifts[0] - tail) + _EULER_GAMMA + np.log(zc)
     return out
 
 
@@ -544,7 +583,7 @@ def _pole_sum(coeff, values):
                          + coeff[..., 1, None] * values[..., 1, :])
 
 
-def _coth_bracket(b, t, p, modulus):
+def _coth_bracket(b, t, p, modulus, phi=None, held=None):
     """I(b, p) - I(b - it, p)/2 - I(b + it, p)/2 less its p -> 0 limit.
 
     One row per (b, p) pair of the 1-d arrays ``b`` and ``p`` (``_rays``
@@ -572,7 +611,9 @@ def _coth_bracket(b, t, p, modulus):
     that -Re e_k does not cancel.  Term 1 has no log zeta and term k is
     at most about r^(k-2) / k! times term 2, so ``_BRACKET_TERMS`` = 19
     terms reach 2/19! < 2^-53 of it.  All pairs' phi arguments go to
-    ``_phi`` in one call.
+    ``phi`` (``_phi`` by default) in one call.  The dict ``held`` keeps
+    what does not depend on t across calls: phi(z0), which joins the first
+    call's arguments, and the d_m.
     """
     z_minus, z_plus, cross = _rays(b[:, None], t, p)
     z0 = -b * p
@@ -580,27 +621,30 @@ def _coth_bracket(b, t, p, modulus):
     short = t <= 0.25 * b[:, None]
     origin = ~short & (modulus[:, None] * np.hypot(b[:, None], t) < 1.0)
     wide = ~(short | origin)
-    phi0, phi_minus, phi_plus = np.split(
-        _phi(np.concatenate([z0, z_minus[wide], z_plus[wide]])),
-        [b.size, b.size + np.count_nonzero(wide)])
+    held = {} if held is None else held
+    fresh = "phi0" not in held
+    values = (phi or _phi)(np.concatenate(
+        [z0] * fresh + [z_minus[wide], z_plus[wide]]))
+    if fresh:
+        held["phi0"], values = values[:b.size], values[b.size:]
+    phi0 = held["phi0"]
     out = np.empty(z_minus.shape, dtype=complex)
     if wide.any():
+        phi_minus, phi_plus = np.split(values, 2)
         out[wide] = np.broadcast_to(phi0[:, None], out.shape)[wide] \
             - 0.5 * (phi_minus + phi_plus) \
             - 1j * np.pi * np.expm1(z_minus[wide]) * cross[wide]
     if short.any():
+        if "d" not in held:                  # d_1, d_3, ..., d_27 per pair
+            d = [z0 * (phi0 - _EULER_GAMMA - np.log(z0)) - 1.0]
+            for m in range(2, 2 * _TAYLOR_DIVISORS.size):
+                d.append(z0 * d[-1] + (-1) ** m * math.factorial(m - 1))
+            held["d"] = np.array(d[::2]).T
         pair = np.nonzero(short)[0]
-        u2 = u[short] ** 2
-        d = z0 * (phi0 - _EULER_GAMMA - np.log(z0)) - 1.0   # d_1
-        power = np.ones_like(u2)
-        total = np.zeros(u2.shape, dtype=complex)
-        for k in range(1, 15):
-            if k > 1:
-                for m in (2 * k - 2, 2 * k - 1):
-                    d = z0 * d + (-1) ** m * math.factorial(m - 1)
-            power = power * -u2 / ((2 * k - 1) * (2 * k))
-            total = total + power * d[pair]
-        out[short] = -z0[pair] * total
+        power = np.cumprod(-u[short][:, None] ** 2 / _TAYLOR_DIVISORS,
+                           axis=1)
+        out[short] = -z0[pair] * np.cumsum(power * held["d"][pair],
+                                           axis=1)[:, -1]
     if origin.any():
         pair, time = np.nonzero(origin)
         h = np.hypot(b[pair], t[time])
@@ -619,6 +663,56 @@ def _coth_bracket(b, t, p, modulus):
                                      + ck * l - e.imag * a)
         out[origin] = total
     return out
+
+
+def _integer_shapes(u, heads, out, work):
+    """Re d_e, d_e = 1 - (1 + iu)^-e, e = 1..len(heads), for the first
+    heads[e - 1] rows of a (b, time) array u >= 0 (heads non-increasing),
+    into the rows of ``out``: the orders in groups of G = ``_GROUP``, group g
+    a (G, heads[gG], time) block.  (i+1)! Re P(i+1, u) = i! Re d_(i+1) is a
+    Lorentzian shape.  ``work`` is complex, ((G + 1) heads[0] + (G + 1)
+    heads[min(G, len(heads) - 1)], time).
+
+    With w = 1/(1 + iu), d_1 = iu/(1 + iu) and d_(e+k) = d_k + w^k d_e =
+    d_k + d_e - d_k d_e: orders up to G from d_(e+1) = d_1 + w d_e, then a
+    group at a time from d_1..d_G, a few complex operations per order and
+    no transcendental call.  Nothing cancels at small u, where 1 - cos
+    would: Re d_(e+k) = Re d_k + (1 - Re d_k) Re d_e + Im d_k Im d_e adds
+    terms >= 0.  u is capped at 1e150, as in ``_log1iu``: u^2 still fits,
+    and every d_e rounds to 1.
+    """
+    if not heads:
+        return
+    g, n, size = _GROUP, heads[0], u.shape[1]
+    k, top = min(g, len(heads)), heads[min(g, len(heads) - 1)]
+    low, group, last, w = np.split(work, np.cumsum([g * n, g * top, top]))
+    low = low[:k * n].reshape(k, n, size)
+    v = np.minimum(u[:n], 1e150)
+    den = 1.0 + v * v
+    low.real[0], low.imag[0] = v * v / den, v / den
+    w.real, w.imag = 1.0 / den, -v / den
+    for e, rows in enumerate(heads[1:k], 1):
+        np.multiply(w[:rows], low[e - 1, :rows], out=low[e, :rows])
+        low[e, :rows] += low[0, :rows]
+    out[:k * n] = low.real.reshape(-1, size)
+    at, last[:top] = k * n, low[-1, :top]
+    for e in range(g, len(heads), g):
+        k, rows = min(g, len(heads) - e), heads[e]
+        block = group[:k * rows].reshape(k, rows, size)
+        np.multiply(low[:k, :rows], last[:rows], out=block)   # d_k d_e
+        np.subtract(last[:rows], block, out=block)
+        block += low[:k, :rows]                    # d_k + d_e - d_k d_e
+        out[at:at + k * rows] = block.real.reshape(-1, size)
+        at, last[:rows] = at + k * rows, block[-1]
+
+
+def _pow(x: float, n: int) -> float:
+    """x ** n for builtin floats x >= 0: libm pow, inf beyond the float
+    range (where a builtin float raises)."""
+    try:
+        return x ** n
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
@@ -644,142 +738,191 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
     (pole, time) array of pole parts, a near pole's bracket or a far pole's
     crossing residue -pi i e^(-ap) (0 where its ray does not cross), and
     each row is one pole sum of them, with coefficients c_k p_k^s
-    (beta p_k)^j.  Then one loop over the power i of int w^i ..., from -2,
-    adds a row's near poles' moment share below max(r, 0) and its far
-    poles' asymptotic series from there to the row's own stop.  None of
-    that loop depends on t, so it is planned here, once: for each i the
-    rows that take a term, their coefficients and moment shares, and their
-    scales (beta/b)^j b^(j-i-1), as powers of numpy scalars (inf beyond the
-    float range, not an error, and rounded as libm pow, which an array
-    np.power does not always do).  The returned function runs the plan on a
-    block of times.  A row's terms come in the same order whatever the other
-    rows are.
+    (beta p_k)^j.  Then each row adds its terms c (scale shape) in the
+    order of the power i of int w^i ..., from -2: its near poles' moment
+    share below max(r, 0), then its far poles' asymptotic series to the
+    row's own stop.  None of that depends on t, so it is planned here,
+    once, in builtin floats: the coefficients, one list per kind of row,
+    and the scales (beta/b)^j b^(j-i-1) as libm pow (inf beyond the float
+    range, not an error; an array np.power does not always round as libm
+    does).  The returned function runs the plan on a block of times, its
+    optional second argument evaluating phi in place of ``_phi``.  A row's
+    terms come in the same order whatever the other rows are.
     """
-    beta = np.float64(beta)
-    rows_b, rows_j = list(b), [int(j) for j in lifts]
-    weight = [(beta / x) ** j for x, j in zip(rows_b, rows_j)]
-    bs, at = np.unique(b, return_inverse=True)   # distinct b, and each row's
-    moments = {}
-
-    def moment(poles, m):
-        # 2 Re sum_k c_k p_k^m over the given poles, 0 where it vanishes to
-        # rounding (the odd powers of a symmetric pair)
-        if (poles, m) not in moments:
-            terms = [complex(ck) * complex(pk) ** m
-                     for ck, pk, on in zip(parts.c, parts.p, poles) if on]
-            total = 2.0 * sum(x.real for x in terms)
-            moments[poles, m] = total if abs(total) > 1e-15 * sum(
-                map(abs, terms)) else 0.0
-        return moments[poles, m]
-
-    near_b = bs[:, None] * parts.modulus < _ASYMPTOTIC_SWITCH  # (b, pole)
-    pair_b, pair_p, pair_m = np.broadcast_arrays(bs[:, None], parts.p,
-                                                 parts.modulus)
+    beta = float(beta)
+    rows_b, rows_j = b.tolist(), [int(j) for j in lifts]
+    modulus = parts.modulus.tolist()
+    cp = list(zip(parts.c.tolist(), parts.p.tolist()))
     # a far pole's (beta p)^j may overflow where its residue underflows
     # (Re(-ap) <= -b |p|): such a pole adds 0
-    coeff = {j: parts.coeff(s) * (beta * parts.p) ** j for j in set(rows_j)}
-    coeff = np.array([coeff[j] for j in rows_j])
+    own, scaled = parts.coeff(s), beta * parts.p
+    coeff = {j: own * scaled ** j for j in set(rows_j)}
+
+    def moments(poles, ms):
+        # 2 Re sum_k c_k p_k^m over the given poles for each m of ``ms``, 0
+        # where it vanishes to rounding (the odd powers of a symmetric pair)
+        terms = [[c * p ** m for m in ms] for (c, p), on in zip(cp, poles)
+                 if on] or [[0.0] * len(ms)]
+        total, norm = [x.real for x in terms[0]], list(map(abs, terms[0]))
+        for more in terms[1:]:
+            total = [x + y.real for x, y in zip(total, more)]
+            norm = [x + abs(y) for x, y in zip(norm, more)]
+        return [2.0 * x if abs(2.0 * x) > 1e-15 * y else 0.0
+                for x, y in zip(total, norm)]
+
+    # per row its near poles, r, and its last power i: below max(r, 0) its
+    # moment shares, then, with a far pole, its series up to its smallest
+    # term, where |term| / |first term| falls below 1e-17 or stops falling
+    # (the terms fall by (i + 1) / (b |p|) for its nearest far pole)
+    near = [tuple(x * m < _ASYMPTOTIC_SWITCH for m in modulus)
+            for x in rows_b]
+    keys = list(zip(near, (s + j for j in rows_j)))
+    x = np.array([bk * min([m for m, on in zip(modulus, poles) if not on],
+                           default=math.inf)
+                  for bk, poles in zip(rows_b, near)])[:, None]
+    first, steps = np.maximum(s + np.asarray(lifts), 0), 64
+    while True:
+        ratio = (first[:, None] + np.arange(1, steps + 1)) / x
+        stop = (ratio >= 1.0) | (np.cumprod(ratio, axis=1) < 1e-17)
+        if stop.any(axis=1).all():
+            break
+        steps *= 2
+    last = (first + np.where(x[:, 0] < math.inf, stop.argmax(axis=1), -1)
+            ).tolist()
+    stops, reach = {}, {}
+    for key, stop in zip(keys, last):
+        stops[key] = max(stops.get(key, stop), stop)
+    for (poles, r), stop in stops.items():
+        far = tuple(not x for x in poles)
+        reach[far] = max(reach.get(far, 0), stop - r + 1)
+    series = {far: [-x for x in moments(far, range(-1, -1 - n, -1))]
+              for far, n in reach.items()}
+
+    # the nonzero coefficients of int w^i ..., i = -2..stop, and their i,
+    # in a row with these near poles and r: below max(r, 0) the near poles'
+    # moment share (tau_0 at m = -1) where it does not cancel: below m = 3
+    # the total is zero, so minus the far poles' part; above, the exact
+    # moment if every pole is near, else the near poles' own; with no near
+    # pole only tau_0 / w^-r.  Then the series, from ``series``.
+    def coefficients(poles, r, stop):
+        far, first = tuple(not x for x in poles), max(r, 0)
+        out = [parts.tau0 if r == -2 else 0.0]
+        for m in range(r, r - first - 1, -1):               # i = -1, ...
+            if not any(poles):
+                out.append(parts.tau0 if m == -1 else 0.0)
+            elif m < 3:
+                out.append(-moments(far, [m])[0])
+            else:
+                out.append(parts.moment(m) if all(poles)
+                           else moments(poles, [m])[0])
+        out += series[far][first - r:stop - r + 1]
+        kept = [i for i, c in enumerate(out, -2) if c]
+        return kept, [out[i + 2] for i in kept]
+
+    table = {key: coefficients(*key, stop) for key, stop in stops.items()}
+    # the terms, row by row: row, power i, coefficient; the orders each b
+    # needs; and the scales, libm pow in builtin floats, times the i! of
+    # ``_integer_shapes``
+    rows, powers, cs, need = [], [], [], dict.fromkeys(rows_b, 0)
+    for k, (key, stop) in enumerate(zip(keys, last)):
+        kept, values = table[key]
+        n = bisect.bisect_right(kept, stop)
+        rows += [k] * n
+        powers += kept[:n]
+        cs += values[:n]
+        need[rows_b[k]] = max(need[rows_b[k]], kept[n - 1] + 1 if n else 0)
+    rows, powers = np.array(rows, dtype=int), np.array(powers, dtype=int)
+    lift = (np.array(rows_j)[rows] - 1 - powers).tolist()
+    try:
+        scale = list(map(pow, b[rows].tolist(), lift))
+    except (OverflowError, ZeroDivisionError):
+        scale = list(map(_pow, b[rows].tolist(), lift))
+    scale = np.array([_pow(beta / x if x else math.inf, j) for x, j in zip(
+        rows_b, rows_j)])[rows] * scale * np.array([1.0, 1.0] + [float(
+            math.factorial(i)) for i in range(max(need.values()))])[powers + 2]
+    # the b by the orders they need, so that the recurrence runs on a
+    # shrinking head of them, and the rows of the shape table: i = -2 and
+    # -1 per b, then the orders in ``_integer_shapes``' groups
+    bs = sorted(need, key=lambda x: (-need[x], x))
+    index = {x: q for q, x in enumerate(bs)}
+    orders, g = sorted(need.values()), _GROUP
+    heads = [len(bs) - bisect.bisect_left(orders, e)
+             for e in range(1, orders[-1] + 1)]
+    starts = list(itertools.accumulate([g * h for h in heads[:-g:g]],
+                                       initial=2 * len(bs)))
+    base = [starts[o // g] + o % g * heads[o - o % g] for o in range(len(
+        heads))]
+    rows_total = base[-1] + heads[len(heads) - 1 - (len(heads) - 1) % g] \
+        if heads else 2 * len(bs)
+    work = (g + 1) * (heads[0] + heads[min(g, len(heads) - 1)]) if heads \
+        else 0
+    slots = np.where(powers < 0, (powers + 2) * len(bs), np.array(
+        base + [0, 0])[powers]) + np.array([index[x] for x in rows_b])[rows]
+    # the rows by how many terms they take, and the terms by round: each
+    # round adds the next term of every row that has one, to a head of them
+    counts = np.bincount(rows, minlength=len(rows_b))
+    rank = np.argsort(-counts, kind="stable")
+    place = np.argsort(rank)
+    step = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    by_round = np.lexsort((place[rows], step))
+    rounds = np.bincount(step).tolist()
+    slots, c, scale = slots[by_round], np.array(cs)[by_round, None], \
+        scale[by_round, None]
+    at = np.array([index[rows_b[k]] for k in rank])
+    coeff = np.array([coeff[rows_j[k]] for k in rank])
     coeff = np.where(np.isfinite(coeff), coeff, 0.0)
+    bs = np.array(bs)
+    near_b = bs[:, None] * parts.modulus < _ASYMPTOTIC_SWITCH  # (b, pole)
+    kb, kp = np.nonzero(near_b)
+    pair_b, pair_p, pair_m = bs[kb], parts.p[kp], parts.modulus[kp]
+    kb, kp = np.nonzero(~near_b)
+    far_b, far_p = bs[kb][:, None], parts.p[kp]
+    held, spare = {}, {}
 
-    # the coefficient of int w^i ... in a row with these near and far poles:
-    # below max(r, 0) the near poles' moment share (tau_0 at m = -1) where it
-    # does not cancel: below m = 3 the total is zero, so minus the far
-    # poles' part; above, the exact moment if every pole is near, else the
-    # near poles' own; with no near pole only tau_0 / w^-r.  Then the series.
-    def coefficient(poles, far, r, i):
-        if i >= max(r, 0):
-            return -moment(far, r - 1 - i)
-        m = r if i == -1 else r - 1 - i
-        if i == -2 or not any(poles):
-            return parts.tau0 if m == -1 else 0.0
-        if m < 3:
-            return -moment(far, m)
-        return parts.moment(m) if all(poles) else moment(poles, m)
+    def buffer(name, shape, dtype=float):
+        # a work array of this shape, kept for the later blocks of the call
+        size = math.prod(shape)
+        if name not in spare or spare[name].size < size:
+            spare[name] = np.empty(size, dtype)
+        return spare[name][:size].reshape(shape)
 
-    near = near_b[at]                                  # (row, pole)
-    keys = [(tuple(o), tuple(not x for x in o), s + j)
-            for o, j in zip(near.tolist(), rows_j)]
-    first = [max(s + j, 0) for j in rows_j]            # a row's first series i
-    # the series terms fall by (i + 1) / (b |p|) for its nearest far pole
-    x = (b * np.min(np.where(near, np.inf, parts.modulus), axis=1)).tolist()
-    coefficients, terms, row_b = {}, [], at.tolist()   # (i, row, c, scale)
-    for k, key in enumerate(keys):
-        # a row takes its moment shares below ``first``, then, with a far
-        # pole, its series up to its smallest term: the term at ``last``,
-        # where |term| / |first term| falls below 1e-17 or stops falling
-        last, i, size = first[k] - 1, first[k], 1.0
-        while not all(key[0]):
-            ratio = (i + 1) / x[k]
-            size *= ratio
-            last = i
-            if ratio >= 1.0 or size < 1e-17:
-                break
-            i += 1
-        group = coefficients.setdefault(key, {})
-        bk, jk, wk = rows_b[k], rows_j[k], weight[k]
-        for i in range(-2, last + 1):
-            if i not in group:
-                group[i] = coefficient(*key, i)
-            if group[i]:
-                terms.append((i, k, group[i], wk * bk ** (jk - i - 1)))
-    # the terms in the order they are added, by i and then by row; the
-    # shape of int w^i ... at each distinct (i, b) they need; and per i the
-    # rows and the slice of the terms
-    terms.sort(key=lambda x: x[:2])
-    shapes = {key: n for n, key in enumerate(dict.fromkeys(
-        (i, row_b[k]) for i, k, _, _ in terms))}
-    # (shape, b) indices of the shapes with i = -2, i = -1 and i >= 0
-    kind = np.sign([i + 1 for i, _ in shapes])
-    shape_b = np.array([x for _, x in shapes], dtype=int)
-    kinds = [(n, shape_b[n])
-             for n in (np.flatnonzero(kind == v) for v in (-1, 0, 1))]
-    powers = [i for i, _ in shapes if i >= 0]
-    factorial = np.array([math.gamma(i + 2) for i in powers])[:, None]
-    powers = np.array(powers, dtype=float)[:, None] + 1.0
-    where = np.array([shapes[i, row_b[k]] for i, k, _, _ in terms], dtype=int)
-    c = np.array([x[2] for x in terms])[:, None]
-    scale = np.array([x[3] for x in terms])[:, None]
-    plan, start = [], 0
-    for _, step in groupby(terms, key=lambda x: x[0]):
-        rows = np.array([k for _, k, _, _ in step])
-        plan.append((rows, slice(start, start + rows.size)))
-        start += rows.size
-
-    def rows_at(t):
+    def rows_at(t, phi=None):
         u = t / bs[:, None]
         l, a = _log1iu(u)
-        part = np.zeros(near_b.shape + t.shape, dtype=complex)
-        part[near_b] = _coth_bracket(pair_b[near_b], t, pair_p[near_b],
-                                     pair_m[near_b])
-        z, cross = _crossing_ray(pair_b[~near_b][:, None], t,
-                                 pair_p[~near_b])
+        part = buffer("part", near_b.shape + t.shape, complex)
+        part[near_b] = _coth_bracket(pair_b, t, pair_p, pair_m, phi, held)
+        z, cross = _crossing_ray(far_b, t, far_p)
         part[~near_b] = -1j * np.pi * np.exp(z, out=np.zeros_like(z),
                                              where=cross)
-        total = _pole_sum(coeff, part[at])
-        # beta^j int_0^inf w^i e^(-bw) (1 - cos wt) dw, i >= -2: the shape
-        # b^(i+1) int ... is (i+1)! Re P(i+1, u) for i >= -1 (Re P(0, u) =
-        # log(1 + u^2) / 2), and u atan u - log(1 + u^2) / 2 for i = -2
-        shape = np.empty((len(shapes),) + t.shape)
-        (n2, b2), (n1, b1), (n0, b0) = kinds
-        shape[n2] = u[b2] * a[b2] - l[b2]
-        shape[n1] = l[b1]
-        # Re P in chunks of about 2^16 values, which bounds its work arrays
-        per = max(1, 2 ** 16 // t.size)
-        for lo in range(0, n0.size, per):
-            k = slice(lo, lo + per)
-            shape[n0[k]] = factorial[k] * _re_p(powers[k],
-                                                (l[b0[k]], a[b0[k]]))
-        added = shape[where]                    # c * (scale * shape), in place
-        added *= scale
-        added *= c
-        for rows, term in plan:
-            total[rows] = total[rows] + added[term]
-        return total
+        gathered = buffer("rows", (at.size,) + part.shape[1:], complex)
+        total = _pole_sum(coeff, np.take(part, at, axis=0, mode="clip",
+                                         out=gathered))
+        # the shapes b^(i+1) int_0^inf w^i e^(-bw) (1 - cos wt) dw: u atan u
+        # - log(1 + u^2) / 2 at i = -2, log(1 + u^2) / 2 at i = -1, and
+        # i! Re[1 - (1 + iu)^-(i+1)] from ``_integer_shapes``
+        for lo in range(0, t.size, _SHAPE_CHUNK):
+            k = slice(lo, lo + _SHAPE_CHUNK)
+            size = u[:, k].shape[1]
+            shapes = buffer("shapes", (rows_total, size))
+            np.multiply(u[:, k], a[:, k], out=shapes[:bs.size])
+            shapes[:bs.size] -= l[:, k]
+            shapes[bs.size:2 * bs.size] = l[:, k]
+            _integer_shapes(u[:, k], heads, shapes[2 * bs.size:], buffer(
+                "orders", (work, size), complex))
+            added = np.take(shapes, slots, axis=0, mode="clip", out=buffer(
+                "added", (slots.size, size)))
+            added *= scale                      # c * (scale * shape)
+            added *= c
+            start, into = 0, total[:, k]
+            for head in rounds:
+                into[:head] += added[start:start + head]
+                start += head
+        return total[place]
 
     return rows_at
 
 
-def _lorentz_origin(parts: _LorentzParts, s: int, t):
+def _lorentz_origin(parts: _LorentzParts, s: int, t, rays=None, phi=None):
     """(S(s, 0), S_Delta) for t > 0: the coth-series head and the phase.
 
     With z = itp for the upper poles p of ``parts`` and K = 1 - gamma_E - ln t,
@@ -806,10 +949,11 @@ def _lorentz_origin(parts: _LorentzParts, s: int, t):
     rounding cannot pick the form) drops them and takes the series, where
     its phi terms would cancel; the others keep phi and give theirs back,
     -pi t/2 and -t K times their sum of c_k p_k^(s+1), or Z where no pole
-    is near.  The phi arguments of both rays go to ``_phi`` in one call.
+    is near.  ``rays`` (``_rays(0, t, p)``) and their ``phi`` may come from
+    the caller; the series are array passes over all their terms.
     """
-    z, minus_z, cross = _rays(0.0, t, parts.p)
-    phi_z, phi_minus_z = _phi(np.stack([z, minus_z]))
+    z, minus_z, cross = rays or _rays(0.0, t, parts.p)
+    phi_z, phi_minus_z = _phi(np.stack([z, minus_z])) if phi is None else phi
     growth = 2j * np.pi * np.expm1(z) * cross
     head = -0.5 * (phi_z + phi_minus_z + growth)
     phase = (phi_z - phi_minus_z + growth
@@ -818,14 +962,16 @@ def _lorentz_origin(parts: _LorentzParts, s: int, t):
     k = 1.0 - _EULER_GAMMA - np.log(t)
     if near.any():
         zs, log_mz = z[near], np.log(minus_z[near])
-        power, harmonic, sums = zs, 1.0, [0.0, 0.0]   # G, D less the shares
-        for m in range(2, _ORIGIN_SERIES_TERMS):
-            power = power * zs / m
-            harmonic += 1.0 / m
-            sums = [x + 1j * np.pi * power for x in sums]
-            sums[m % 2] = sums[m % 2] \
-                + 2.0 * (harmonic - _EULER_GAMMA - log_mz) * power
-        head[near], phase[near] = -0.5 * sums[0], sums[1] / 2j
+        power = _scaled(1.0 / np.arange(1.0, _ORIGIN_SERIES_TERMS), zs)
+        power[0] = zs
+        np.cumprod(power, axis=0, out=power)           # z^m / m!, m >= 1
+        power = power[1:]
+        e = 1j * np.pi * power
+        shares = 2.0 * (_HARMONIC[:, None] - _EULER_GAMMA - log_mz) * power
+        even = (np.arange(2, _ORIGIN_SERIES_TERMS) % 2 == 0)[:, None]
+        g, d = (np.cumsum(e + np.where(on, shares, 0.0), axis=0)[-1]
+                for on in (even, ~even))
+        head[near], phase[near] = -0.5 * g, d / 2j
     some = near.any(axis=0)
     far = _pole_sum(parts.coeff(s + 1), ~near)
     origin = parts.tau0 * t * k if s == -2 else 0.0
@@ -845,7 +991,8 @@ def _lorentz_sums(parts: _LorentzParts, n: int, beta: float):
     ``_coth_series`` sums the rows (m, j) of ``_COTH_ROWS``, here
     beta^j S(s + j, m beta), the direct terms, then at B = N beta the
     integral and odd derivatives in m, S(s - 1, B) / beta and
-    -beta^j S(s + j, B).  n = 0 leaves S_gamma as None.
+    -beta^j S(s + j, B).  n = 0 leaves S_gamma as None.  Each block of
+    times makes one ``_phi`` call, for the origin's rays and the brackets'.
     """
     s = n - 2
     m, lift = _COTH_ROWS
@@ -853,9 +1000,19 @@ def _lorentz_sums(parts: _LorentzParts, n: int, beta: float):
                                                 beta)
 
     def sums(t):
-        head, delta = _lorentz_origin(parts, s, t)
-        return (None if rows is None else _coth_series(head, rows(t)),
-                delta)
+        if rows is None:
+            return None, _lorentz_origin(parts, s, t)[1]
+        rays = _rays(0.0, t, parts.p)
+        origin, at_origin = np.stack(rays[:2]), []
+
+        def phi(z):
+            values = _phi(np.concatenate([origin.ravel(), z]))
+            at_origin.append(values[:origin.size].reshape(origin.shape))
+            return values[origin.size:]
+
+        values = rows(t, phi)
+        head, delta = _lorentz_origin(parts, s, t, rays, at_origin[0])
+        return _coth_series(head, values), delta
 
     return sums
 

@@ -20,9 +20,11 @@ from spinbath.decoherence import (
     _ASYMPTOTIC_SWITCH,
     _COTH_DIRECT,
     _COTH_ROWS,
+    _GROUP,
     _MAX_OVERDAMPING,
     BathConditions,
     _coth_bracket,
+    _integer_shapes,
     _LorentzParts,
     _lorentz_laplace,
     _phi,
@@ -237,6 +239,30 @@ def test_phi_matches_mpmath():
     assert np.array_equal(got, [_phi(np.array([v]))[0] for v in z])
 
 
+def test_integer_shapes_match_mpmath():
+    # Re d_e, d_e = 1 - (1 + iu)^-e, from the recurrence over the orders,
+    # against -expm1(-e log(1 + iu)) at 30 digits, for seeded u from 1e-10
+    # to past the u^2 overflow (the cap at 1e150) and e up to 80.  A plan's
+    # series stops where (i + 1) / (b |p|) >= 1 or its terms fall by 1e-17,
+    # which for b |p| >= 40 and a first power up to 11 is at most e = 72.
+    # The worst error when this bound was set was 1.2e-15.
+    rng = np.random.default_rng(23)
+    u = np.concatenate([10.0 ** rng.uniform(-10, 160, 60),
+                        [0.0, 1e-3, 1.0, 1e150, 1e160, 1e300]])
+    orders = 80
+    out = np.empty((orders * u.size, 1))
+    _integer_shapes(u[:, None], [u.size] * orders, out, np.empty(
+        ((2 * _GROUP + 2) * u.size, 1), dtype=complex))
+    got = out.reshape(orders, u.size)
+    with mpmath.workdps(30):
+        for k, x in enumerate(u.tolist()):
+            x = mpmath.mpf(x)
+            log = mpmath.mpc(mpmath.log1p(x * x) / 2, mpmath.atan(x))
+            for e in range(1, orders + 1):
+                ref = mpmath.re(-mpmath.expm1(-e * log))
+                assert abs(got[e - 1, k] - ref) <= 1e-14 * ref, (x, e)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_temperature_limits(n):
     # beta^j of the Euler-Maclaurin terms leaves the float range here; the
@@ -417,9 +443,9 @@ def test_one_laplace_call_per_time_block(monkeypatch, n, per_block):
         plans.append(len(b))
         rows = _lorentz_laplace(parts, b, lifts, s, beta)
 
-        def run(t):
+        def run(t, *phi):
             runs.append(t.size)
-            return rows(t)
+            return rows(t, *phi)
 
         return run
 
@@ -429,6 +455,33 @@ def test_one_laplace_call_per_time_block(monkeypatch, n, per_block):
             np.linspace(0.01, 3.0, 12))
     assert plans == per_block * [_COTH_ROWS.shape[1]]
     assert runs == per_block * [5, 5, 2]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_one_phi_call_per_time_block(monkeypatch, n):
+    # each block of times makes one _phi call, for the origin's rays and
+    # the brackets' together, and phi(z0), z0 = -b p for the near rows'
+    # poles, which does not depend on t, is taken once per factors call
+    calls = []
+
+    def counted(z):
+        calls.append(np.array(z).ravel())
+        return _phi(z)
+
+    monkeypatch.setattr(spinbath.decoherence, "_phi", counted)
+    monkeypatch.setattr(spinbath.decoherence, "_BLOCK", 5)
+    beta = 0.05
+    factors(Lorentzian(1.0, 0.5, OMEGA_C, n), BathConditions(beta / OMEGA_C),
+            np.linspace(0.01, 3.0, 12))
+    assert len(calls) == 3
+    q = 0.5 / OMEGA_C
+    parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q), 1.0)
+    b = np.repeat(np.unique(_COTH_ROWS[0] * beta), parts.p.size)
+    p = np.tile(parts.p, b.size // parts.p.size)
+    z0 = (-b * p)[b * np.abs(p) < _ASYMPTOTIC_SWITCH] if n else []
+    assert len(z0) == (2 * _COTH_ROWS[0].max() if n else 0)
+    for z in z0:
+        assert [np.count_nonzero(x == z) for x in calls] == [1, 0, 0]
 
 
 def _distinct_lorentzian_gammas():
