@@ -67,7 +67,10 @@ Re P at integer orders, come from a complex recurrence over the orders
 log z0 parts cancel there exactly (``_coth_bracket``).  At b = 0 a pole
 with t |p| < 1 takes its power series in z = itp, its terms linear in z
 summed over the poles exactly (``_lorentz_origin``).  So nothing cancels as
-t |p| or b |p| goes to zero (short times, strong overdamping).
+t |p| or b |p| goes to zero (short times, strong overdamping).  Near
+critical damping, where two poles merge and their c_k grow like 1/Omega,
+points on a circle around them take their place, with weights that make
+each pole sum the trapezoid rule of a contour integral (``_LorentzParts``).
 
 Both families sum the coth series alike (``_coth_series``): its first N - 1
 terms directly, the rest by Euler-Maclaurin at m = N, each term and each
@@ -87,7 +90,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
@@ -176,8 +178,17 @@ _TAYLOR_DIVISORS = np.arange(1.0, 28.0, 2.0) * np.arange(2.0, 29.0, 2.0)
 _ORIGIN_SERIES_TERMS = 24
 #: the harmonic numbers H_m, m = 2.._ORIGIN_SERIES_TERMS - 1
 _HARMONIC = np.cumsum(1.0 / np.arange(1, _ORIGIN_SERIES_TERMS))[1:]
-#: |Omega^2| / w_c^2 below this squared is interpolated across critical damping
-_CRITICAL = 1e-4
+#: critical damping: K points on a circle of radius rho w_c around the
+#: merging poles where |Omega| < _CRITICAL w_c (``_LorentzParts``), off by
+#: (|Omega|/rho)^K + (2 rho/q)^K, q ~ 2 w_c: each term 2^-54 for
+#: rho = 2^(-54/K) and _CRITICAL = rho^2 (9.3e-3 and 8.6e-5 for K = 8)
+_CONTOUR_POINTS = 8
+_CONTOUR_RADIUS = (0.5 * _EM_TOL) ** (1.0 / _CONTOUR_POINTS)
+_CRITICAL = _CONTOUR_RADIUS ** 2
+#: beta w_c beyond which ``factors`` takes this value: each coth term
+#: m >= 1 then stays below 2^-53 of gamma up to w_c t near 1e280 (it falls
+#: like (t/beta)^(1 + min(s, 1)), s = n if Lorentzian), and N beta w_c fits
+_COLDEST = 1e300
 #: largest q / w_c evaluated (``_lorentzian``)
 _MAX_OVERDAMPING = 1e7
 #: times per block of ``factors``, which bounds the (row, time) work arrays
@@ -189,6 +200,8 @@ _BLOCK = 4096
 #: ``_integer_shapes``
 _SHAPE_CHUNK = 512
 _GROUP = 8
+#: arguments per pass of ``_phi``: its (term, argument) arrays stay cached
+_PHI_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -444,9 +457,13 @@ def _phi(z):
     series takes 2.5 |z| + 32 terms at once (enough below |z| = 40), as a
     cumulative product, and its partial sums as a cumulative sum; each
     element stops on its own terms, so a value does not depend on the rest
-    of the array.
+    of the array, which goes through in passes of ``_PHI_CHUNK`` arguments.
     """
     z = np.asarray(z, dtype=complex)
+    if z.size > _PHI_CHUNK:
+        flat = z.ravel()
+        return np.concatenate([_phi(flat[lo:lo + _PHI_CHUNK]) for lo in range(
+            0, flat.size, _PHI_CHUNK)]).reshape(z.shape)
     out = np.empty_like(z)
     r = np.abs(z)
     far = r >= _E1_ASYMPTOTIC
@@ -521,40 +538,56 @@ def _rays(b, t, p):
 
 
 class _LorentzParts:
-    """Partial fractions of J/w^2 for the Lorentzian, from its poles.
+    """Partial fractions of J/w^2 for the Lorentzian, in units of w_c.
 
-    With D(w) = (w^2 - w_c^2)^2 + q^2 w^2 = prod_k (w - p_k), the poles are
-    p = +-Omega + iq/2, Omega^2 = w_c^2 - q^2/4 (on the imaginary axis when
+    With D(w) = (w^2 - 1)^2 + q^2 w^2 = prod_k (w - p_k), the poles are
+    p = +-Omega + iq/2, Omega^2 = 1 - q^2/4 (on the imaginary axis when
     overdamped), and J/w^2 = (lam q / pi) w^(n-2) / D.  For every integer r,
     w^r / D = sum_k c_k w^r / (w - p_k); for r < 0 that is
     sum_k c_k p_k^r / (w - p_k) plus tau_0 / w^(-r) (tau_0 = 1/w_c^4, and no
     1/w term for r = -2).  c_k = 1 / D'(p_k) is taken from the computed
     roots, so each expansion is exact for them.  The lower poles are the
-    conjugates of ``p``, so every pole sum is twice the real part of a sum
-    over ``p``.
+    conjugates of ``p``, so every pole sum is twice the real part of
+    sum_k c_k F(p_k) over ``p``, F analytic for Im p > 0.
 
-    ``wc2`` is w_c^2 = Omega^2 + q^2/4 as the caller knows it exactly (1 in
-    units of w_c).  ``modulus`` holds |p| from it, not from the rounded
-    roots: sqrt(wc2) for the underdamped pair, the big root and wc2 over it
-    when overdamped.  The near/far switches of ``_lorentz_laplace`` read
+    That sum is (1/2 pi i) oint F/D dz around the upper poles.  Where they
+    merge, |Omega| < ``_CRITICAL``, and their c_k would grow like 1/Omega,
+    ``p`` holds instead the K = ``_CONTOUR_POINTS`` points z_j = iq/2 +
+    rho e^(2 pi i j/K), rho = ``_CONTOUR_RADIUS``, and ``c`` the weights
+    rho e^(2 pi i j/K) / (K D(z_j)) of the integral's trapezoid rule, off
+    by (|Omega|/rho)^K + (2 rho/q)^K (Trefethen & Weideman, SIAM Review 56,
+    385 (2014)).
+
+    ``modulus`` holds |p|, for the poles from the exact |p| = 1 of the
+    underdamped pair and the product 1 of the overdamped roots, not from
+    the rounded roots.  The near/far switches of ``_lorentz_laplace`` read
     it, so that rounding cannot move a pole across them.
     """
 
-    def __init__(self, q: float, omega2: float, wc2: float):
-        if omega2 >= 0.0:
+    def __init__(self, q: float, omega2: float):
+        merged = abs(omega2) < _CRITICAL ** 2
+        if merged:
+            ring = _CONTOUR_RADIUS * np.exp(
+                2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
+            self.p = 0.5j * q + ring
+            self.c = ring / (_CONTOUR_POINTS * (ring * ring - omega2)
+                             * ((ring + 1j * q) ** 2 - omega2))
+            self.modulus = np.abs(self.p)
+        elif omega2 >= 0.0:
             om = math.sqrt(omega2)
             self.p = np.array([complex(om, 0.5 * q), complex(-om, 0.5 * q)])
-            self.modulus = np.full(2, math.sqrt(wc2))
+            self.modulus = np.ones(2)
         else:
             # the roots multiply to w_c^2; q/2 - kappa would cancel
             kappa = math.sqrt(-omega2)
             big = 0.5 * q + kappa
             self.p = np.array([complex(0.0, big),
                                complex(0.0, (omega2 + 0.25 * q * q) / big)])
-            self.modulus = np.array([big, wc2 / big])
-        roots = np.concatenate([self.p, self.p.conj()])
-        self.c = np.array([1.0 / np.prod(roots[k] - np.delete(roots, k))
-                           for k in range(2)])
+            self.modulus = np.array([big, 1.0 / big])
+        if not merged:
+            roots = np.concatenate([self.p, self.p.conj()])
+            self.c = np.array([1.0 / np.prod(roots[k] - np.delete(roots, k))
+                               for k in range(2)])
         wc4 = (omega2 + 0.25 * q * q) ** 2
         a2 = 0.5 * q * q - 2.0 * omega2
         self.tau0 = 1.0 / wc4
@@ -573,17 +606,19 @@ class _LorentzParts:
 
 
 def _pole_sum(coeff, values):
-    """sum over all four poles: twice the real part of the upper-pole sum.
+    """sum over all poles: twice the real part of the upper-pole sum.
 
     ``coeff`` is (pole,) with ``values`` (pole, time), or a stack of both
-    with a leading row axis.  The sum is written out elementwise: a matrix
-    product would round an element by where it falls in the row.
+    with a leading row axis.  The sum is added elementwise in pole order:
+    a matrix product would round an element by where it falls in the row.
     """
-    return 2.0 * np.real(coeff[..., 0, None] * values[..., 0, :]
-                         + coeff[..., 1, None] * values[..., 1, :])
+    total = coeff[..., 0, None] * values[..., 0, :]
+    for k in range(1, coeff.shape[-1]):
+        total += coeff[..., k, None] * values[..., k, :]
+    return 2.0 * total.real
 
 
-def _coth_bracket(b, t, p, modulus, phi=None, held=None):
+def _coth_bracket(b, t, p, modulus, phi):
     """I(b, p) - I(b - it, p)/2 - I(b + it, p)/2 less its p -> 0 limit.
 
     One row per (b, p) pair of the 1-d arrays ``b`` and ``p`` (``_rays``
@@ -610,10 +645,8 @@ def _coth_bracket(b, t, p, modulus, phi=None, held=None):
     e_k = (1 + iu)^k / rho^k - c^k = e_(k-1) (c + i s) + i s c^(k-1), so
     that -Re e_k does not cancel.  Term 1 has no log zeta and term k is
     at most about r^(k-2) / k! times term 2, so ``_BRACKET_TERMS`` = 19
-    terms reach 2/19! < 2^-53 of it.  All pairs' phi arguments go to
-    ``phi`` (``_phi`` by default) in one call.  The dict ``held`` keeps
-    what does not depend on t across calls: phi(z0), which joins the first
-    call's arguments, and the d_m.
+    terms reach 2/19! < 2^-53 of it.  The function ``phi`` evaluates phi
+    at every pair's z0 and at the wide z-+, all in one call.
     """
     z_minus, z_plus, cross = _rays(b[:, None], t, p)
     z0 = -b * p
@@ -621,29 +654,20 @@ def _coth_bracket(b, t, p, modulus, phi=None, held=None):
     short = t <= 0.25 * b[:, None]
     origin = ~short & (modulus[:, None] * np.hypot(b[:, None], t) < 1.0)
     wide = ~(short | origin)
-    held = {} if held is None else held
-    fresh = "phi0" not in held
-    values = (phi or _phi)(np.concatenate(
-        [z0] * fresh + [z_minus[wide], z_plus[wide]]))
-    if fresh:
-        held["phi0"], values = values[:b.size], values[b.size:]
-    phi0 = held["phi0"]
+    phi0, phi_minus, phi_plus = np.split(phi(np.concatenate(
+        [z0, z_minus[wide], z_plus[wide]])), [b.size, b.size + wide.sum()])
     out = np.empty(z_minus.shape, dtype=complex)
-    if wide.any():
-        phi_minus, phi_plus = np.split(values, 2)
-        out[wide] = np.broadcast_to(phi0[:, None], out.shape)[wide] \
-            - 0.5 * (phi_minus + phi_plus) \
-            - 1j * np.pi * np.expm1(z_minus[wide]) * cross[wide]
+    out[wide] = np.broadcast_to(phi0[:, None], out.shape)[wide] \
+        - 0.5 * (phi_minus + phi_plus) \
+        - 1j * np.pi * np.expm1(z_minus[wide]) * cross[wide]
     if short.any():
-        if "d" not in held:                  # d_1, d_3, ..., d_27 per pair
-            d = [z0 * (phi0 - _EULER_GAMMA - np.log(z0)) - 1.0]
-            for m in range(2, 2 * _TAYLOR_DIVISORS.size):
-                d.append(z0 * d[-1] + (-1) ** m * math.factorial(m - 1))
-            held["d"] = np.array(d[::2]).T
+        d = [z0 * (phi0 - _EULER_GAMMA - np.log(z0)) - 1.0]
+        for m in range(2, 2 * _TAYLOR_DIVISORS.size):   # d_1, d_3, ..., d_27
+            d.append(z0 * d[-1] + (-1) ** m * math.factorial(m - 1))
         pair = np.nonzero(short)[0]
         power = np.cumprod(-u[short][:, None] ** 2 / _TAYLOR_DIVISORS,
                            axis=1)
-        out[short] = -z0[pair] * np.cumsum(power * held["d"][pair],
+        out[short] = -z0[pair] * np.cumsum(power * np.array(d[::2]).T[pair],
                                            axis=1)[:, -1]
     if origin.any():
         pair, time = np.nonzero(origin)
@@ -706,15 +730,6 @@ def _integer_shapes(u, heads, out, work):
         at, last[:rows] = at + k * rows, block[-1]
 
 
-def _pow(x: float, n: int) -> float:
-    """x ** n for builtin floats x >= 0: libm pow, inf beyond the float
-    range (where a builtin float raises)."""
-    try:
-        return x ** n
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
-
-
 def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
     """Rows beta^j S(s + j, b) as a function of a 1-d array of times t > 0,
     one row per pair (b, j) of the 1-d arrays ``b`` (all > 0) and
@@ -743,11 +758,13 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
     share below max(r, 0), then its far poles' asymptotic series to the
     row's own stop.  None of that depends on t, so it is planned here,
     once, in builtin floats: the coefficients, one list per kind of row,
-    and the scales (beta/b)^j b^(j-i-1) as libm pow (inf beyond the float
-    range, not an error; an array np.power does not always round as libm
-    does).  The returned function runs the plan on a block of times, its
-    optional second argument evaluating phi in place of ``_phi``.  A row's
-    terms come in the same order whatever the other rows are.
+    and the scales (beta/b)^j b^(j-i-1) as libm pow (an array np.power
+    does not always round as libm does), which stay in the float range for
+    beta w_c <= ``_COLDEST``: (beta/b)^j is m^-j, and b^(j-i-1) is at most
+    b^11 on near rows (b < 40/|p| <= 4e8), at least b^-42 on far ones
+    (b >= 40/|p| >= 4e-6).  The returned function runs the plan on a block
+    of times, with a function that evaluates phi (``_coth_bracket``).  A
+    row's terms come in the same order whatever the other rows are.
     """
     beta = float(beta)
     rows_b, rows_j = b.tolist(), [int(j) for j in lifts]
@@ -780,13 +797,11 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
     x = np.array([bk * min([m for m, on in zip(modulus, poles) if not on],
                            default=math.inf)
                   for bk, poles in zip(rows_b, near)])[:, None]
-    first, steps = np.maximum(s + np.asarray(lifts), 0), 64
-    while True:
-        ratio = (first[:, None] + np.arange(1, steps + 1)) / x
-        stop = (ratio >= 1.0) | (np.cumprod(ratio, axis=1) < 1e-17)
-        if stop.any(axis=1).all():
-            break
-        steps *= 2
+    # (64 terms reach a stop: first <= 11, and if x > first + 64 their
+    # ratios multiply to below (first + 64)! / first! / (first + 64)^64)
+    first = np.maximum(s + np.asarray(lifts), 0)
+    ratio = (first[:, None] + np.arange(1.0, 65.0)) / x
+    stop = (ratio >= 1.0) | (np.cumprod(ratio, axis=1) < 1e-17)
     last = (first + np.where(x[:, 0] < math.inf, stop.argmax(axis=1), -1)
             ).tolist()
     stops, reach = {}, {}
@@ -833,13 +848,10 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
         need[rows_b[k]] = max(need[rows_b[k]], kept[n - 1] + 1 if n else 0)
     rows, powers = np.array(rows, dtype=int), np.array(powers, dtype=int)
     lift = (np.array(rows_j)[rows] - 1 - powers).tolist()
-    try:
-        scale = list(map(pow, b[rows].tolist(), lift))
-    except (OverflowError, ZeroDivisionError):
-        scale = list(map(_pow, b[rows].tolist(), lift))
-    scale = np.array([_pow(beta / x if x else math.inf, j) for x, j in zip(
-        rows_b, rows_j)])[rows] * scale * np.array([1.0, 1.0] + [float(
-            math.factorial(i)) for i in range(max(need.values()))])[powers + 2]
+    scale = np.array([(beta / x) ** j for x, j in zip(rows_b, rows_j)])[
+        rows] * list(map(pow, b[rows].tolist(), lift)) * np.array(
+            [1.0, 1.0] + [float(math.factorial(i)) for i in range(max(
+                need.values()))])[powers + 2]
     # the b by the orders they need, so that the recurrence runs on a
     # shrinking head of them, and the rows of the shape table: i = -2 and
     # -1 per b, then the orders in ``_integer_shapes``' groups
@@ -877,7 +889,7 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
     pair_b, pair_p, pair_m = bs[kb], parts.p[kp], parts.modulus[kp]
     kb, kp = np.nonzero(~near_b)
     far_b, far_p = bs[kb][:, None], parts.p[kp]
-    held, spare = {}, {}
+    spare = {}
 
     def buffer(name, shape, dtype=float):
         # a work array of this shape, kept for the later blocks of the call
@@ -886,11 +898,11 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
             spare[name] = np.empty(size, dtype)
         return spare[name][:size].reshape(shape)
 
-    def rows_at(t, phi=None):
+    def rows_at(t, phi):
         u = t / bs[:, None]
         l, a = _log1iu(u)
         part = buffer("part", near_b.shape + t.shape, complex)
-        part[near_b] = _coth_bracket(pair_b, t, pair_p, pair_m, phi, held)
+        part[near_b] = _coth_bracket(pair_b, t, pair_p, pair_m, phi)
         z, cross = _crossing_ray(far_b, t, far_p)
         part[~near_b] = -1j * np.pi * np.exp(z, out=np.zeros_like(z),
                                              where=cross)
@@ -922,7 +934,7 @@ def _lorentz_laplace(parts: _LorentzParts, b, lifts, s: int, beta: float):
     return rows_at
 
 
-def _lorentz_origin(parts: _LorentzParts, s: int, t, rays=None, phi=None):
+def _lorentz_origin(parts: _LorentzParts, s: int, t, rays, phi):
     """(S(s, 0), S_Delta) for t > 0: the coth-series head and the phase.
 
     With z = itp for the upper poles p of ``parts`` and K = 1 - gamma_E - ln t,
@@ -949,11 +961,11 @@ def _lorentz_origin(parts: _LorentzParts, s: int, t, rays=None, phi=None):
     rounding cannot pick the form) drops them and takes the series, where
     its phi terms would cancel; the others keep phi and give theirs back,
     -pi t/2 and -t K times their sum of c_k p_k^(s+1), or Z where no pole
-    is near.  ``rays`` (``_rays(0, t, p)``) and their ``phi`` may come from
-    the caller; the series are array passes over all their terms.
+    is near.  ``rays`` are ``_rays(0, t, p)``, and ``phi`` the stack of
+    phi(z) and phi(-z); the series are array passes over all their terms.
     """
-    z, minus_z, cross = rays or _rays(0.0, t, parts.p)
-    phi_z, phi_minus_z = _phi(np.stack([z, minus_z])) if phi is None else phi
+    z, minus_z, cross = rays
+    phi_z, phi_minus_z = phi
     growth = 2j * np.pi * np.expm1(z) * cross
     head = -0.5 * (phi_z + phi_minus_z + growth)
     phase = (phi_z - phi_minus_z + growth
@@ -992,16 +1004,15 @@ def _lorentz_sums(parts: _LorentzParts, n: int, beta: float):
     beta^j S(s + j, m beta), the direct terms, then at B = N beta the
     integral and odd derivatives in m, S(s - 1, B) / beta and
     -beta^j S(s + j, B).  n = 0 leaves S_gamma as None.  Each block of
-    times makes one ``_phi`` call, for the origin's rays and the brackets'.
+    times makes one ``_phi`` call, for the origin's rays and, for n >= 1,
+    the brackets'.
     """
     s = n - 2
     m, lift = _COTH_ROWS
-    rows = None if n == 0 else _lorentz_laplace(parts, m * beta, lift, s,
-                                                beta)
+    if n:
+        rows = _lorentz_laplace(parts, m * beta, lift, s, beta)
 
     def sums(t):
-        if rows is None:
-            return None, _lorentz_origin(parts, s, t)[1]
         rays = _rays(0.0, t, parts.p)
         origin, at_origin = np.stack(rays[:2]), []
 
@@ -1010,9 +1021,9 @@ def _lorentz_sums(parts: _LorentzParts, n: int, beta: float):
             at_origin.append(values[:origin.size].reshape(origin.shape))
             return values[origin.size:]
 
-        values = rows(t, phi)
+        values = rows(t, phi) if n else phi(np.empty(0, dtype=complex))
         head, delta = _lorentz_origin(parts, s, t, rays, at_origin[0])
-        return _coth_series(head, values), delta
+        return (_coth_series(head, values) if n else None), delta
 
     return sums
 
@@ -1022,12 +1033,9 @@ def _lorentzian(j: Lorentzian, beta: float):
     None for n = 0.
 
     Frequencies are measured in units of w_c, so the poles have modulus 1
-    (underdamped) or straddle it (overdamped).  Near critical damping the
-    two upper poles merge into a double pole, the c_k grow like 1/Omega and
-    their pole sums cancel.  Within |Omega| < 1e-4 w_c both sums are
-    therefore interpolated linearly in Omega^2 between the two edges of that
-    band, where the cancellation costs a few 1e-12 relative; the
-    interpolation itself is off by about (1e-8)^2.
+    (underdamped) or straddle it (overdamped).  Near critical damping,
+    where the two upper poles merge, ``_LorentzParts`` holds points of a
+    contour around them instead, and the same sums run on those.
 
     Beyond q / w_c = ``_MAX_OVERDAMPING`` the bath is not evaluated: there
     the n = 1 gamma at beta w_c = 1 nears the tolerance (2.8 times it at
@@ -1040,27 +1048,16 @@ def _lorentzian(j: Lorentzian, beta: float):
     if not q <= _MAX_OVERDAMPING:
         raise QuadratureFailure(f"Lorentzian at q/omega_c={q:.3g}: beyond the "
                                 f"overdamping limit {_MAX_OVERDAMPING:g}")
-    omega2 = (1.0 - 0.5 * q) * (1.0 + 0.5 * q)
-    band = _CRITICAL ** 2
     try:
         scale = 0.25 * j.coupling * j.q / math.pi * wc ** (j.n - 5)
     except OverflowError:
         raise QuadratureFailure(f"Lorentzian at omega_c={wc}: "
                                 f"omega_c^{j.n - 5} is not finite") from None
-    if abs(omega2) >= band:
-        edges = [_lorentz_sums(_LorentzParts(q, omega2, 1.0), j.n, wc * beta)]
-    else:
-        w = (omega2 + band) / (2.0 * band)
-        edges = [_lorentz_sums(_LorentzParts(q, edge, edge + 0.25 * q * q),
-                               j.n, wc * beta) for edge in (-band, band)]
+    sums = _lorentz_sums(_LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q)),
+                         j.n, wc * beta)
 
     def kernel(t):
-        if len(edges) == 1:
-            sums = edges[0](wc * t)
-        else:
-            sums = [None if a is None else a + w * (b - a)
-                    for a, b in zip(*(edge(wc * t) for edge in edges))]
-        return [None if x is None else scale * x for x in sums]
+        return [None if x is None else scale * x for x in sums(wc * t)]
 
     return kernel
 
@@ -1087,7 +1084,8 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     times t > 0 go through the family's kernel (``_KERNELS``), made once per
     call, in blocks of ``_BLOCK``, and gamma is +inf where the kernel
     reports divergence.  A value does not depend on the other times passed
-    with it, so an array call matches its scalar calls bit for bit.  A
+    with it, so an array call matches its scalar calls bit for bit.  Past
+    beta w_c = ``_COLDEST`` the kernel is made at that temperature.  A
     value beyond the float range, or a Lorentzian bath past q =
     ``_MAX_OVERDAMPING`` w_c, raises QuadratureFailure.
     """
@@ -1104,7 +1102,7 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
         at = live[lo:lo + _BLOCK]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if not lo:
-                kernel = make(j, bc.beta)
+                kernel = make(j, min(bc.beta, _COLDEST / j.omega_c))
             g, d = kernel(flat[at])
         delta[at] = np.minimum(_checked(d, f"Delta {where}"), 0.0)
         gamma[at] = (math.inf if g is None

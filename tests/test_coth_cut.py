@@ -26,6 +26,8 @@ from spinbath.decoherence import (
     _lorentz_origin,
     _LorentzParts,
     _ohmic_rows,
+    _phi,
+    _rays,
 )
 from spinbath.spectral import Lorentzian, Ohmic
 
@@ -46,11 +48,13 @@ def coth_terms(bath, beta, t, n):
     if isinstance(bath, Ohmic):
         return _ohmic_rows(bath.s, beta * wc, wc * t, rows)
     q, s = bath.q / wc, bath.n - 2
-    parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q), 1.0)
+    parts = _LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q))
     m, lifts = rows
-    return (_lorentz_origin(parts, s, wc * t)[0],
+    rays = _rays(0.0, wc * t, parts.p)
+    return (_lorentz_origin(parts, s, wc * t, rays,
+                            _phi(np.stack(rays[:2])))[0],
             _lorentz_laplace(parts, m * beta * wc, lifts, s, beta * wc)(
-                wc * t))
+                wc * t, _phi))
 
 
 def exact_sum(head, rows):
@@ -151,7 +155,7 @@ def test_origin_series_of_the_bracket_matches_mpmath():
         phase = rng.uniform(math.atan(0.25) + 1e-3, math.pi / 2 - 1e-6)
         b, t = r * math.cos(phase), r * math.sin(phase)
         got = _coth_bracket(np.array([b]), np.array([t]), np.array([p]),
-                            np.array([modulus]))[0, 0]
+                            np.array([modulus]), _phi)[0, 0]
         ref = mp_bracket(b, t, p)
         worst = max(worst, abs(got - ref) / abs(ref))
     assert worst <= 1e-14

@@ -221,7 +221,8 @@ def _log_uniform(rng, lo, hi, size=None):
 def _validated_baths(family, rng, count):
     # each family over its validated range, beta w_c 1e-3-1e3: the
     # Lorentzian q to 1e4 w_c, a tenth of the baths within 1e-3 w_c of
-    # critical damping, down into the interpolated band
+    # critical damping, down into the band where a contour of points
+    # stands in for the merging poles
     for k in range(count):
         wc = float(_log_uniform(rng, 0.1, 50.0))
         beta = float(_log_uniform(rng, 1e-3, 1e3)) / wc
@@ -267,3 +268,22 @@ def test_integer_parameters_give_the_float_factors(floats, ints):
         for x, y in zip((want.gamma, want.delta), (got.gamma, got.delta)):
             assert type(x) is type(y)
             assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("bath", [
+    SingleMode(1.0, 1.0),
+    Ohmic(0.01, 0.5, 1.0),      # the coth-series integral row for s < 1.5
+    Ohmic(0.01, 2.0, 1.0),      # and for s >= 1.5
+    Lorentzian(1.0, 0.05, 1.0, 1),
+    Lorentzian(1.0, 0.05, 1.0, 2),
+], ids=["single_mode", "ohmic_s0.5", "ohmic_s2", "lorentz_n1", "lorentz_n2"])
+def test_cold_baths_match_beta_1e300(bath):
+    # past beta w_c = 1e300 every coth term m >= 1 is far below rounding,
+    # so colder baths give the bits of 1e300, even where N beta w_c would
+    # overflow (w_c = 1)
+    t = np.array([0.0, 1e-3, 1.0, 37.0, 1e4])
+    at = factors(bath, BathConditions(1e300), t)
+    for beta in (1e307, 1.7e308):
+        df = factors(bath, BathConditions(beta), t)
+        assert df.gamma.tobytes() == at.gamma.tobytes()
+        assert df.delta.tobytes() == at.delta.tobytes()
