@@ -185,7 +185,7 @@ _HARMONIC = np.cumsum(1.0 / np.arange(1, _ORIGIN_SERIES_TERMS))[1:]
 _CONTOUR_POINTS = 8
 _CONTOUR_RADIUS = (0.5 * _EM_TOL) ** (1.0 / _CONTOUR_POINTS)
 _CRITICAL = _CONTOUR_RADIUS ** 2
-#: beta w_c beyond which ``factors`` takes this value: each coth term
+#: beta w_c beyond which ``_coldest`` takes this value: each coth term
 #: m >= 1 then stays below 2^-53 of gamma up to w_c t near 1e280 (it falls
 #: like (t/beta)^(1 + min(s, 1)), s = n if Lorentzian), and N beta w_c fits
 _COLDEST = 1e300
@@ -229,6 +229,10 @@ class DecoherenceFactors:
 
     gamma: float
     delta: float
+
+
+def _coldest(beta: float, omega_c: float) -> float:
+    return min(beta, _COLDEST / omega_c) * omega_c  # beta w_c, capped
 
 
 def coth_half(beta: float, omega):
@@ -428,7 +432,7 @@ def ohmic_gamma(j: Ohmic, beta: float, t):
     scale = _ohmic_scale(j, "gamma")
     x = j.omega_c * np.ravel(np.asarray(t, dtype=float))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        head, rows = _ohmic_rows(j.s, beta * j.omega_c, x, _COTH_ROWS)
+        head, rows = _ohmic_rows(j.s, _coldest(beta, j.omega_c), x, _COTH_ROWS)
         return scale * _coth_series(head, rows).reshape(np.shape(t))
 
 
@@ -1054,7 +1058,7 @@ def _lorentzian(j: Lorentzian, beta: float):
         raise QuadratureFailure(f"Lorentzian at omega_c={wc}: "
                                 f"omega_c^{j.n - 5} is not finite") from None
     sums = _lorentz_sums(_LorentzParts(q, (1.0 - 0.5 * q) * (1.0 + 0.5 * q)),
-                         j.n, wc * beta)
+                         j.n, _coldest(beta, wc))
 
     def kernel(t):
         return [None if x is None else scale * x for x in sums(wc * t)]
@@ -1084,10 +1088,10 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
     times t > 0 go through the family's kernel (``_KERNELS``), made once per
     call, in blocks of ``_BLOCK``, and gamma is +inf where the kernel
     reports divergence.  A value does not depend on the other times passed
-    with it, so an array call matches its scalar calls bit for bit.  Past
-    beta w_c = ``_COLDEST`` the kernel is made at that temperature.  A
-    value beyond the float range, or a Lorentzian bath past q =
-    ``_MAX_OVERDAMPING`` w_c, raises QuadratureFailure.
+    with it, so an array call matches its scalar calls bit for bit.  The
+    Ohmic and Lorentzian kernels take beta w_c past ``_COLDEST`` at that
+    value (``_coldest``).  A value beyond the float range, or a Lorentzian
+    bath past q = ``_MAX_OVERDAMPING`` w_c, raises QuadratureFailure.
     """
     make = _KERNELS[type(j)]
     t_arr = np.asarray(t, dtype=float)
@@ -1102,7 +1106,7 @@ def factors(j: SpectralDensity, bc: BathConditions, t) -> DecoherenceFactors:
         at = live[lo:lo + _BLOCK]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if not lo:
-                kernel = make(j, min(bc.beta, _COLDEST / j.omega_c))
+                kernel = make(j, bc.beta)
             g, d = kernel(flat[at])
         delta[at] = np.minimum(_checked(d, f"Delta {where}"), 0.0)
         gamma[at] = (math.inf if g is None

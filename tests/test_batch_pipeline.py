@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +29,23 @@ from spinbath.entanglement import (
     negativity_closed_form,
     negativity_from_spectrum,
     negativity_numeric,
+    partial_transpose,
     pt_spectra,
 )
-from spinbath.errors import EigenNonConvergence, InvalidState, SpinBathError
-from spinbath.scenario import _BLOCK_POINTS, ScenarioConfig, TimeGrid, run
+from spinbath.errors import (
+    ComputeError,
+    EigenNonConvergence,
+    InvalidState,
+    SpinBathError,
+)
+from spinbath.scenario import (
+    _BLOCK_POINTS,
+    CROSS_CHECK_TOL,
+    ScenarioConfig,
+    TimeGrid,
+    builtin_presets,
+    run,
+)
 from spinbath.spectral import Lorentzian, Ohmic, SingleMode
 
 BC = BathConditions(beta=1.0)
@@ -373,6 +387,47 @@ class TestBlocks:
         assert int(out.stdout) / 1024 < 100.0   # ru_maxrss is in KiB
 
 
+class TestCorruptedEvolve:
+    #: factors slightly off, as an evolve with a fault would apply them
+    CORRUPTIONS = (lambda g, d: (g, d * (1 + 1e-8)),
+                   lambda g, d: (g * (1 + 1e-6), d),
+                   lambda g, d: (g + 1e-9, d))
+
+    def test_run_fails_exactly_where_lapack_disagrees(self, monkeypatch):
+        # the block spectra plus their bound must flag a faulty evolve at
+        # exactly the runs where LAPACK's negativity of the same states is
+        # more than CROSS_CHECK_TOL from the closed form
+        expected, raised = [], []
+        for name in ("fig1_lambda1", "fig3_s2", "fig5b",
+                     "fig7_single_lambda0p01", "lorentz_n0"):
+            for h in (0.0, 0.7):
+                cfg = replace(builtin_presets()[name], h=h)
+                df = factors(cfg.bath, BathConditions(cfg.beta),
+                             cfg.grid.times())
+                for corrupt in self.CORRUPTIONS:
+                    def faulty(init, df, field, t, _corrupt=corrupt):
+                        bad = DecoherenceFactors(*_corrupt(df.gamma, df.delta))
+                        return evolve(init, bad, field, t)
+
+                    states = faulty(bloch_product_to_general(cfg.init), df,
+                                    FieldConfig(h), cfg.grid.times())
+                    lapack = negativity_from_spectrum(np.linalg.eigvalsh(
+                        partial_transpose(states.rho)))
+                    closed = negativity_closed_form(df.gamma, df.delta)
+                    expected.append(
+                        bool(np.max(np.abs(lapack - closed)) > CROSS_CHECK_TOL))
+                    monkeypatch.setattr(spinbath.scenario, "evolve", faulty)
+                    try:
+                        run(cfg)
+                        raised.append(False)
+                    except ComputeError as exc:
+                        assert "disagree" in str(exc)
+                        raised.append(True)
+                    monkeypatch.undo()
+        assert raised == expected
+        assert 0 < sum(raised) < len(raised)
+
+
 #: names that benchmarks/tracing.py replaces on spinbath.scenario
 TRACED_NAMES = ("factors", "evolve", "pt_spectra", "negativity_closed_form",
                 "ideal_negativity", "run")
@@ -402,7 +457,7 @@ class TestTracerContract:
 
     def check_calls(self, monkeypatch, bath, x_state, n_points):
         calls = {}
-        for name in TRACED_NAMES[:-1]:
+        for name in TRACED_NAMES[:-1] + ("x_block_spectra",):
             fn = getattr(spinbath.scenario, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -414,12 +469,15 @@ class TestTracerContract:
                 else InitialProductState(math.pi / 4, math.pi / 4))
         spinbath.scenario.run(ScenarioConfig(
             bath=bath, beta=1.0, init=init, grid=TimeGrid(0.0, 2.0, n_points)))
-        expect = {"factors", "evolve", "pt_spectra", "ideal_negativity"}
+        # an x-projected state takes its spectrum from the 2x2 blocks, any
+        # other state from LAPACK
+        spectrum = "x_block_spectra" if x_state else "pt_spectra"
+        expect = {"factors", "evolve", spectrum, "ideal_negativity"}
         if x_state:
             expect.add("negativity_closed_form")
         assert set(calls) == expect
         # the states go block by block, everything else over the whole grid
         blocks = -(-n_points // _BLOCK_POINTS)
-        assert calls["evolve"] == calls["pt_spectra"] == blocks
+        assert calls["evolve"] == calls[spectrum] == blocks
         assert calls["factors"] == calls["ideal_negativity"] == 1
         assert calls.get("negativity_closed_form", 1) == 1

@@ -12,6 +12,7 @@ from spinbath.dynamics import (
     InitialProductState,
     bloch_product_to_general,
     evolve,
+    is_x_projected,
 )
 from spinbath.entanglement import (
     appendix_b_eigenvalues,
@@ -20,6 +21,7 @@ from spinbath.entanglement import (
     negativity_numeric,
     partial_transpose,
     pt_spectra,
+    x_block_spectra,
 )
 
 
@@ -160,6 +162,64 @@ class TestNumericPartialTranspose:
             v = negativity_numeric(state)
             assert 0.0 <= v <= 0.5 + 1e-12
 
+
+
+def factor_draws(rng, n):
+    """gamma from 0, 1e-12, 1e-3..10 and +inf; Delta with multiples of
+    pi/16, where the block spectra are degenerate; t up to 6000."""
+    gammas = np.concatenate([[0.0, 1e-12, np.inf], 10.0 ** rng.uniform(-3, 1, 60)])
+    deltas = np.concatenate([np.arange(-32, 33) * math.pi / 16,
+                             rng.uniform(-10, 10, 60)])
+    return (rng.choice(gammas, n), rng.choice(deltas, n),
+            rng.uniform(0, 6000, n))
+
+
+class TestXBlockSpectra:
+    @pytest.mark.parametrize("h", [0.0, 0.7, 1e4])
+    def test_matches_lapack_within_bound(self, h):
+        rng = np.random.default_rng(11)
+        inits = [X_PROJECTED]
+        for _ in range(4):
+            # amplitudes inside the 1e-12 band of the x-projected state
+            c = 0.5 + rng.uniform(-3e-13, 3e-13, 4) \
+                + 1j * rng.uniform(-3e-13, 3e-13, 4)
+            inits.append(GeneralInitialState(tuple(c / np.linalg.norm(c))))
+        for init in inits:
+            assert is_x_projected(init)
+            gamma, delta, t = factor_draws(rng, 500)
+            state = evolve(init, DecoherenceFactors(gamma, delta),
+                           FieldConfig(h), t)
+            spectra, bound = x_block_spectra(state, h, t)
+            lapack = np.linalg.eigvalsh(partial_transpose(state.rho))
+            assert spectra.shape == (500, 4) and bound.shape == (500,)
+            assert np.all(np.abs(np.sort(spectra, axis=-1) - lapack)
+                          <= 1e-12 + bound[:, None])
+            if init is X_PROJECTED:
+                assert np.max(bound) <= 1e-13
+
+    def test_bound_holds_for_any_state(self):
+        # Weyl's inequality needs no x-state: for any state the sorted
+        # block values lie within the bound of LAPACK's spectrum
+        rng = np.random.default_rng(12)
+        for h in (0.0, 0.7, 1e4):
+            c = rng.normal(size=4) + 1j * rng.normal(size=4)
+            init = GeneralInitialState(tuple(c / np.linalg.norm(c)))
+            gamma, delta, t = factor_draws(rng, 200)
+            state = evolve(init, DecoherenceFactors(gamma, delta),
+                           FieldConfig(h), t)
+            spectra, bound = x_block_spectra(state, h, t)
+            lapack = np.linalg.eigvalsh(partial_transpose(state.rho))
+            assert np.all(np.abs(np.sort(spectra, axis=-1) - lapack)
+                          <= 1e-12 + bound[:, None] / 4)
+            assert np.min(bound) > 1e-3
+
+    def test_one_matrix(self):
+        state = x_state_at(0.3, -0.2, h=0.7, t=2.0)
+        spectra, bound = x_block_spectra(state, 0.7, 2.0)
+        assert spectra.shape == (4,) and bound <= 1e-13
+        assert np.allclose(np.sort(spectra),
+                           sorted(appendix_b_eigenvalues(0.3, -0.2)),
+                           rtol=0, atol=1e-15)
 
 
 class TestIdealNegativity:

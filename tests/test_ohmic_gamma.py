@@ -142,6 +142,19 @@ def test_zero_time_is_zero():
         assert batch.gamma[1] > 0.0
 
 
+@pytest.mark.parametrize("s", [0.5, 2.0])
+def test_cold_beta_gives_the_bits_of_1e300(s):
+    # the public kernel caps beta w_c at 1e300 itself, as runs through
+    # factors do; uncapped, N beta w_c overflows to a nan gamma
+    j = Ohmic(0.01, s, 10.0)
+    t = np.array([1e-3, 1.0, 37.0, 1e4])
+    at = ohmic_gamma(j, 1e300 / 10.0, t)
+    assert np.all(np.isfinite(at))
+    for kappa in (1e307, 1.7e308):
+        assert ohmic_gamma(j, kappa / 10.0, t).tobytes() == at.tobytes()
+    assert ohmic_gamma(j, 1e307, [1.0]).tobytes() == at[1:2].tobytes()
+
+
 def test_gamma_function_overflow_is_quadrature_failure():
     with pytest.raises(QuadratureFailure, match="not finite"):
         ohmic_gamma(Ohmic(0.01, 200.0, 10.0), 1.0, np.array([0.0, 1.0]))
