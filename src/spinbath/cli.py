@@ -15,13 +15,18 @@ output is computed in full before its file is opened, so an error leaves no
 partial file; CSV rows are then streamed, and a file whose write fails is
 removed.  Numbers print with 17 significant digits and re-parse to identical
 values; a divergent dephasing exponent is ``inf`` in CSV and the string
-``"inf"`` in JSON, which never holds NaN.
+``"inf"`` in JSON, which never holds NaN.  A CSV cell is the text of
+"%.17g", made in numpy for a block of cells at once from the exact 17-digit
+integer of each value; a cell whose digits that cannot prove (a tie at the
+17th digit, |x| outside [1e-280, 1e280), nan) goes through Python's
+"%.17g" on its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -44,7 +49,13 @@ from .scenario import (
 from .spectral import evaluate
 
 #: rows a CSV table formats at a time
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 2048
+#: rows of one string of CSV text
+_TEXT_ROWS = 1024
+#: bytes of one cell in a block: its text, NUL padding, then the separator
+_CELL = 32
+#: decimal exponents of the tables; |x| in [1e-280, 1e280) with slack
+_K0, _K1 = -282, 281
 
 
 def _fmt(x: float) -> str:
@@ -53,6 +64,166 @@ def _fmt(x: float) -> str:
     if x == 0.0:
         return "0"
     return f"{x:.17g}"
+
+
+@functools.cache
+def _tables():
+    """The tables of ``_cells``, built from exact integers on the first call.
+
+    Per decimal exponent k: 10^(16-k) as an unevaluated sum hi + lo of
+    doubles (hi correctly rounded, lo the rounded remainder) with hi's
+    Veltkamp halves.  Per (k, trailing zeros of D): the row of the masks
+    and the frame, but for its sign.  The masks, per (q digits before the
+    point, 18 for none; digits printed): digit i kept at byte 7 + i, or at
+    8 + i after the point.  The frames, per (k, point or not, sign) and for
+    0 and inf: the sign and any "0.00" ending at byte 6, the point at byte
+    7 + q and the exponent from byte 25.  Per 4-digit group: its ASCII
+    bytes and its trailing zeros.
+    """
+    ks = np.arange(_K0, _K1 + 1, dtype=np.int32)
+    pows = []
+    for k in ks.tolist():
+        if k <= 16:
+            n = 10 ** (16 - k)
+            hi = float(n)
+            pows.append((hi, float(n - int(hi))))
+        else:
+            n = 10 ** (k - 16)
+            hi = 1 / n
+            a, b = hi.as_integer_ratio()
+            pows.append((hi, (b - a * n) / (b * n)))
+    hi, lo = np.array(pows).T
+    c = hi * 134217729.0
+    hh = c - (c - hi)
+    pows = np.stack([hi, hh, hi - hh, lo], axis=1)
+    fixed = (ks >= -4) & (ks < 17)
+    q = np.where(fixed, np.where(ks < 0, 18, ks + 1), 1)[:, None]
+    printed = np.maximum(17 - np.arange(17, dtype=np.int32),
+                         np.where(fixed & (ks >= 0), ks + 1, 1)[:, None])
+    index = np.stack([18 * q + printed,
+                      4 * (ks - _K0)[:, None] + 2 * (printed > q)])
+    frames = bytearray()
+    for k, point in zip(ks.tolist(), q[:, 0].tolist()):
+        head = "0." + "0" * (-k - 1) if -4 <= k < 0 else ""
+        tail = "" if -4 <= k < 17 else f"e{k:+03d}"
+        for dot in ("\0", "."):
+            for sign in ("", "-"):
+                row = (sign + head).rjust(7, "\0") + "\0" * 18 + tail
+                if point < 18:
+                    row = row[:7 + point] + dot + row[8 + point:]
+                frames += row.ljust(_CELL, "\0").encode()
+    frames += b"0".ljust(_CELL, b"\0") + b"inf".ljust(_CELL, b"\0")
+    q, printed = np.divmod(np.arange(19 * 18), 18)
+    i = np.arange(17)
+    masks = np.zeros((2, 19 * 18, _CELL), np.uint8)
+    masks[0, :, 7:24] = 255 * ((i < q[:, None]) & (i < printed[:, None]))
+    masks[1, :, 8:25] = 255 * ((i >= q[:, None]) & (i < printed[:, None]))
+    d = np.arange(10000, dtype=np.int16)
+    quads = np.empty((10000, 4), np.uint8)
+    for j in range(4):
+        quads[:, 3 - j] = d // 10 ** j % 10 + 48
+    zeros = (d % 10 == 0).astype(np.int8)
+    zeros += d % 100 == 0
+    zeros += d % 1000 == 0
+    zeros[0] = 4
+    return (pows, index.reshape(2, -1).astype(np.int32),
+            np.frombuffer(frames, np.uint8).reshape(-1, _CELL), masks,
+            quads.view(np.uint32).ravel(), zeros)
+
+
+def _digits(x: np.ndarray):
+    """The 17 significant digits D of each |x| as an integer in [10^16,
+    10^17), the index of its decimal exponent k = floor(log10|x|) in the
+    tables, whether the cell must go through ``_fmt``, and whether |x| lies
+    in [1e-280, 1e280), the only cells whose D and k hold.
+
+    There y = |x| 10^(16-k) is formed as p + e, Dekker's product of |x| and
+    the two doubles of 10^(16-k): exact but for 2^-46 of e, and D is y
+    rounded to the nearest integer.  ``_fmt`` takes over where that is not
+    certain: when the fraction of y lies within 2^-20 of 1/2 (an exact tie
+    rounds to even), and when floor(y) < 10^16 or D > 10^17 (log10 was off
+    by one; D = 10^17 is 10^16 of the next decade).  It takes every cell
+    outside the range too; ``_cells`` writes 0 and inf itself.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a < 1e280)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    k -= _K0
+    hi, hh, hl, lo = _tables()[0].take(k, axis=0).T
+    ah = a * 134217729.0
+    ah -= ah - a
+    al = a - ah
+    p = a * hi
+    e = ah * hh
+    e -= p
+    e += ah * hl
+    e += al * hh
+    e += al * hl
+    e += a * lo
+    whole = np.floor(e)
+    e -= whole
+    up = e > 0.5
+    e -= 0.5
+    bad = np.abs(e, out=e) <= 2.0 ** -20
+    bad |= ~fast
+    d = p.astype(np.int64)
+    d += whole.astype(np.int64)
+    bad |= d < 10 ** 16
+    d += up
+    bad |= d > 10 ** 17
+    over = d == 10 ** 17
+    d -= 9 * 10 ** 16 * over
+    k += over
+    return d, k, bad, fast
+
+
+def _cells(x: np.ndarray) -> np.ndarray:
+    """The ``_fmt`` text of each float64 of ``x``, as rows of ``_CELL`` bytes
+    with NUL where there is no byte; the last byte is always NUL.
+
+    The digits come from ``_digits``, four at a time from a table, and the
+    tables place them, the point, the sign, any leading "0.00" and the
+    exponent as "%.17g" does, without its trailing zeros.
+    """
+    _, index, frames, masks, quads, zeros = _tables()
+    d, k, bad, fast = _digits(x)
+    top = d // 10 ** 8
+    d -= 10 ** 8 * top
+    g1 = top // 10 ** 4
+    g0 = g1 // 10 ** 4
+    groups = (g0, g1 - 10 ** 4 * g0, top - 10 ** 4 * g1, d // 10 ** 4,
+              d % 10 ** 4)
+    # digit 0 at byte 7, the others from byte 8 on
+    words = np.zeros((len(x), _CELL // 4), np.uint32)
+    for j, g in enumerate(groups):
+        words[:, 1 + j] = quads.take(g)
+    tz = zeros.take(groups[1])
+    for g in groups[2:]:
+        t = zeros.take(g)
+        tz = np.where(t == 4, tz + 4, t)
+    k *= 17
+    k += tz
+    mask, frame = index.take(k, axis=1)
+    frame += np.signbit(x)
+    if not fast.all():
+        zero, inf = x == 0, np.isinf(x)
+        frame[zero] = len(frames) - 2
+        frame[inf] = len(frames) - 1
+        mask[~fast] = 0
+        bad &= ~(zero | inf)
+    out = words.view(np.uint8)
+    after = np.empty_like(out)
+    after.ravel()[1:] = out.ravel()[:-1]
+    out &= masks[0].take(mask, axis=0)
+    after &= masks[1].take(mask, axis=0)
+    out |= after
+    out |= frames.take(frame, axis=0)
+    for i in np.flatnonzero(bad):
+        text = _fmt(float(x[i])).encode()
+        out[i] = 0
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out
 
 
 def _json_num(x: float):
@@ -121,18 +292,6 @@ def _comments(cfg: ScenarioConfig, *extra: str) -> str:
     return "".join(f"# {line}\n" for line in lines)
 
 
-def _block(columns, start: int, rows: int) -> np.ndarray:
-    """Rows ``start:start + rows`` of ``columns`` as a (rows, k) array, brought
-    to the two values that "%.17g" writes unlike ``_fmt``: + 0.0 turns -0.0
-    into 0, and -inf becomes inf."""
-    block = np.empty((rows, len(columns)))
-    for j, col in enumerate(columns):
-        block[:, j] = col[start:start + rows]
-    block += 0.0
-    block[block == -np.inf] = np.inf
-    return block
-
-
 def _csv(comments: str, names, groups):
     """CSV text: the comment block, the header, then each group's rows.
 
@@ -142,15 +301,17 @@ def _csv(comments: str, names, groups):
     ``run`` or ``spectrum`` table is one group; a sweep is one group per
     value.
 
-    The rows come ``_BLOCK_ROWS`` at a time, each block as one string.  Each
-    lead cell is formatted once per group.  A column whose bits are equal
-    in every group (the grid t of any sweep over equal grids; gamma, Delta
-    and negativity_ideal too when only the initial state or h changes) is
-    formatted once per block, into a row template in which every other
-    cell is a placeholder; each group then fills in its own cells in one
-    "%" operation.  A template is kept only while a later group still
-    needs it: about 100 B per grid point, held once per sweep, not once
-    per group.  A single-group table holds one block at a time.
+    The cells are made ``_BLOCK_ROWS`` rows at a time, and the rows come
+    as strings of ``_TEXT_ROWS`` rows, made from one ``_CELL``-byte slot per
+    cell with its NUL padding removed.  At these sizes no buffer of a table
+    passes about 230 KB, so that formatting adds little to the peak RSS of
+    a sweep.  Each lead cell is formatted once per group.  A column whose
+    bits are equal in every group (the grid t of any sweep over equal
+    grids; gamma, Delta and negativity_ideal too when only the initial
+    state or h changes) is formatted once per block, and its slots are kept
+    only while a later group still needs them: 32 B per cell, held once per
+    sweep, not once per group.  A single-group table holds one block at a
+    time.
     """
     yield comments
     yield ",".join(names) + "\n"
@@ -160,30 +321,52 @@ def _csv(comments: str, names, groups):
                                                  cols[j].view(np.uint64))
                                   for _, cols in later)
               for j, col in enumerate(first)]
-    line = ",".join(["%%s"] * len(groups[0][0]) +
-                    ["%.17g" if s else "%%.17g" for s in shared]) + "\n"
-    templates = {}
+    kept = {}
+    text = bytearray()
     for g, (lead, columns) in enumerate(groups):
         heads = [_fmt(v) for v in lead]
-        common = [col for col, s in zip(columns, shared) if s]
-        own = [col for col, s in zip(columns, shared) if not s]
-        keep = bool(common) and g + 1 < len(groups)
+        keep = any(shared) and g + 1 < len(groups)
         n = len(columns[0])
         for start in range(0, n, _BLOCK_ROWS):
-            rows = min(_BLOCK_ROWS, n - start)
-            template = templates.pop(start, None)
-            if template is None:
-                template = (line * rows) % tuple(
-                    _block(common, start, rows).ravel().tolist())
+            stop = min(start + _BLOCK_ROWS, n)
+            common = kept.pop(start, None)
+            if common is None:
+                common = {j: _cells(col[start:stop])
+                          for j, col in enumerate(columns) if shared[j]}
             if keep:
-                templates[start] = template
-            if not (heads or own):
-                yield template
-                continue
-            cells = np.empty((rows, len(heads) + len(own)), dtype=object)
-            cells[:, :len(heads)] = heads
-            cells[:, len(heads):] = _block(own, start, rows)
-            yield template % tuple(cells.ravel().tolist())
+                kept[start] = common
+            cells = [common[j] if shared[j] else _cells(col[start:stop])
+                     for j, col in enumerate(columns)]
+            for at in range(0, stop - start, _TEXT_ROWS):
+                part = [c[at:at + _TEXT_ROWS] for c in cells]
+                size = len(part[0]) * (len(heads) + len(part)) * _CELL
+                if len(text) < size:
+                    text = bytearray(size)
+                yield _rows(text, heads, part)
+
+
+def _rows(text: bytearray, heads, cells) -> str:
+    """CSV rows: the cells ``heads`` in every row, then the ``_cells`` of
+    each column.
+
+    Each cell fills one ``_CELL``-byte slot of ``text`` that ends in its
+    separator, the slots past the rows are NUL, and the rows are ``text``
+    without its NUL bytes.  One ``text`` serves a whole table, so a string
+    of rows makes no new buffer and no copy of it to bytes.
+    """
+    slot = np.dtype((np.void, _CELL))
+    used = len(cells[0]) * (len(heads) + len(cells)) * _CELL
+    raw = np.frombuffer(text, np.uint8)
+    raw[used:] = 0
+    block = raw[:used].view(slot).reshape(len(cells[0]), -1)
+    block[:, :len(heads)] = np.frombuffer(
+        "".join(h.ljust(_CELL, "\0") for h in heads).encode(), slot)
+    for j, c in enumerate(cells, len(heads)):
+        block[:, j] = c.view(slot)[:, 0]
+    raw = block.view(np.uint8).reshape(len(block), -1)
+    raw[:, _CELL - 1::_CELL] = ord(",")
+    raw[:, -1] = ord("\n")
+    return text.translate(None, b"\0").decode("ascii")
 
 
 def _json_rows(names, columns) -> list[dict]:

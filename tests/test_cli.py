@@ -302,16 +302,29 @@ class TestOneWriter:
         assert f"# sweep {field} = {','.join(values)}" in out.splitlines()
 
     def test_block_boundaries_keep_every_row(self, capsys, monkeypatch):
-        argv = ("sweep", "--preset", "fig1_lambda1", "--field", "bath.lambda",
-                "--values", "1,2", "--set", "grid.n_points=5")
-        code, whole, err = invoke(capsys, *argv)
-        monkeypatch.setattr(spinbath.cli, "_BLOCK_ROWS", 2)
-        code2, blocked, err = invoke(capsys, *argv)
-        assert code == code2 == 0
-        assert blocked == whole
-        assert len(data_lines(whole)) == 11
+        # blocks of 2 and 3 rows and strings of 1, 3 and 5 rows against one
+        # of each, for sweeps that share t, that share 4 of 6 columns, and
+        # whose groups of 5, 4 and 7 rows share nothing: the lead, shared
+        # and own cells of every group cross a block boundary
+        for preset, field, values, rows in [
+                ("fig1_lambda1", "bath.lambda", "1,2", 10),
+                ("fig6_single_theta", "init.theta", "pi/8,pi/4", 10),
+                ("fig1_lambda1", "grid.n_points", "5,4,7", 16)]:
+            argv = ("sweep", "--preset", preset, "--field", field,
+                    "--values", values, "--set", "grid.n_points=5")
+            monkeypatch.setattr(spinbath.cli, "_BLOCK_ROWS", 4096)
+            monkeypatch.setattr(spinbath.cli, "_TEXT_ROWS", 4096)
+            code, whole, err = invoke(capsys, *argv)
+            assert code == 0
+            assert len(data_lines(whole)) == 1 + rows
+            for block, text in ((2, 1), (3, 3), (3, 5), (2, 3)):
+                monkeypatch.setattr(spinbath.cli, "_BLOCK_ROWS", block)
+                monkeypatch.setattr(spinbath.cli, "_TEXT_ROWS", text)
+                code, blocked, err = invoke(capsys, *argv)
+                assert code == 0
+                assert blocked == whole
 
-    def test_row_template_matches_fmt(self):
+    def test_signed_zero_and_infinity_match_fmt(self):
         # -0.0 and -inf are the two values "%.17g" writes unlike _fmt
         a = np.array([-0.0, -np.inf, np.inf, 0.0, 1.0 / 3.0, -2.5e-300])
         b = np.array([np.inf, 5, -0.0, -7.0, 1e300, -np.inf])
@@ -321,21 +334,34 @@ class TestOneWriter:
             for x, y in zip(a.tolist(), b.tolist()))
 
     def test_shared_and_own_cells_match_fmt(self, monkeypatch):
-        # a is shared by both groups and formatted once, into the row
-        # template; b and the lead cell are each group's own
-        monkeypatch.setattr(spinbath.cli, "_BLOCK_ROWS", 4)
+        # with groups of equal length a is shared and formatted once per
+        # block; b and the lead cell are each group's own.  Groups of 6 and
+        # 5 rows share nothing.  Blocks of 3 and 4 rows, strings of 1 and 3.
         fmt = spinbath.cli._fmt
+        cells = spinbath.cli._cells
         a = np.array([-0.0, -np.inf, np.inf, 0.0, 1.0 / 3.0, -2.5e-300])
-        groups = [((-0.0,), (a, np.array([np.inf, 5, -0.0, -7.0, 1e300,
-                                          -np.inf]))),
-                  ((-np.inf,), (a.copy(), np.array([-np.inf, -0.0, 2.0, 0.0,
-                                                    -1e-300, 0.1])))]
-        _, header, *blocks = spinbath.cli._csv("", ("v", "a", "b"), groups)
-        assert header == "v,a,b\n"
-        assert "".join(blocks) == "".join(
-            f"{fmt(v)},{fmt(x)},{fmt(y)}\n"
-            for (v,), (col_a, col_b) in groups
-            for x, y in zip(col_a.tolist(), col_b.tolist()))
+        b = np.array([-np.inf, -0.0, 2.0, 0.0, -1e-300, 0.1])
+        for block, text in ((3, 1), (4, 3)):
+            for second in (6, 5):
+                monkeypatch.setattr(spinbath.cli, "_BLOCK_ROWS", block)
+                monkeypatch.setattr(spinbath.cli, "_TEXT_ROWS", text)
+                formatted = []
+                monkeypatch.setattr(
+                    spinbath.cli, "_cells",
+                    lambda x: formatted.append(len(x)) or cells(x))
+                groups = [((-0.0,), (a, np.array([np.inf, 5, -0.0, -7.0,
+                                                  1e300, -np.inf]))),
+                          ((-np.inf,), (a[:second].copy(), b[:second]))]
+                _, header, *blocks = spinbath.cli._csv("", ("v", "a", "b"),
+                                                       groups)
+                assert header == "v,a,b\n"
+                assert "".join(blocks) == "".join(
+                    f"{fmt(v)},{fmt(x)},{fmt(y)}\n"
+                    for (v,), (col_a, col_b) in groups
+                    for x, y in zip(col_a.tolist(), col_b.tolist()))
+                # a once when shared, else once per group; b per group
+                assert sum(formatted) == {6: 6 + 2 * 6,
+                                          5: 2 * (6 + 5)}[second]
 
     @pytest.mark.parametrize("preset,field,values,n_points", [
         ("fig6_single_theta", "init.theta", ("pi/8", "pi/4", "pi/2", "pi/8"),
@@ -404,6 +430,53 @@ class TestOneWriter:
                     obj.get("rows") or [r for g in obj["groups"]
                                         for r in g["rows"]])
             assert rows and all(r["gamma"] == "inf" for r in rows)
+
+
+def cell_mismatches(x):
+    """The first values whose cell in a one-column ``_csv`` table is not
+    "%.17g", with _fmt's "0" for +-0 and "inf" for +-inf."""
+    _, _, *blocks = spinbath.cli._csv("", ("x",), [((), (x,))])
+    got = "".join(blocks).splitlines()
+    assert len(got) == len(x)
+    want = ["inf" if math.isinf(v) else "0" if v == 0 else "%.17g" % v
+            for v in x.tolist()]
+    return [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w][:5]
+
+
+class TestCellText:
+    def test_random_bit_patterns(self):
+        # 1e6 uniform 64-bit patterns: every binade about 490 times,
+        # subnormals, both signs, infinities and nan
+        rng = np.random.default_rng(27)
+        for _ in range(10):
+            bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64)
+            assert cell_mismatches(bits.view(np.float64)) == []
+
+    def test_edge_values(self):
+        rng = np.random.default_rng(2027)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        # exact ties at the 17th digit: x = a 2^(k-17), a odd, k the decade
+        ties = [math.ldexp(int(x * 2.0 ** (17 - k)) | 1, k - 17)
+                for k in range(-8, 15)
+                for x in 10.0 ** (k + rng.random(50))]
+        switch = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-05,
+                  99999999999999999.0, 9999999999999999.5]
+        values = np.concatenate([
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            2.0 ** np.arange(53, 61),
+            rng.integers(2**53, 2**60, 20000).astype(np.float64),
+            # 18-digit integers ending in 5, as their nearest doubles
+            (rng.integers(10**16, 10**17, 2000) * 10 + 5).astype(np.float64),
+            ties, switch,
+            [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             0.0, np.inf, np.nan]])
+        # 8 neighbours either side of the switch points
+        lo = hi = np.array(switch)
+        for _ in range(8):
+            lo, hi = np.nextafter(lo, 0), np.nextafter(hi, np.inf)
+            values = np.concatenate([values, lo, hi])
+        values = np.concatenate([values, -values])
+        assert cell_mismatches(values) == []
 
 
 class TestSpectrumCommand:

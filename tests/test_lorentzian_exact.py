@@ -51,12 +51,13 @@ def mp_factors(coupling, q, omega_c, n, beta, t, dps=30, split=1.0):
 
     gamma = 1/4 int J(w) (1 - cos wt) / w^2 coth(beta w/2) dw and
     Delta = 1/4 int J(w) (sin wt - wt) / w^2 dw.  Up to A (four periods of
-    the kernel, or half the resonance frequency when the resonance lies
-    beyond that) the integrand is integrated on the real axis.  Beyond A
-    the smooth part stays there, and the oscillating part env(w) e^(iwt)
-    moves to the vertical ray A + iy, where it decays like e^(-yt), plus
-    2 pi i times the residue at the pole of J in Re w > A, Im w > 0.
-    ``split`` scales A, so two values give two independent evaluations.
+    the kernel, or half the resonance frequency Omega when the resonance is
+    sharp, Omega > q, and lies beyond that) the integrand is integrated on
+    the real axis.  Beyond A the smooth part stays there, and the
+    oscillating part env(w) e^(iwt) moves to the vertical ray A + iy, where
+    it decays like e^(-yt), plus 2 pi i times the residue at the pole of J
+    in Re w > A, Im w > 0.  ``split`` scales A, so two values give two
+    independent evaluations.
     """
     with mpmath.workdps(dps):
         lam, q, wc, b, t = (mpmath.mpf(v) for v in (coupling, q, omega_c,
@@ -82,7 +83,7 @@ def mp_factors(coupling, q, omega_c, n, beta, t, dps=30, split=1.0):
             return spec(w) * delta_kernel(w)
 
         a = 8 * mpmath.pi / t
-        if om > 0 and a < 2 * (wc + 16 * q):
+        if om > q and a < 2 * (wc + 16 * q):
             a = min(a, om / 2)
         a *= split
         ys = {mpmath.mpf(0), 1 / t, 10 / t, q / 2, mpmath.inf}
@@ -293,6 +294,17 @@ def test_reference_agrees_with_itself():
         for x, y in zip(lo, hi):
             if mpmath.isfinite(y):
                 assert abs(x - y) <= 1e-20 * abs(y)
+
+
+@pytest.mark.parametrize("q", [2.0 - 3e-9, 2.0 - 1e-7, 2.0 + 1e-7])
+def test_reference_holds_its_digits_near_critical_damping(q):
+    # barely underdamped, Omega << q: A stays at four periods of the kernel.
+    # Moved to Omega / 2 (2.7e-5 at q = 2 - 3e-9) it put the ray beside the
+    # pole of coth at 0, and the 30- and 40-digit gammas differed by 1.7e-12
+    lo = mp_factors(1.0, q, 1.0, 2, 1.0, 0.7)
+    hi = mp_factors(1.0, q, 1.0, 2, 1.0, 0.7, dps=40)
+    for x, y in zip(lo, hi):
+        assert abs(x - y) <= 1e-14 * abs(y)
 
 
 def test_phi_matches_mpmath():
