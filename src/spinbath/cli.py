@@ -139,10 +139,11 @@ def _digits(x: np.ndarray):
 
     There y = |x| 10^(16-k) is formed as p + e, Dekker's product of |x| and
     the two doubles of 10^(16-k): exact but for 2^-46 of e, and D is y
-    rounded to the nearest integer.  ``_fmt`` takes over where that is not
-    certain: when the fraction of y lies within 2^-20 of 1/2 (an exact tie
-    rounds to even), and when floor(y) < 10^16 or D > 10^17 (log10 was off
-    by one; D = 10^17 is 10^16 of the next decade).  It takes every cell
+    rounded to the nearest integer, an exact tie to even.  Where 10^(16-k)
+    is a double (-6 <= k <= 16) y is exact.  ``_fmt`` takes over where D is
+    not certain: elsewhere when the fraction of y lies within 2^-20 of 1/2,
+    and when floor(y) < 10^16 or D > 10^17 (log10 was off by one; D = 10^17
+    is 10^16 of the next decade).  It takes every cell
     outside the range too; ``_cells`` writes 0 and inf itself.
     """
     a = np.abs(x)
@@ -165,11 +166,14 @@ def _digits(x: np.ndarray):
     e -= whole
     up = e > 0.5
     e -= 0.5
+    tie = e == 0.0
     bad = np.abs(e, out=e) <= 2.0 ** -20
+    bad &= lo != 0.0
     bad |= ~fast
     d = p.astype(np.int64)
     d += whole.astype(np.int64)
     bad |= d < 10 ** 16
+    up |= tie & (d % 2 == 1)
     d += up
     bad |= d > 10 ** 17
     over = d == 10 ** 17

@@ -45,6 +45,24 @@ _DM = _M_SUM[:, None] - _M_SUM[None, :]
     for values in [sorted(set(e.flat))]]
 #: lowest eigenvalue a valid density matrix may have
 _POSITIVITY_TOL = 1e-10
+#: flattened (4, 4) index of each entry on or above the diagonal, and of
+#: its transposed partner
+_UPPER, _LOWER = (np.array(ix) for ix in zip(
+    *[(4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4)]))
+#: _POSITIVITY_TOL times the flattened identity, as a column
+_SHIFT = _POSITIVITY_TOL * np.eye(4).reshape(16, 1)
+
+
+def _pivots_positive(m):
+    """Whether every LDL^H pivot of each matrix of a (4, 4, B) Hermitian
+    stack is > 0, exactly when a Cholesky factor exists.  Each pivot is the
+    top corner of a Schur complement."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        low = m[0, 0].real
+        for _ in range(3):
+            m = m[1:, 1:] - m[1:, :1] * (m[0, 1:] / m[0, 0])
+            low = np.minimum(low, m[0, 0].real)
+    return low > 0.0
 
 
 @dataclass(frozen=True)
@@ -103,11 +121,13 @@ class TwoSpinState:
     stack of them along a leading time axis.
 
     Every matrix must be finite, Hermitian, of unit trace and positive
-    (lowest eigenvalue >= -1e-10).  Positivity is screened with one batched
-    Cholesky factorization of rho + 1e-10 I, which exists exactly when the
-    lowest eigenvalue exceeds -1e-10 (up to rounding near that threshold);
-    only a stack it rejects is decided by a batched eigvalsh.  ``rho`` is
-    a read-only view of a complex input, not a copy.
+    (lowest eigenvalue >= -1e-10).  Hermiticity compares the 10 entries on
+    and above the diagonal with their transposed partners.  Positivity is
+    screened in numpy by the LDL^H pivots of rho + 1e-10 I, all > 0 exactly
+    when a Cholesky factor exists, that is when the lowest eigenvalue
+    exceeds -1e-10 (up to rounding near that threshold); only the rows it
+    rejects are decided by a batched eigvalsh.  ``rho`` is a read-only view
+    of a complex input, not a copy.
     """
 
     rho: np.ndarray
@@ -119,16 +139,23 @@ class TwoSpinState:
                 f"density matrix must be 4x4 or (B, 4, 4), got {rho.shape}")
         if not np.all(np.isfinite(rho)):
             raise InvalidState("density matrix has non-finite entries")
-        if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), initial=0.0) > 1e-12:
+        # (16, B) entries of rho + 1e-10 I, each row contiguous
+        m = np.add(rho.reshape(-1, 16).T, _SHIFT, order="C")
+        # |rho - rho^H| on and above the diagonal: parts below 7e-13 need no
+        # modulus to pass
+        gap = m[_UPPER] - m[_LOWER].conj()
+        if (np.max(np.abs(gap.view(float)), initial=0.0) > 7e-13
+                and np.max(np.abs(gap), initial=0.0) > 1e-12):
             raise InvalidState("density matrix is not Hermitian")
         trace = np.trace(rho, axis1=-2, axis2=-1)
-        bad = (np.abs(trace.real - 1.0) > 1e-12) | (np.abs(trace.imag) > 1e-12)
-        if np.any(bad):
+        if np.max(np.abs(np.reshape(trace - 1.0, -1).view(float)),
+                  initial=0.0) > 1e-12:
+            bad = (np.abs(trace.real - 1.0) > 1e-12) | (np.abs(trace.imag) > 1e-12)
             raise InvalidState(f"trace must be 1, got {trace[bad].flat[0]}")
-        try:
-            np.linalg.cholesky(rho + _POSITIVITY_TOL * np.eye(4))
-        except np.linalg.LinAlgError:
-            lowest = float(np.min(np.linalg.eigvalsh(rho)[..., 0], initial=0.0))
+        unsure = ~_pivots_positive(m.reshape(4, 4, -1))
+        if unsure.any():
+            lowest = float(np.min(np.linalg.eigvalsh(
+                rho.reshape(-1, 4, 4)[unsure])[:, 0], initial=0.0))
             if lowest < -_POSITIVITY_TOL:
                 raise InvalidState(
                     f"density matrix not positive (min eig {lowest:.3e})")

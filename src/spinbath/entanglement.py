@@ -18,10 +18,15 @@ arrays of gamma and Delta or a stack of states) and cross-check each other:
   transpose.  Both take arrays of gamma and Delta elementwise in one numpy
   pass, and a scalar call and an array call give the same bits.
 * ``negativity_numeric``: the general route for any state, needed for tilted
-  initial Bloch angles.  The 4x4 Hermitian partial transpose is diagonalized
-  by LAPACK (``np.linalg.eigvalsh``); ``pt_spectra`` returns the spectra of
-  a whole (B, 4, 4) stack from one call, and ``x_block_spectra`` those of
-  evolved x-projected states from two exact 2x2 blocks, with an error bound.
+  initial Bloch angles.  A two-qubit partial transpose has at most one
+  negative eigenvalue, so ``pt_negativity`` finds only the lowest one: two
+  Householder reflections give a real symmetric tridiagonal with the same
+  spectrum, Sturm counts bracket the eigenvalue and Newton steps refine it,
+  and two more counts certify it.  A row it cannot certify takes LAPACK
+  (``pt_spectra``, the full spectra of a (B, 4, 4) stack from one batched
+  ``np.linalg.eigvalsh``), and only that row.  ``x_block_spectra`` gives the
+  spectra of evolved x-projected states from two exact 2x2 blocks, with an
+  error bound.
 
 Eigenvalues within 1e-13 of zero are treated as zero so that separable
 states report exactly N = 0.
@@ -40,11 +45,24 @@ __all__ = [
     "negativity_closed_form",
     "negativity_numeric",
     "partial_transpose",
+    "pt_negativity",
     "pt_spectra",
 ]
 
 #: eigenvalues closer to zero than this count as zero, not negative
 ZERO_EIGENVALUE_TOL = 1e-13
+#: ``pt_negativity`` leaves to LAPACK a lowest eigenvalue within this of
+#: -ZERO_EIGENVALUE_TOL, where rounding could decide the zero band
+_BAND_MARGIN = 1e-14
+#: half-width of the interval that certifies the lowest eigenvalue, a few
+#: ulps of a spectrum that lies in [-1/2, 1]
+_CERTIFIED = 2.0 ** -50
+#: Sturm bisection steps on log|x| over [ZERO_EIGENVALUE_TOL, 1], then
+#: Newton steps from the left end of the bracket
+_BISECTIONS, _NEWTON_STEPS = 10, 4
+#: the flattened rho index of each partial-transpose entry the reduction
+#: reads: the diagonal X00..X33, the column X10, X20, X30 and X12, X13, X23
+_PT_ENTRIES = np.array([0, 5, 10, 15, 1, 8, 9, 3, 7, 14])
 
 
 def appendix_b_eigenvalues(gamma, delta) -> tuple:
@@ -148,6 +166,106 @@ def x_block_spectra(rhos, h: float = 0.0, t=0.0) -> tuple:
     return spectra, 2.0 * np.linalg.norm(p - s - q + r, axis=(-2, -1))
 
 
+def _tridiagonal(rho):
+    """Diagonal d (4, B) and squared off-diagonal e2 (3, B) of a real
+    symmetric tridiagonal with the spectrum of each partial transpose of a
+    (B, 4, 4) stack: a Householder reflection takes column 0, a 2x2 unitary
+    rotation the rest of column 1.  e2 is kept above 1e-300, so that a
+    zero pivot never meets a zero numerator."""
+    a00, a11, a22, a33, x1, x2, x3, a12, a13, a23 = \
+        rho.reshape(-1, 16).T[_PT_ENTRIES]
+    a00, a11, a22, a33 = a00.real, a11.real, a22.real, a33.real
+    # H = I - tau v v^H with v = x + sigma e^(i arg x1) e1 maps x to sigma
+    n1 = x1.real ** 2 + x1.imag ** 2
+    s1 = n1 + (x2.real ** 2 + x2.imag ** 2) + (x3.real ** 2 + x3.imag ** 2)
+    sigma, abs1 = np.sqrt(s1), np.sqrt(n1)
+    tau = np.where(sigma > 0.0, 1.0 / (sigma * (sigma + abs1)), 0.0)
+    v1 = x1 + sigma * np.where(abs1 > 0.0, x1 / abs1, 1.0)
+    p1 = tau * (a11 * v1 + a12 * x2 + a13 * x3)
+    p2 = tau * (a12.conj() * v1 + a22 * x2 + a23 * x3)
+    p3 = tau * (a13.conj() * v1 + a23.conj() * x2 + a33 * x3)
+    k = 0.5 * tau * (v1.conj() * p1 + x2.conj() * p2 + x3.conj() * p3).real
+    w1, w2, w3 = p1 - k * v1, p2 - k * x2, p3 - k * x3
+    # the trailing 3x3 block of H X H
+    b11 = a11 - 2.0 * (v1 * w1.conj()).real
+    c = a22 - 2.0 * (x2 * w2.conj()).real
+    f = a33 - 2.0 * (x3 * w3.conj()).real
+    u1 = a12 - v1 * w2.conj() - w1 * x2.conj()
+    u2 = a13 - v1 * w3.conj() - w1 * x3.conj()
+    g = a23 - x2 * w3.conj() - w2 * x3.conj()
+    # rows (u1, u2) and (-conj u2, conj u1) / sqrt(s2) rotate (u1, u2)^H
+    # onto the first axis of the trailing [[c, g], [g^*, f]]
+    n1 = u1.real ** 2 + u1.imag ** 2
+    n2 = u2.real ** 2 + u2.imag ** 2
+    s2 = n1 + n2
+    flat = s2 == 0.0
+    d2 = np.where(flat, c, (n1 * c + n2 * f
+                            + 2.0 * (u1 * g * u2.conj()).real) / s2)
+    off = u1 * u2 * (f - c) + u1 * u1 * g - u2 * u2 * g.conj()
+    e3 = np.where(flat, g.real ** 2 + g.imag ** 2,
+                  (off.real ** 2 + off.imag ** 2) / (s2 * s2))
+    return (np.stack([a00, b11, d2, c + f - d2]),
+            np.maximum(np.stack([s1, s2, e3]), 1e-300))
+
+
+def _below(d, e2, x):
+    """Sturm count: how many eigenvalues of each tridiagonal lie below x,
+    from the signs of the LDL^T pivots of T - x I."""
+    dx = d - x
+    q = dx[0]
+    count = (q < 0.0).astype(np.int8)
+    for k in (1, 2, 3):
+        q = dx[k] - e2[k - 1] / q
+        count += q < 0.0
+    return count
+
+
+def pt_negativity(rhos):
+    """Negativity of each state of a ``TwoSpinState`` stack from the lowest
+    eigenvalue of its partial transpose, and whether it is certified: (B,)
+    arrays, also for one state.
+
+    A row is N = 0 when its tridiagonal T has no eigenvalue below -1e-13 +
+    1e-14.  Otherwise, with exactly one there, a fixed number of Sturm
+    bisection steps brackets it on log|x| and Newton steps on det(T - x I)
+    climb to it from the left, where they are monotone; N = -x is certified
+    when T - (x - d) I is positive definite, T - (x + d) I is not, with d =
+    2^-50, and x + d < -1e-13 - 1e-14.  Any other row is left uncertified
+    (N = nan) for LAPACK.  Each row is computed on its own, with the same
+    bits in a block and alone.
+    """
+    rho = rhos.rho.reshape(-1, 4, 4)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d, e2 = _tridiagonal(rho)
+        lo = np.full(len(rho), ZERO_EIGENVALUE_TOL)
+        hi = np.ones(len(rho))
+        for _ in range(_BISECTIONS):
+            mid = np.sqrt(lo * hi)
+            below = _below(d, e2, -mid) > 0
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        x = -hi
+        for _ in range(_NEWTON_STEPS):
+            # d/dx log det(T - x I) = sum of q_k'/q_k over the pivots q_k
+            dx = d - x
+            q = dx[0]
+            slope = ratio = -1.0 / q
+            for k in (1, 2, 3):
+                t = e2[k - 1] / q
+                q = dx[k] - t
+                ratio = (t * ratio - 1.0) / q
+                slope = slope + ratio
+            x = x - 1.0 / slope
+        edge = np.full_like(x, _BAND_MARGIN - ZERO_EIGENVALUE_TOL)
+        count = _below(d[:, None], e2[:, None],
+                       np.stack([x - _CERTIFIED, x + _CERTIFIED, edge]))
+    zero = count[2] == 0
+    certified = zero | ((count[2] == 1) & (count[0] == 0) & (count[1] > 0)
+                        & (x + _CERTIFIED
+                           < -ZERO_EIGENVALUE_TOL - _BAND_MARGIN))
+    return np.where(zero, 0.0, np.where(certified, -x, np.nan)), certified
+
+
 def negativity_from_spectrum(eigs):
     """Sum of |negative eigenvalues|, ignoring ones within the zero band.
 
@@ -161,5 +279,11 @@ def negativity_from_spectrum(eigs):
 
 def negativity_numeric(state: TwoSpinState):
     """Negativity of an arbitrary two-spin state via its partial transpose:
-    a builtin float for one state, an array for a (B, 4, 4) stack."""
-    return negativity_from_spectrum(pt_spectra(state))
+    a builtin float for one state, an array for a (B, 4, 4) stack.  The
+    certified lowest eigenvalue of ``pt_negativity``, and LAPACK's spectrum
+    for a row it cannot certify."""
+    out, certified = pt_negativity(state)
+    if not certified.all():
+        out[~certified] = negativity_from_spectrum(
+            pt_spectra(state.rho.reshape(-1, 4, 4)[~certified]))
+    return out if state.rho.ndim == 3 else float(out[0])

@@ -14,8 +14,9 @@ whatever the bath; every family is exact over an array there, and so are
 the closed-form and ideal negativities, each one numpy pass over the grid.
 The states go through fixed blocks of ``_BLOCK_POINTS`` grid points: per
 block one batched evolve (validated in one pass), one partial-transpose
-spectrum (``x_block_spectra`` for an x-projected state, ``pt_spectra``
-otherwise) and the purity, so the (B, 4, 4) stacks take the same memory
+pass (``x_block_spectra`` for an x-projected state, otherwise the certified
+lowest eigenvalue of ``pt_negativity``, with ``pt_spectra`` on any row it
+cannot certify) and the purity, so the (B, 4, 4) stacks take the same memory
 whatever the grid size.  Identical configurations give bit-identical
 records: each point is a pure function of the configuration.
 
@@ -50,6 +51,7 @@ from .entanglement import (
     ideal_negativity,
     negativity_closed_form,
     negativity_from_spectrum,
+    pt_negativity,
     pt_spectra,
     x_block_spectra,
 )
@@ -191,9 +193,15 @@ def run(cfg: ScenarioConfig) -> RunRecord:
         part = slice(lo, lo + _BLOCK_POINTS)
         block = evolve(init, DecoherenceFactors(df.gamma[part], df.delta[part]),
                        field, times[part])
-        spectra, bound[part] = (x_block_spectra(block, cfg.h, times[part])
-                                if x_state else (pt_spectra(block), 0.0))
-        numeric[part] = negativity_from_spectrum(spectra)
+        if x_state:
+            spectra, bound[part] = x_block_spectra(block, cfg.h, times[part])
+            numeric[part] = negativity_from_spectrum(spectra)
+        else:
+            n, certified = pt_negativity(block)
+            if not certified.all():
+                n[~certified] = negativity_from_spectrum(
+                    pt_spectra(block.rho[~certified]))
+            numeric[part], bound[part] = n, 0.0
         purity[part] = block.purity()
 
     if x_state:

@@ -229,6 +229,40 @@ class TestPositivityScreen:
         TwoSpinState(rhos[where])
 
 
+class TestStateCheckRows:
+    """Each row of a stack is checked on its own: one bad row, wherever it
+    sits, rejects the stack, and the stack without it passes."""
+
+    @staticmethod
+    def good_stack(b):
+        rng = np.random.default_rng(2900 + b)
+        init = bloch_product_to_general(InitialProductState(0.4, 2.0, 0.3, 1.1))
+        return np.array(evolve(init, DecoherenceFactors(
+            rng.uniform(0, 1, b), -rng.uniform(0, 3, b)), FieldConfig(0.7),
+            rng.uniform(0, 40, b)).rho)
+
+    @pytest.mark.parametrize("b", [2, 251, 2048])
+    def test_one_negative_row(self, b):
+        rhos = self.good_stack(b)
+        TwoSpinState(rhos)
+        bad = _with_lowest_eigenvalue(-2e-10, b)
+        for where in range(b):
+            stack = rhos.copy()
+            stack[where] = bad
+            with pytest.raises(InvalidState, match="min eig -2.0"):
+                TwoSpinState(stack)
+
+    @pytest.mark.parametrize("b", [2, 251, 2048])
+    @pytest.mark.parametrize("entry", [(0, 3), (3, 0), (1, 2), (2, 1)])
+    def test_one_non_hermitian_entry(self, b, entry):
+        rhos = self.good_stack(b)
+        for where in range(0, b, 1 if b < 300 else 7):
+            stack = rhos.copy()
+            stack[(where,) + entry] += 1e-9
+            with pytest.raises(InvalidState, match="not Hermitian"):
+                TwoSpinState(stack)
+
+
 class TestFactorTypes:
     @pytest.mark.parametrize("bath", [
         Ohmic(0.01, 3.0, 10.0),
@@ -354,7 +388,7 @@ class TestBlocks:
         for k, t in enumerate(rec.t.tolist()):
             state = evolve(init, DecoherenceFactors(rec.gamma[k], rec.delta[k]),
                            field, t)
-            negativity.append(negativity_from_spectrum(pt_spectra(state.rho)))
+            negativity.append(negativity_numeric(state))
             purity.append(state.purity())
         assert bits(rec.negativity) == bits(negativity)
         assert bits(rec.purity) == bits(purity)
@@ -457,7 +491,7 @@ class TestTracerContract:
 
     def check_calls(self, monkeypatch, bath, x_state, n_points):
         calls = {}
-        for name in TRACED_NAMES[:-1] + ("x_block_spectra",):
+        for name in TRACED_NAMES[:-1] + ("x_block_spectra", "pt_negativity"):
             fn = getattr(spinbath.scenario, name)
 
             def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -470,8 +504,9 @@ class TestTracerContract:
         spinbath.scenario.run(ScenarioConfig(
             bath=bath, beta=1.0, init=init, grid=TimeGrid(0.0, 2.0, n_points)))
         # an x-projected state takes its spectrum from the 2x2 blocks, any
-        # other state from LAPACK
-        spectrum = "x_block_spectra" if x_state else "pt_spectra"
+        # other state its certified lowest eigenvalue, and LAPACK
+        # (pt_spectra) only for a row that is not certified, none here
+        spectrum = "x_block_spectra" if x_state else "pt_negativity"
         expect = {"factors", "evolve", spectrum, "ideal_negativity"}
         if x_state:
             expect.add("negativity_closed_form")

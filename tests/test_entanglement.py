@@ -10,6 +10,7 @@ from spinbath.dynamics import (
     FieldConfig,
     GeneralInitialState,
     InitialProductState,
+    TwoSpinState,
     bloch_product_to_general,
     evolve,
     is_x_projected,
@@ -18,8 +19,10 @@ from spinbath.entanglement import (
     appendix_b_eigenvalues,
     ideal_negativity,
     negativity_closed_form,
+    negativity_from_spectrum,
     negativity_numeric,
     partial_transpose,
+    pt_negativity,
     pt_spectra,
     x_block_spectra,
 )
@@ -264,3 +267,116 @@ def test_removed_names_raise_attribute_error(module, name):
     # h = 0 is the ideal evolution, and no factor record names its kernel
     with pytest.raises(AttributeError):
         getattr(module, name)
+
+
+def lapack_negativity(rho):
+    return negativity_from_spectrum(np.linalg.eigvalsh(partial_transpose(rho)))
+
+
+def ginibre_states(rng, n):
+    g = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+
+
+def with_lowest_pt_eigenvalue(rng, lowest, n):
+    """Random pure states mixed with I/4 so that the lowest eigenvalue of
+    each partial transpose is `lowest` (up to rounding)."""
+    c = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    rho = c[:, :, None] * c[:, None, :].conj()
+    lam = np.linalg.eigvalsh(partial_transpose(rho))[:, 0]
+    p = ((0.25 - lowest) / (0.25 - lam))[:, None, None]
+    return p * rho + (1.0 - p) * np.eye(4) / 4
+
+
+class TestPtNegativity:
+    """The certified lowest partial-transpose eigenvalue against LAPACK."""
+
+    def check(self, rho, tol=2e-15):
+        state = TwoSpinState(rho)
+        n = negativity_numeric(state)
+        assert np.all(np.abs(n - lapack_negativity(state.rho)) <= tol)
+        return int(np.sum(~pt_negativity(state)[1]))
+
+    @pytest.mark.parametrize("h", [0.0, 0.7, 1e4])
+    def test_product_states(self, h):
+        rng = np.random.default_rng(290)
+        uncertified = 0
+        for gamma in (0.0, 1e-12, np.inf, None):
+            for _ in range(4):
+                init = bloch_product_to_general(InitialProductState(
+                    rng.uniform(0, math.pi), rng.uniform(0, math.pi),
+                    rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)))
+                g = rng.uniform(0, 2, 500) if gamma is None else gamma
+                state = evolve(init, DecoherenceFactors(g, -rng.uniform(0, 10, 500)),
+                               FieldConfig(h), rng.uniform(0, 40, 500))
+                uncertified += self.check(state.rho)
+        assert uncertified == 0
+
+    def test_random_full_rank_states(self):
+        assert self.check(ginibre_states(np.random.default_rng(291), 4000)) == 0
+
+    def test_pure_states(self):
+        rng = np.random.default_rng(292)
+        c = rng.normal(size=(2000, 4)) + 1j * rng.normal(size=(2000, 4))
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        assert self.check(c[:, :, None] * c[:, None, :].conj()) == 0
+        a, b = (rng.normal(size=(2000, 2)) + 1j * rng.normal(size=(2000, 2))
+                for _ in range(2))
+        p = (a[:, :, None] * b[:, None, :]).reshape(-1, 4)
+        p /= np.linalg.norm(p, axis=1)[:, None]
+        n = negativity_numeric(TwoSpinState(p[:, :, None] * p[:, None, :].conj()))
+        assert np.all(n == 0.0)
+
+    def test_werner_states(self):
+        psi = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        p = np.linspace(0.0, 1.0, 1001)
+        rho = (p[:, None, None] * np.outer(psi, psi)
+               + (1.0 - p[:, None, None]) * np.eye(4) / 4)
+        n = negativity_numeric(TwoSpinState(rho))
+        assert np.all(np.abs(n - np.maximum(0.0, (3 * p - 1) / 4)) <= 2e-15)
+        self.check(rho)
+
+    def test_zero_band_edge(self):
+        # lowest eigenvalue at -1e-13 +- a few ulps: the zero band decides,
+        # so these rows take LAPACK's verdict
+        rng = np.random.default_rng(293)
+        lowest = -1e-13 + np.arange(-8, 9) * np.spacing(1e-13)
+        rho = np.concatenate([with_lowest_pt_eigenvalue(rng, x, 20)
+                              for x in lowest])
+        state = TwoSpinState(rho)
+        assert np.array_equal(negativity_numeric(state),
+                              lapack_negativity(state.rho))
+        rho = np.concatenate([with_lowest_pt_eigenvalue(rng, x, 50)
+                              for x in (-1.2e-13, -8e-14, -1e-12, -1e-6)])
+        assert self.check(rho) == 0
+
+    def test_mpmath_reference(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(294)
+        rho = np.concatenate([ginibre_states(rng, 25),
+                              with_lowest_pt_eigenvalue(rng, -1e-9, 25)])
+        n = negativity_numeric(TwoSpinState(rho))
+        with mp.workdps(30):
+            for k, x in enumerate(partial_transpose(rho)):
+                eigs = mp.eighe(mp.matrix(x.tolist()), eigvals_only=True)
+                ref = -min(0, min(eigs)) if min(eigs) < -1e-13 else 0
+                assert abs(n[k] - float(ref)) <= 2e-15
+
+    def test_one_state_gives_its_row_bits(self):
+        rho = ginibre_states(np.random.default_rng(295), 300)
+        n = negativity_numeric(TwoSpinState(rho))
+        one = [negativity_numeric(TwoSpinState(r)) for r in rho]
+        assert np.asarray(n).view(np.uint64).tolist() == \
+            np.asarray(one).view(np.uint64).tolist()
+
+    def test_uncertified_rows_take_lapack(self, monkeypatch):
+        rho = ginibre_states(np.random.default_rng(296), 500)
+        # a negative half-width fails every certificate
+        monkeypatch.setattr(spinbath.entanglement, "_CERTIFIED", -1.0)
+        state = TwoSpinState(rho)
+        n, certified = pt_negativity(state)
+        assert np.all(n[certified] == 0.0) and 100 < np.sum(~certified)
+        assert np.array_equal(negativity_numeric(state),
+                              lapack_negativity(state.rho))
